@@ -1,26 +1,37 @@
 """The return-conditioned policy's token windows, the hybrid prioritized
-buffer, and the dual-timescale schedule."""
+buffer, and the dual-timescale update counts of online fine-tuning."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from socnav.config import SimConfig
+from socnav import trainer
+from socnav.config import Config, SimConfig
 from socnav.dataset import generate_dataset
-from socnav.policy import DtPolicy, tokenize
-from socnav.replay import HybridBuffer, TimescaleSchedule
+from socnav.policy import Actor, DtPolicy, stack_sequences, tokenize
+from socnav.replay import HybridBuffer
 
 out = Path(tempfile.mkdtemp()) / "demo.jsonl"
 trajs, _ = generate_dataset(30, seed=1_000_000, sim_cfg=SimConfig(), gamma=0.99,
                             out_path=out)
 traj = trajs[0]
+end = min(5, traj.num_steps - 1)
+policy = DtPolicy(num_peds=5, context=4, hidden_dim=32, num_heads=2,
+                  ffn_dim=32, num_blocks=1)
+store = policy.init_store(0)
 
-print("== conditioning modes for the same window ==")
-for source in ("labels", "fixed"):
-    seq = tokenize(traj.states, traj.actions, traj.rewards,
-                   end=min(5, traj.num_steps - 1), context=4, num_peds=5,
-                   rtg_source=source, rtg_labels=traj.rtg, fixed_target=2.0)
+print("== conditioning for the same window ==")
+# offline training conditions on the stored return labels; online, the
+# actor computes the slots (here the fixed target minus rewards so far,
+# replaying the logged episode)
+actor = Actor(policy, store, rtg_source="fixed", fixed_target=2.0)
+actor.begin_episode()
+for u in range(end + 1):
+    actor.act(traj.states[u])
+    actor.observe(traj.actions[u], traj.rewards[u])
+for source, rtg in (("labels", traj.rtg), ("fixed", actor.ctx.rtg)):
+    seq = tokenize(traj.states, traj.actions, rtg, end=end, context=4, num_peds=5)
     print(f"  {source:>6}: rtg slots {np.round(seq.rtg, 3).tolist()}")
 
 print("\n== hybrid buffer with return-based priorities ==")
@@ -39,23 +50,25 @@ frac = sum(1 for t in draws if t.outcome == "success") / len(draws)
 succ = sum(1 for t in trajs if t.outcome == "success") / len(trajs)
 print(f"  successes are {succ:.0%} of the data but {frac:.0%} of the draws")
 
-print("\n== dual-timescale schedule ==")
-sched = TimescaleSchedule(fast_per_episode=4)
+print("\n== dual-timescale updates per fine-tuning episode ==")
+cfg = Config.from_dict({
+    "sim": {"num_peds": 5},
+    "net": {"hidden_dim": 16, "num_heads": 2, "ffn_dim": 16, "rtgp_window": 4,
+            "policy_context": 4, "policy_blocks": 1, "head_hidden": 8},
+    "train": {"sampled_trajs": 4, "policy_batch": 8, "rtgp_fast_batch": 8},
+})
+small_policy, small_rtgp = trainer.build_models(cfg)
+ft = trainer.finetune_online(small_policy.init_store(0), small_rtgp.init_store(1),
+                             trajs, cfg, seed=0, episodes=3)
 fast = slow = 0
-for episode in range(5):
-    f, s = sched.tick(episode)
-    fast += f
-    slow += s
-    print(f"  episode {episode}: {f} predictor updates, {s} policy update "
-          f"(cumulative {fast} > {slow})")
+for i, ep in enumerate(ft.episodes):
+    fast += ep.fast_updates
+    slow += ep.slow_updates
+    print(f"  episode {i}: {ep.fast_updates} predictor updates, "
+          f"{ep.slow_updates} policy update (cumulative {fast} > {slow})")
 
 print("\n== deterministic bounded actions ==")
-policy = DtPolicy(num_peds=5, context=4, hidden_dim=32, num_heads=2,
-                  ffn_dim=32, num_blocks=1)
-store = policy.init_store(0)
-from socnav.policy import stack_sequences
-seq = tokenize(traj.states, traj.actions, traj.rewards, end=3, context=4,
-               num_peds=5, rtg_source="labels", rtg_labels=traj.rtg)
+seq = tokenize(traj.states, traj.actions, traj.rtg, end=3, context=4, num_peds=5)
 a_hat, _ = policy.forward(store, *stack_sequences([seq]))
 print(f"  action at the last step {a_hat[0, -1]}, "
       f"speed {np.linalg.norm(a_hat[0, -1]):.3f} <= 1.0")

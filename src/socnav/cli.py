@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import trainer as tr
-from .config import Config, ConfigError
+from .config import RTG_MODES, Config, ConfigError
 from .dataset import dataset_stats, dumps_lossless, generate_dataset, load_trajectories
 from .plotting import plot_trajectories, worlds_to_log, write_positions_log
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ckpt", required=True)
     g.add_argument("--data", required=True, help="offline dataset for the hybrid buffer")
     g.add_argument("--episodes", type=int, default=None)
-    g.add_argument("--rtg-mode", choices=("rtgp", "fixed", "labels"), default=None)
+    g.add_argument("--rtg-mode", choices=RTG_MODES, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_finetune)
 
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ckpt", required=True)
     g.add_argument("--episodes", type=int, default=500)
     g.add_argument("--report", required=True)
-    g.add_argument("--rtg-mode", choices=("rtgp", "fixed", "labels"), default=None)
+    g.add_argument("--rtg-mode", choices=RTG_MODES, default=None)
     g.add_argument("--positions-log", default=None,
                    help="also write per-step world positions for plotting")
     g.set_defaults(fn=cmd_eval)

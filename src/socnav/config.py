@@ -12,6 +12,9 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 
+RTG_MODES = ("rtgp", "fixed")   # online return conditioning: predictor | fixed target
+
+
 class ConfigError(ValueError):
     """Raised when a config file fails validation."""
 
@@ -125,7 +128,7 @@ class TrainConfig:
     sampled_trajs: int = 4             # trajectories sampled per online episode
     rtgp_fast_batch: int = 0           # transitions per fast update; 0 = batch_size
     policy_batch: int = 0              # windows per slow update; 0 = batch_size
-    rtg_mode: str = "rtgp"             # rollout conditioning: rtgp | fixed | labels
+    rtg_mode: str = "rtgp"             # rollout conditioning: rtgp | fixed
     fixed_rtg_target: float = 2.0
 
     def __post_init__(self):
@@ -144,8 +147,8 @@ class TrainConfig:
                      "rtgp_fast_batch", "policy_batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"train.{name} must be >= 1")
-        if self.rtg_mode not in ("rtgp", "fixed", "labels"):
-            raise ConfigError("train.rtg_mode must be one of rtgp|fixed|labels")
+        if self.rtg_mode not in RTG_MODES:
+            raise ConfigError("train.rtg_mode must be one of " + "|".join(RTG_MODES))
 
 
 @dataclass

@@ -188,8 +188,13 @@ class CrowdEnv:
                                       v_pref=ped.v_pref, heading=ped.heading)
 
 
-def rollout(env: CrowdEnv, act_fn, seed: int, record_world: bool = False) -> EpisodeRecord:
-    """Run one episode; act_fn maps (env, observation) -> action array."""
+def rollout(env: CrowdEnv, act_fn, seed: int, record_world: bool = False,
+            observe=None) -> EpisodeRecord:
+    """Run one episode; act_fn maps (env, observation) -> action array.
+
+    `observe`, when given, is called with (action, reward) after each step,
+    before act_fn chooses the next action.
+    """
     obs = env.reset(seed)
     states, actions, rewards = [], [], []
     world_log = []
@@ -199,6 +204,8 @@ def rollout(env: CrowdEnv, act_fn, seed: int, record_world: bool = False) -> Epi
         action = np.asarray(act_fn(env, obs), dtype=float)
         states.append(obs.joint.copy())
         outcome = env.step(action)
+        if observe is not None:
+            observe(action, outcome.reward)
         actions.append(action.copy())
         rewards.append(outcome.reward)
         obs = outcome.observation

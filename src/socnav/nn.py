@@ -100,13 +100,25 @@ class ParamStore:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes):
-        if data[:len(CKPT_MAGIC)] != CKPT_MAGIC:
+    def from_bytes(cls, data: bytes, offset: int = 0):
+        """Parse the stream starting at `offset`; returns (store, extra, end).
+
+        A stream that ends early raises ValueError naming the block and the
+        byte offset where the data ran out.
+        """
+        def take(nbytes, what):
+            if off + nbytes > len(data):
+                raise ValueError(f"checkpoint truncated in {what} at byte offset "
+                                 f"{off}: needs {nbytes} bytes, {len(data) - off} left")
+            return data[off:off + nbytes]
+
+        off = offset
+        if data[off:off + len(CKPT_MAGIC)] != CKPT_MAGIC:
             raise ValueError("not a checkpoint byte stream")
-        off = len(CKPT_MAGIC)
-        (hlen,) = struct.unpack("<Q", data[off:off + 8])
+        off += len(CKPT_MAGIC)
+        (hlen,) = struct.unpack("<Q", take(8, "header length"))
         off += 8
-        header = json.loads(data[off:off + hlen].decode())
+        header = json.loads(take(hlen, "header").decode())
         off += hlen
         store = cls(dtype=header["dtype"])
         store.step = header["step"]
@@ -116,8 +128,8 @@ class ParamStore:
             for name, shape in shapes:
                 count = int(np.prod(shape)) if shape else 1
                 nbytes = count * store.dtype.itemsize
-                arr = np.frombuffer(data[off:off + nbytes],
-                                    dtype=store.dtype).reshape(shape).copy()
+                raw = take(nbytes, f"{kind} block {name!r}")
+                arr = np.frombuffer(raw, dtype=store.dtype).reshape(shape).copy()
                 off += nbytes
                 if kind == "blocks":
                     store.add(name, arr)

@@ -6,9 +6,11 @@ sequence; the action for step u is decoded at the state-token position,
 squashed radially through tanh so its norm never exceeds v_max.
 
 Training regresses predicted actions onto the logged ones (mean squared
-error over the context positions and batch). The conditioning slots can
-come from stored Monte-Carlo labels (pre-training), the return predictor
-(fine-tuning and deployment), or a fixed target (ablation).
+error over the context positions and batch). The return-to-go slots are
+one more input sequence: the caller hands tokenize the per-step values
+(stored Monte-Carlo labels or predictor outputs when training). Online,
+Actor is the one place that computes them, from the return predictor
+(fine-tuning and deployment) or from a fixed target (ablation).
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .config import RTG_MODES
 from .core import joint_dim
 from .features import canonicalize_joint
-
-RTG_SOURCES = ("labels", "rtgp", "fixed")
 
 
 def squash_fwd(z, v_max):
@@ -193,22 +194,15 @@ class DtPolicy:
 # -- tokenization ----------------------------------------------------------
 
 
-def tokenize(states, actions, rewards, end: int, context: int, num_peds: int,
-             rtg_source: str, rtg_labels=None, rtgp=None, rtgp_store=None,
-             fixed_target: float = 2.0, rtg_sequence=None,
+def tokenize(states, actions, rtg, end: int, context: int, num_peds: int,
              action_known_at_end: bool = True) -> TokenSequence:
     """Build one context window ending at step `end` (inclusive).
 
-    rtg_source selects the conditioning slots: "labels" copies the stored
-    Monte-Carlo returns, "rtgp" queries the return predictor per step,
-    "fixed" uses fixed_target minus the rewards accumulated so far (the
-    fixed-conditioning ablation). `rtg_sequence` supplies precomputed
-    per-step values and overrides the per-step query.
+    The conditioning slots copy `rtg`, the per-step return-to-go values
+    aligned with `states`.
     """
     if end < 0 or end >= len(states):
         raise ValueError("empty or out-of-range window")
-    if rtg_source not in RTG_SOURCES:
-        raise ValueError(f"unknown rtg_source {rtg_source!r}")
     lo = max(0, end - context + 1)
     steps = list(range(lo, end + 1))
     pad = context - len(steps)
@@ -220,15 +214,7 @@ def tokenize(states, actions, rewards, end: int, context: int, num_peds: int,
                         action_valid=np.zeros(context, dtype=bool))
     canon = canonicalize_joint(np.asarray(states, dtype=np.float64), num_peds)
     for slot, u in enumerate(steps, start=pad):
-        if rtg_sequence is not None:
-            r = rtg_sequence[u]
-        elif rtg_source == "labels":
-            r = rtg_labels[u]
-        elif rtg_source == "fixed":
-            r = fixed_target - math.fsum(rewards[:u])
-        else:
-            r = rtgp.predict(rtgp_store, states, actions, rewards, u)
-        seq.rtg[slot] = r
+        seq.rtg[slot] = rtg[u]
         seq.states[slot] = canon[u]
         seq.step_valid[slot] = True
         if u < len(actions) and (action_known_at_end or u < end):
@@ -261,12 +247,12 @@ class EpisodeContext:
 
 
 class Actor:
-    """Greedy deterministic acting with pluggable return conditioning."""
+    """Greedy deterministic acting; the only code that computes return
+    conditioning online."""
 
     def __init__(self, policy: DtPolicy, policy_store, rtg_source: str = "rtgp",
-                 rtgp=None, rtgp_store=None, fixed_target: float = 2.0,
-                 rtg_labels=None):
-        if rtg_source not in RTG_SOURCES:
+                 rtgp=None, rtgp_store=None, fixed_target: float = 2.0):
+        if rtg_source not in RTG_MODES:
             raise ValueError(f"unknown rtg_source {rtg_source!r}")
         if rtg_source == "rtgp" and (rtgp is None or rtgp_store is None):
             raise ValueError("rtgp conditioning requires a predictor and its store")
@@ -276,15 +262,14 @@ class Actor:
         self.rtgp = rtgp
         self.rtgp_store = rtgp_store
         self.fixed_target = fixed_target
-        self.rtg_labels = rtg_labels
         self.ctx = EpisodeContext()
 
     def begin_episode(self):
         self.ctx = EpisodeContext()
 
     def conditioning(self, t: int) -> float:
-        if self.rtg_source == "labels":
-            return float(self.rtg_labels[t])
+        """Return-to-go for step t: the fixed target minus the rewards so
+        far, or the predictor's estimate from the history up to step t."""
         if self.rtg_source == "fixed":
             return self.fixed_target - math.fsum(self.ctx.rewards)
         return self.rtgp.predict(self.rtgp_store, self.ctx.states,
@@ -296,9 +281,8 @@ class Actor:
         t = len(ctx.actions)
         ctx.states.append(np.asarray(obs_joint, dtype=np.float64))
         ctx.rtg.append(self.conditioning(t))
-        seq = tokenize(ctx.states, ctx.actions, ctx.rewards, end=t,
+        seq = tokenize(ctx.states, ctx.actions, ctx.rtg, end=t,
                        context=self.policy.context, num_peds=self.policy.num_peds,
-                       rtg_source=self.rtg_source, rtg_sequence=ctx.rtg,
                        action_known_at_end=False)
         batch = stack_sequences([seq])
         a_hat, _ = self.policy.forward(self.policy_store, *batch)

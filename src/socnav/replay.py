@@ -4,16 +4,15 @@ The buffer is a union of the frozen offline dataset and a FIFO online
 store bounded so total transitions stay within the configured capacity.
 Sampling draws whole trajectories with replacement, proportional to
 min-max normalized episode return plus a floor, doubled for successful
-episodes; training windows are cut uniformly within a drawn trajectory.
+episodes; the trainer cuts windows uniformly within a drawn trajectory.
 
 Priorities derive from two cached per-trajectory features (return and
-success), registered once at insert time; normalization against the
-current min/max happens vectorized at sampling time.
+success), recorded once at insert time; normalization against the
+current min/max happens vectorized at sampling time. The dual-timescale
+update counts live in the trainer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,33 +22,15 @@ PRIORITY_EPSILON = 0.01
 SUCCESS_MULTIPLIER = 2.0
 
 
-@dataclass
-class TimescaleSchedule:
-    """Per-episode update counts: fast (return predictor), slow (policy)."""
-
-    fast_per_episode: int
-    slow_per_episode: int = 1
-
-    def __post_init__(self):
-        if not self.fast_per_episode >= self.slow_per_episode >= 1:
-            raise ValueError("schedule requires fast >= slow >= 1")
-
-    def tick(self, episode_index: int) -> tuple[int, int]:
-        return self.fast_per_episode, self.slow_per_episode
-
-
 class HybridBuffer:
     """Union of the offline dataset and a capacity-bounded online store."""
 
     def __init__(self, offline: list[Trajectory], capacity: int = 100_000,
-                 epsilon: float = PRIORITY_EPSILON,
-                 success_multiplier: float = SUCCESS_MULTIPLIER):
+                 epsilon: float = PRIORITY_EPSILON):
         self.offline = tuple(offline)
         self.online: list[Trajectory] = []
         self.capacity = capacity
         self.epsilon = epsilon
-        self.success_multiplier = success_multiplier
-        self.priority_computations = 0
 
         offline_transitions = sum(t.num_steps for t in self.offline)
         if offline_transitions > capacity:
@@ -57,12 +38,8 @@ class HybridBuffer:
                              f"exceeds capacity {capacity}")
         self._online_budget = capacity - offline_transitions
         self._online_transitions = 0
-        self._returns = [self._register(t) for t in self.offline]
+        self._returns = [t.episode_return for t in self.offline]
         self._success = [t.success for t in self.offline]
-
-    def _register(self, traj: Trajectory) -> float:
-        self.priority_computations += 1
-        return traj.episode_return
 
     def __len__(self):
         return len(self.offline) + len(self.online)
@@ -83,7 +60,7 @@ class HybridBuffer:
         if traj.num_steps == 0:
             raise ValueError("cannot insert an incomplete (empty) trajectory")
         self.online.append(traj)
-        self._returns.append(self._register(traj))
+        self._returns.append(traj.episode_return)
         self._success.append(traj.success)
         self._online_transitions += traj.num_steps
         noff = len(self.offline)
@@ -101,16 +78,12 @@ class HybridBuffer:
             w = (g - g_min) / (g_max - g_min) + self.epsilon
         else:
             w = np.full(len(g), self.epsilon)
-        w = np.where(np.asarray(self._success), self.success_multiplier * w, w)
+        w = np.where(np.asarray(self._success), SUCCESS_MULTIPLIER * w, w)
         return w
 
     def probabilities(self) -> np.ndarray:
         w = self.weights()
         return w / w.sum()
-
-    def priority(self, index: int) -> float:
-        """Priority of one stored trajectory under the current buffer range."""
-        return float(self.weights()[index])
 
     def sample_trajectories(self, batch: int, rng: np.random.Generator):
         """Draw trajectories with replacement, proportional to priority."""
@@ -118,12 +91,3 @@ class HybridBuffer:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.choice(len(self), size=batch, replace=True, p=self.probabilities())
         return [self.trajectory(int(i)) for i in idx]
-
-    def sample_windows(self, batch: int, context: int, rng: np.random.Generator):
-        """(trajectory, end) pairs; the window end is uniform within the
-        trajectory, giving sub-windows of length <= context."""
-        out = []
-        for traj in self.sample_trajectories(batch, rng):
-            end = int(rng.integers(0, traj.num_steps))
-            out.append((traj, end))
-        return out

@@ -19,19 +19,20 @@ number of environment transitions consumed during training.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Config
-from .core import Status
-from .dataset import Trajectory, compute_rtg, dumps_lossless
-from .env import CrowdEnv
+from .dataset import Trajectory, dumps_lossless
+from .env import CrowdEnv, rollout
 from .features import clip_action_norm
 from .nn import ParamStore, lamb_step
 from .policy import Actor, DtPolicy, stack_sequences, tokenize
-from .replay import HybridBuffer, TimescaleSchedule
+from .replay import HybridBuffer
 from .rtgp import RtgPredictor
 
 REPORT_SCHEMA = 1
@@ -69,21 +70,17 @@ def build_models(cfg: Config) -> tuple[DtPolicy, RtgPredictor]:
 # -- batch assembly ---------------------------------------------------------
 
 
-def policy_batch_from(trajs_ends, policy: DtPolicy, conditioning: str,
-                      rtg_sequences=None):
+def policy_batch_from(trajs_ends, policy: DtPolicy, rtg_sequences):
     """Stack context windows for a policy update.
 
-    conditioning "labels" copies stored returns; "sequence" uses the
-    supplied per-trajectory conditioning arrays (predictor outputs or
-    ablation values), indexed like trajs_ends.
+    rtg_sequences holds the per-step conditioning array of each window's
+    trajectory (stored labels or predictor outputs), indexed like
+    trajs_ends.
     """
     seqs, targets = [], []
-    for i, (traj, end) in enumerate(trajs_ends):
-        rtg_seq = traj.rtg if conditioning == "labels" else rtg_sequences[i]
-        seq = tokenize(traj.states, traj.actions, traj.rewards, end=end,
-                       context=policy.context, num_peds=policy.num_peds,
-                       rtg_source="labels", rtg_labels=traj.rtg,
-                       rtg_sequence=rtg_seq)
+    for (traj, end), rtg in zip(trajs_ends, rtg_sequences, strict=True):
+        seq = tokenize(traj.states, traj.actions, rtg, end=end,
+                       context=policy.context, num_peds=policy.num_peds)
         seqs.append(seq)
         lo = max(0, end - policy.context + 1)
         pad = policy.context - (end - lo + 1)
@@ -142,7 +139,8 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
         picks = rng.integers(0, n, size=train.policy_batch)
         ends = [int(rng.integers(0, trajectories[int(i)].num_steps)) for i in picks]
         trajs_ends = [(trajectories[int(i)], e) for i, e in zip(picks, ends)]
-        batch, targets = policy_batch_from(trajs_ends, policy, "labels")
+        batch, targets = policy_batch_from(trajs_ends, policy,
+                                           [t.rtg for t, _ in trajs_ends])
         pol_loss, _ = policy.loss_and_grad(policy_store, batch, targets)
 
         picks = rng.integers(0, n, size=train.rtgp_fast_batch)
@@ -212,30 +210,12 @@ class FinetuneResult:
 
 def run_policy_episode(env: CrowdEnv, actor: Actor, seed: int, gamma: float,
                        record_world: bool = False):
-    """One greedy rollout of the conditioned policy; returns a labelled
-    trajectory (plus the world-coordinate log when requested)."""
-    obs = env.reset(seed)
+    """One greedy rollout of the conditioned policy; returns the labelled
+    trajectory and the world-coordinate log (empty unless requested)."""
     actor.begin_episode()
-    states, actions, rewards = [], [], []
-    world = [env.world_positions()] if record_world else []
-    while env.status is Status.RUNNING:
-        joint = obs.joint
-        action = actor.act(joint)
-        out = env.step(action)
-        actor.observe(action, out.reward)
-        states.append(joint)
-        actions.append(action)
-        rewards.append(out.reward)
-        obs = out.observation
-        if record_world:
-            world.append(env.world_positions())
-    rewards = np.asarray(rewards)
-    traj = Trajectory(states=np.asarray(states), actions=np.asarray(actions),
-                      rewards=rewards, rtg=compute_rtg(rewards, gamma),
-                      outcome={Status.GOAL: "success", Status.COLLISION: "collision",
-                               Status.TIMEOUT: "timeout"}[env.status],
-                      duration=env.time, seed=seed)
-    return (traj, world) if record_world else (traj, None)
+    record = rollout(env, lambda e, obs: actor.act(obs.joint), seed,
+                     record_world=record_world, observe=actor.observe)
+    return Trajectory.from_record(record, gamma), record.world_log
 
 
 def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
@@ -258,58 +238,39 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
     policy, rtgp = build_models(cfg)
     env = CrowdEnv(sim)
     buffer = HybridBuffer(offline, capacity=train.buffer_capacity)
-    schedule = TimescaleSchedule(fast_per_episode=train.sampled_trajs)
     rng = np.random.default_rng(seed + SEED_FINETUNE)
-    actor = Actor(policy, policy_store, rtg_source=rtg_mode,
-                  rtgp=rtgp if rtg_mode == "rtgp" else None,
-                  rtgp_store=rtgp_store if rtg_mode == "rtgp" else None,
-                  fixed_target=train.fixed_rtg_target)
+    actor = Actor(policy, policy_store, rtg_source=rtg_mode, rtgp=rtgp,
+                  rtgp_store=rtgp_store, fixed_target=train.fixed_rtg_target)
 
     logs = []
     env_transitions = 0
     for e in range(episodes):
         ep_seed = seed + SEED_FINETUNE + 1 + e
-        try:
-            traj, _ = run_policy_episode(env, actor, ep_seed, train.gamma)
-        except (RuntimeError, ValueError):
-            logs.append(EpisodeLog(seed=ep_seed, outcome="discarded", steps=0,
-                                   duration=0.0, episode_return=0.0, sampled=0,
-                                   fast_updates=0, slow_updates=0))
-            continue
+        traj, _ = run_policy_episode(env, actor, ep_seed, train.gamma)
         env_transitions += traj.num_steps
         buffer.insert(traj)
 
         sampled = buffer.sample_trajectories(train.sampled_trajs, rng)
-        num_fast, num_slow = schedule.tick(e)
-        assert num_fast == len(sampled)
-
-        fast_done = 0
         if rtg_mode == "rtgp":
+            # fast timescale: one predictor update per sampled trajectory
             for tau in sampled:
                 ends = rng.integers(0, tau.num_steps, size=train.rtgp_fast_batch)
                 trajs_ends = [(tau, int(u)) for u in ends]
                 rbatch, rtargets = rtgp_batch_from(trajs_ends, rtgp)
                 rtgp.loss_and_grad(rtgp_store, rbatch, rtargets)
                 lamb_step(rtgp_store, train.learning_rate)
-                fast_done += 1
-        else:
-            fast_done = len(sampled)  # schedule slots consumed, no predictor to train
-
-        # slow policy update on windows from the sampled trajectories,
-        # conditioned on fresh return predictions (post fast updates)
-        if rtg_mode == "rtgp":
+            # the slow update conditions on fresh predictions (post fast updates)
             sequences = [rtgp.predict_sequence(rtgp_store, t.states, t.actions,
                                                t.rewards) for t in sampled]
-            conditioning = "sequence"
         else:
             sequences = [t.rtg for t in sampled]
-            conditioning = "labels"
+
+        # slow timescale: one policy update on windows from the sampled trajectories
         picks = rng.integers(0, len(sampled), size=train.policy_batch)
         ends = [int(rng.integers(0, sampled[int(i)].num_steps)) for i in picks]
         trajs_ends = [(sampled[int(i)], u) for i, u in zip(picks, ends)]
-        seq_for = [sequences[int(i)] for i in picks]
-        batch, targets = policy_batch_from(trajs_ends, policy, "sequence",
-                                           rtg_sequences=seq_for)
+        batch, targets = policy_batch_from(trajs_ends, policy,
+                                           [sequences[int(i)] for i in picks])
         pol_loss, _ = policy.loss_and_grad(policy_store, batch, targets)
         if not math.isfinite(pol_loss):
             raise TrainingAborted(f"non-finite policy loss at episode {e}",
@@ -319,8 +280,8 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
         logs.append(EpisodeLog(seed=ep_seed, outcome=traj.outcome,
                                steps=traj.num_steps, duration=traj.duration,
                                episode_return=traj.episode_return,
-                               sampled=len(sampled), fast_updates=fast_done,
-                               slow_updates=num_slow))
+                               sampled=len(sampled), fast_updates=len(sampled),
+                               slow_updates=1))
     return FinetuneResult(policy_store=policy_store, rtgp_store=rtgp_store,
                           episodes=logs, env_transitions=env_transitions,
                           rtg_mode=rtg_mode)
@@ -377,36 +338,36 @@ def save_bundle(path, policy_store: ParamStore, rtgp_store: ParamStore,
                 meta: dict | None = None):
     """One file holding both parameter stores plus run metadata; the bytes
     are a pure function of the contents."""
-    import json as _json
-    import struct as _struct
     p = policy_store.to_bytes(extra={"role": "policy"})
     r = rtgp_store.to_bytes(extra={"role": "rtgp"})
-    header = _json.dumps({"format": 1, "meta": meta or {},
-                          "policy_len": len(p), "rtgp_len": len(r)},
-                         sort_keys=True).encode()
+    header = json.dumps({"format": 1, "meta": meta or {},
+                         "policy_len": len(p), "rtgp_len": len(r)},
+                        sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(BUNDLE_MAGIC)
-        fh.write(_struct.pack("<Q", len(header)))
+        fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         fh.write(p)
         fh.write(r)
 
 
 def load_bundle(path):
-    import json as _json
-    import struct as _struct
+    """Read a bundle; a truncated file or bytes after the predictor stream
+    raise ValueError with the byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
         raise ValueError(f"{path}: not a checkpoint bundle")
     off = len(BUNDLE_MAGIC)
-    (hlen,) = _struct.unpack("<Q", data[off:off + 8])
+    (hlen,) = struct.unpack("<Q", data[off:off + 8])
     off += 8
-    header = _json.loads(data[off:off + hlen].decode())
+    header = json.loads(data[off:off + hlen].decode())
     off += hlen
-    policy_store, _, _ = ParamStore.from_bytes(data[off:off + header["policy_len"]])
-    off += header["policy_len"]
-    rtgp_store, _, _ = ParamStore.from_bytes(data[off:off + header["rtgp_len"]])
+    policy_store, _, off = ParamStore.from_bytes(data, off)
+    rtgp_store, _, off = ParamStore.from_bytes(data, off)
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} unexpected bytes after the "
+                         f"predictor stream at byte offset {off}")
     return policy_store, rtgp_store, header["meta"]
 
 
@@ -421,10 +382,8 @@ def evaluate(policy_store: ParamStore, rtgp_store: ParamStore | None, cfg: Confi
     rtg_mode = train.rtg_mode if rtg_mode is None else rtg_mode
     policy, rtgp = build_models(cfg)
     env = CrowdEnv(cfg.sim)
-    actor = Actor(policy, policy_store, rtg_source=rtg_mode,
-                  rtgp=rtgp if rtg_mode == "rtgp" else None,
-                  rtgp_store=rtgp_store if rtg_mode == "rtgp" else None,
-                  fixed_target=train.fixed_rtg_target)
+    actor = Actor(policy, policy_store, rtg_source=rtg_mode, rtgp=rtgp,
+                  rtgp_store=rtgp_store, fixed_target=train.fixed_rtg_target)
 
     per_episode, worlds = [], []
     returns, times = [], []

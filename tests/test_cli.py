@@ -46,6 +46,15 @@ class TestExitCodes:
                  "--out", str(tmp_path / "c.ckpt"))
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("command", [
+        ["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt"],
+        ["eval", "--ckpt", "c.ckpt", "--report", "r.json"]],
+        ids=["finetune", "eval"])
+    def test_labels_rtg_mode_is_2(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--rtg-mode", "labels")
+        assert exc.value.code == EXIT_CONFIG
+
     def test_gen_data_ok(self, tiny_config_file, tmp_path):
         rc = run("--config", tiny_config_file, "gen-data", "--episodes", "2",
                  "--out", str(tmp_path / "d.jsonl"))
@@ -124,6 +133,32 @@ class TestPipeline:
             import os
             assert os.path.exists(artifact), artifact
         assert manifest["stages"]["eval"]["success_rate"] >= 0.0
+
+    def test_labels_config_is_2_before_any_work(self, tiny_config_file, tmp_path):
+        cfg = json.loads(open(tiny_config_file).read())
+        cfg["train"]["rtg_mode"] = "labels"
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run("--config", str(path), "pipeline", "--out", str(out)) == EXIT_CONFIG
+        assert not (out / "dataset.jsonl").exists()
+        assert not (out / "pretrained.ckpt").exists()
+
+    def test_pipeline_artifacts_byte_identical(self, tiny_cfg, tmp_path):
+        # every artifact except the wall-clock stamped manifest is a pure
+        # function of (config, seed)
+        cfg_path = tmp_path / "tiny.json"
+        tiny_cfg.save(cfg_path)
+        files = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run("--config", str(cfg_path), "pipeline", "--out", str(out),
+                       "--eval-episodes", "4") == EXIT_OK
+            files.append({p.relative_to(out): p.read_bytes()
+                          for p in out.rglob("*")
+                          if p.is_file() and p.name != "manifest.json"})
+        assert len(files[0]) > 5
+        assert files[0] == files[1]
 
     def test_pipeline_refuses_rerun_without_force(self, tiny_config_file,
                                                   tmp_path):

@@ -30,6 +30,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("field, value", [("sampled_trajs", 0),
+                                              ("rtg_mode", "labels")])
+    def test_bad_train_value(self, field, value):
+        cfg = Config()
+        setattr(cfg.train, field, value)
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
     def test_heads_must_divide_hidden(self):
         cfg = Config()
         cfg.net.hidden_dim = 10

@@ -181,41 +181,14 @@ class TestTokenize:
         states, actions, _ = fake_episode(rng, pol.joint_dim)
         rewards = rng.normal(size=6) * 0.1
         rtg = compute_rtg(rewards, 0.99)
-        seq = tokenize(states, actions, rewards, end=5, context=4, num_peds=2,
-                       rtg_source="labels", rtg_labels=rtg)
+        seq = tokenize(states, actions, rtg, end=5, context=4, num_peds=2)
         np.testing.assert_array_equal(seq.rtg, rtg[2:6])
-
-    def test_fixed_mode_all_slots_at_start(self, rng):
-        pol = small_policy()
-        states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=1)
-        seq = tokenize(states, actions, rewards, end=0, context=4, num_peds=2,
-                       rtg_source="fixed", fixed_target=2.0)
-        assert np.all(seq.rtg[seq.step_valid] == 2.0)
-
-    def test_fixed_mode_decrements_by_rewards(self, rng):
-        pol = small_policy()
-        states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=4)
-        seq = tokenize(states, actions, rewards, end=3, context=4, num_peds=2,
-                       rtg_source="fixed", fixed_target=2.0)
-        want = [2.0 - math.fsum(rewards[:u]) for u in range(4)]
-        np.testing.assert_allclose(seq.rtg, want, atol=1e-15)
-
-    def test_rtgp_mode_slots_equal_predictor_bitwise(self, rng):
-        pol = small_policy()
-        rtgp = RtgPredictor(num_peds=2, window=3, hidden_dim=16, num_heads=2,
-                            ffn_dim=16, head_hidden=8)
-        rs = rtgp.init_store(7)
-        states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=5)
-        seq = tokenize(states, actions, rewards, end=4, context=4, num_peds=2,
-                       rtg_source="rtgp", rtgp=rtgp, rtgp_store=rs)
-        for slot, u in enumerate(range(1, 5)):
-            assert seq.rtg[slot] == rtgp.predict(rs, states, actions, rewards, u)
 
     def test_short_window_front_padded(self, rng):
         pol = small_policy()
         states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=2)
-        seq = tokenize(states, actions, rewards, end=1, context=5, num_peds=2,
-                       rtg_source="fixed")
+        seq = tokenize(states, actions, compute_rtg(rewards, 0.99), end=1,
+                       context=5, num_peds=2)
         assert seq.step_valid.tolist() == [False, False, False, True, True]
         assert seq.rtg.shape == (5,)
 
@@ -229,13 +202,15 @@ class TestTokenize:
         assert rtg.shape == (1, 4)
 
     def test_bad_source_and_empty_window(self, rng):
+        # the conditioning source is the actor's choice; "labels" has no
+        # online values and is rejected with the unknown ones
+        pol = small_policy()
+        for source in ("labels", "quantum"):
+            with pytest.raises(ValueError, match="rtg_source"):
+                Actor(pol, pol.init_store(0), rtg_source=source)
         states, actions, rewards = fake_episode(rng, 20, steps=2)
-        with pytest.raises(ValueError, match="rtg_source"):
-            tokenize(states, actions, rewards, end=1, context=4, num_peds=2,
-                     rtg_source="quantum")
         with pytest.raises(ValueError, match="window"):
-            tokenize(states, actions, rewards, end=5, context=4, num_peds=2,
-                     rtg_source="fixed")
+            tokenize(states, actions, rewards, end=5, context=4, num_peds=2)
 
 
 class TestActor:
@@ -247,6 +222,16 @@ class TestActor:
         rs = rtgp.init_store(10)
         actor = Actor(pol, ps, rtg_source=mode, rtgp=rtgp, rtgp_store=rs)
         return pol, actor
+
+    def _play(self, rng, actor, steps):
+        """Act and observe `steps` times; returns the episode history."""
+        states, actions, rewards = fake_episode(rng, actor.policy.joint_dim, steps)
+        actor.begin_episode()
+        for t in range(steps):
+            a = actor.act(states[t])
+            actor.observe(a, rewards[t])
+            actions[t] = a
+        return states, actions, rewards
 
     def test_deterministic(self, rng):
         _, actor = self._setup(rng, "rtgp")
@@ -265,6 +250,25 @@ class TestActor:
             a = actor.act(obs)
             assert np.linalg.norm(a) <= pol.v_max
             actor.observe(a, 0.1)
+
+    def test_fixed_mode_all_slots_at_start(self, rng):
+        _, actor = self._setup(rng, "fixed")
+        actor.begin_episode()
+        actor.act(rng.normal(size=20))
+        assert actor.ctx.rtg == [2.0]
+
+    def test_fixed_mode_decrements_by_rewards(self, rng):
+        _, actor = self._setup(rng, "fixed")
+        _, _, rewards = self._play(rng, actor, steps=4)
+        want = [2.0 - math.fsum(rewards[:u]) for u in range(4)]
+        assert actor.ctx.rtg == want
+
+    def test_rtgp_mode_slots_equal_predictor_bitwise(self, rng):
+        _, actor = self._setup(rng, "rtgp")
+        states, actions, rewards = self._play(rng, actor, steps=5)
+        for u in range(5):
+            assert actor.ctx.rtg[u] == actor.rtgp.predict(
+                actor.rtgp_store, states, actions, rewards, u)
 
     def test_rtgp_mode_requires_predictor(self, rng):
         pol = small_policy()
@@ -287,16 +291,15 @@ class TestActor:
         for it in range(800):
             picks = rng_l.integers(0, len(pairs), size=16)
             te = [pairs[i] for i in picks]
-            batch, targets = policy_batch_from(te, pol, "labels")
+            batch, targets = policy_batch_from(te, pol, [t.rtg for t, _ in te])
             loss, _ = pol.loss_and_grad(store, batch, targets)
             lamb_step(store, 2e-3)
         assert loss < 0.05
         traj = trajs[0]
         misses = 0.0
         for end in range(traj.num_steps):
-            seq = tokenize(traj.states, traj.actions, traj.rewards, end=end,
-                           context=6, num_peds=2, rtg_source="labels",
-                           rtg_labels=traj.rtg, action_known_at_end=False)
+            seq = tokenize(traj.states, traj.actions, traj.rtg, end=end,
+                           context=6, num_peds=2, action_known_at_end=False)
             batch = stack_sequences([seq])
             a_hat, _ = pol.forward(store, *batch)
             want = clip_action_norm(traj.actions[end], 1.0)

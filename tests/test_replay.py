@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as scistats
 
 from socnav.dataset import Trajectory, compute_rtg
-from socnav.replay import HybridBuffer, TimescaleSchedule
+from socnav.replay import PRIORITY_EPSILON, SUCCESS_MULTIPLIER, HybridBuffer
 
 
 def traj(ret, steps=10, outcome="success", seed=0):
@@ -47,12 +47,20 @@ class TestInsertEvict:
             buf.insert(t)
 
     def test_priority_registered_only_for_inserted(self):
-        buf = HybridBuffer([traj(0.1, seed=i) for i in range(5)], capacity=1000)
-        assert buf.priority_computations == 5
-        buf.insert(traj(2.0))
-        assert buf.priority_computations == 6
-        buf.insert(traj(3.0))
-        assert buf.priority_computations == 7
+        # the cached per-trajectory features follow inserts and evictions:
+        # weights() equals a brute-force recompute over the stored episodes
+        offline = [traj(0.1 * i, seed=i, outcome="collision") for i in range(5)]
+        buf = HybridBuffer(offline, capacity=90)    # online budget: 40 transitions
+        rng = np.random.default_rng(4)
+        for i in range(12):
+            buf.insert(traj(float(rng.normal()), steps=10, seed=10 + i,
+                            outcome="success" if i % 3 else "timeout"))
+            stored = list(buf.offline) + buf.online
+            g = np.array([t.episode_return for t in stored])
+            w = (g - g.min()) / (g.max() - g.min()) + PRIORITY_EPSILON
+            w = np.where([t.success for t in stored], SUCCESS_MULTIPLIER * w, w)
+            np.testing.assert_array_equal(buf.weights(), w)
+        assert buf.num_online == 4
 
 
 class TestPriority:
@@ -146,36 +154,3 @@ class TestSampling:
         a = [t.seed for t in buf.sample_trajectories(50, np.random.default_rng(9))]
         b = [t.seed for t in buf.sample_trajectories(50, np.random.default_rng(9))]
         assert a == b
-
-    def test_windows_bounded_by_context(self):
-        buf = HybridBuffer([traj(1.0, steps=30)], capacity=1000)
-        rng = np.random.default_rng(1)
-        for _, end in buf.sample_windows(50, context=8, rng=rng):
-            assert 0 <= end < 30
-
-
-class TestSchedule:
-    def test_default_contract(self):
-        sched = TimescaleSchedule(fast_per_episode=8)
-        assert sched.tick(0) == (8, 1)
-
-    def test_fast_exceeds_slow_cumulative(self):
-        sched = TimescaleSchedule(fast_per_episode=4)
-        fast = slow = 0
-        for e in range(50):
-            f, s = sched.tick(e)
-            fast += f
-            slow += s
-            assert fast > slow
-
-    def test_configured_ratio_exact(self):
-        for r in (2, 5, 16):
-            sched = TimescaleSchedule(fast_per_episode=r)
-            f, s = sched.tick(3)
-            assert f / s == r
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            TimescaleSchedule(fast_per_episode=0)
-        with pytest.raises(ValueError):
-            TimescaleSchedule(fast_per_episode=2, slow_per_episode=3)

@@ -3,6 +3,7 @@ import pytest
 
 from socnav import trainer
 from socnav.config import Config
+from socnav.env import ActionBoundsError, CrowdEnv
 from socnav.nn import ParamStore
 
 
@@ -65,6 +66,19 @@ class TestFinetune:
         changed = any(not np.array_equal(ft.policy_store[k], v)
                       for k, v in before.items())
         assert changed
+
+    def test_rollout_error_propagates(self, tiny_cfg, tiny_dataset, monkeypatch):
+        # a defect inside a rollout is not episode data: it must surface
+        trajs, _, _ = tiny_dataset
+        pol, rtgp = trainer.build_models(tiny_cfg)
+
+        def step(self, action):
+            raise ActionBoundsError("speed 1.5 exceeds v_max 1.0")
+
+        monkeypatch.setattr(CrowdEnv, "step", step)
+        with pytest.raises(ActionBoundsError):
+            trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs,
+                                    tiny_cfg, seed=1, episodes=2)
 
     def test_success_window_shape(self, tiny_cfg, tiny_dataset):
         trajs, _, _ = tiny_dataset
@@ -157,6 +171,25 @@ class TestCheckpointBundle:
         trainer.save_bundle(p1, pre.policy_store, pre.rtgp_store, meta={"x": 1})
         trainer.save_bundle(p2, pre.policy_store, pre.rtgp_store, meta={"x": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def _bundle_bytes(self, tmp_path, tiny_cfg):
+        pol, rtgp = trainer.build_models(tiny_cfg)
+        path = tmp_path / "bundle.ckpt"
+        trainer.save_bundle(path, pol.init_store(0), rtgp.init_store(1), meta={})
+        return path, path.read_bytes()
+
+    def test_truncated_bundle_names_block_and_offset(self, tmp_path, tiny_cfg):
+        path, data = self._bundle_bytes(tmp_path, tiny_cfg)
+        path.write_bytes(data[:-2])   # the last block is the 4-byte head2.b moment
+        with pytest.raises(ValueError, match=r"truncated in v block 'head2\.b' "
+                                             rf"at byte offset {len(data) - 4}"):
+            trainer.load_bundle(path)
+
+    def test_appended_bytes_rejected(self, tmp_path, tiny_cfg):
+        path, data = self._bundle_bytes(tmp_path, tiny_cfg)
+        path.write_bytes(data + b"junk")
+        with pytest.raises(ValueError, match=rf"4 unexpected bytes .* offset {len(data)}"):
+            trainer.load_bundle(path)
 
     def test_bad_file_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
