@@ -5,6 +5,7 @@ import numpy as np
 
 from socnav.config import SimConfig
 from socnav.core import reward, sample_scenario, to_robot_frame
+from socnav.dataset import Trajectory
 from socnav.env import CrowdEnv, rollout
 
 print("== scenario sampling ==")
@@ -39,4 +40,5 @@ print("\n== a full episode under the reference controller ==")
 env = CrowdEnv(SimConfig())
 rec = rollout(env, lambda e, o: e.robot_orca_action(), seed=7)
 print(f"outcome: {rec.status.value} after {rec.num_steps} steps "
-      f"({rec.duration:.2f} s), discounted return {rec.episode_return(0.99):+.4f}")
+      f"({rec.duration:.2f} s), discounted return "
+      f"{Trajectory.from_record(rec, 0.99).episode_return:+.4f}")

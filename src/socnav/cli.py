@@ -18,7 +18,8 @@ import time
 
 from . import trainer as tr
 from .config import RTG_MODES, Config, ConfigError
-from .dataset import dataset_stats, dumps_lossless, generate_dataset, load_trajectories
+from .dataset import (atomic_write, dataset_stats, dumps_lossless, generate_dataset,
+                      load_trajectories)
 from .plotting import plot_trajectories, worlds_to_log, write_positions_log
 
 EXIT_OK = 0
@@ -58,7 +59,7 @@ def _write_manifest(path, command, cfg: Config, artifacts, started,
         "started_unix": started,
         "finished_unix": time.time(),
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -127,7 +128,7 @@ def cmd_eval(args) -> int:
                                  rtg_mode=rtg_mode,
                                  train_transitions=int(meta.get("env_transitions", 0)),
                                  record_world=bool(args.positions_log))
-    with open(args.report, "w") as fh:
+    with atomic_write(args.report) as fh:
         fh.write(report.to_json())
     if args.positions_log:
         seeds = [rec["seed"] for rec in report.per_episode]
@@ -201,7 +202,7 @@ def cmd_pipeline(args) -> int:
                                  num_episodes=args.eval_episodes, seed=cfg.seed,
                                  train_transitions=ft.env_transitions,
                                  record_world=True)
-    with open(paths["report"], "w") as fh:
+    with atomic_write(paths["report"]) as fh:
         fh.write(report.to_json())
     seeds = [rec["seed"] for rec in report.per_episode]
     write_positions_log(paths["positions"], worlds_to_log(worlds, seeds, cfg.sim.dt))

@@ -48,14 +48,6 @@ class AgentState:
     def pos(self) -> np.ndarray:
         return np.array([self.px, self.py])
 
-    @property
-    def vel(self) -> np.ndarray:
-        return np.array([self.vx, self.vy])
-
-    @property
-    def goal(self) -> np.ndarray:
-        return np.array([self.gx, self.gy])
-
     def dist_to_goal(self) -> float:
         return math.hypot(self.gx - self.px, self.gy - self.py)
 

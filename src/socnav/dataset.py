@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,14 +98,25 @@ class DatasetStats:
     capacity: int                 # stored trajectory count
 
     def to_dict(self) -> dict:
-        return {
-            "success_rate": self.success_rate,
-            "collision_rate": self.collision_rate,
-            "timeout_rate": self.timeout_rate,
-            "mean_nav_time": self.mean_nav_time,
-            "mean_return": self.mean_return,
-            "capacity": self.capacity,
-        }
+        return asdict(self)
+
+
+# -- writing ---------------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open `path + ".tmp"` for writing and move it over `path` once the
+    block completes. If the block raises, the temporary file is removed
+    and `path` keeps its previous content."""
+    tmp = str(path) + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # -- lossless JSON --------------------------------------------------------
@@ -154,7 +166,7 @@ def save_trajectories(path, trajectories, gamma: float, config_hash: str = ""):
     header = {"schema": SCHEMA_VERSION, "kind": "trajectories",
               "config_hash": config_hash, "gamma": gamma,
               "count": len(trajectories)}
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(dumps_lossless(header) + "\n")
         for t in trajectories:
             fh.write(dumps_lossless(_traj_to_obj(t)) + "\n")
@@ -208,17 +220,9 @@ def generate_dataset(num_episodes: int, seed: int, sim_cfg: SimConfig,
         record = rollout(env, lambda e, o: e.robot_orca_action(), seed=seed + i)
         trajectories.append(Trajectory.from_record(record, gamma))
 
-    tmp_path = str(out_path) + ".tmp"
-    try:
-        save_trajectories(tmp_path, trajectories, gamma=gamma,
-                          config_hash=config_hash)
-        os.replace(tmp_path, out_path)
-    except OSError:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
+    save_trajectories(out_path, trajectories, gamma=gamma, config_hash=config_hash)
     stats = stats_of(trajectories)
-    with open(str(out_path) + ".stats.json", "w") as fh:
+    with atomic_write(str(out_path) + ".stats.json") as fh:
         fh.write(dumps_lossless(stats.to_dict()) + "\n")
     return trajectories, stats
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import orca
 from .config import SimConfig
-from .core import (AgentState, RobotFrameState, Scenario, Status, StepOutcome,
+from .core import (AgentState, RobotFrameState, Status, StepOutcome,
                    point_to_segment_dist, reward, sample_scenario, to_robot_frame)
 
 
@@ -49,12 +49,6 @@ class EpisodeRecord:
     def num_steps(self) -> int:
         return len(self.actions)
 
-    def episode_return(self, gamma: float) -> float:
-        g = 0.0
-        for r in reversed(self.rewards):
-            g = r + gamma * g
-        return g
-
 
 class CrowdEnv:
     """Circle-crossing crowd simulation with an externally controlled robot."""
@@ -68,17 +62,11 @@ class CrowdEnv:
         self.status = Status.RUNNING
         self.min_ped_ped_clearance = math.inf
         self._regoal_rng: np.random.Generator | None = None
-        self._scenario: Scenario | None = None
 
     def reset(self, seed: int) -> RobotFrameState:
-        scenario = sample_scenario(seed, self.cfg.num_peds,
-                                   arena_radius=self.cfg.arena_radius,
-                                   perturbation=self.cfg.perturbation)
-        return self.reset_to(scenario)
-
-    def reset_to(self, scenario: Scenario) -> RobotFrameState:
         cfg = self.cfg
-        self._scenario = scenario
+        scenario = sample_scenario(seed, cfg.num_peds, arena_radius=cfg.arena_radius,
+                                   perturbation=cfg.perturbation)
         self.robot = AgentState(px=scenario.robot_start[0], py=scenario.robot_start[1],
                                 vx=0.0, vy=0.0, radius=cfg.robot_radius,
                                 gx=scenario.robot_goal[0], gy=scenario.robot_goal[1],

@@ -41,45 +41,41 @@ def canonicalize_joint(joint: np.ndarray, num_peds: int) -> np.ndarray:
                                               num_peds * PED_PART_DIM)], axis=-1)
 
 
-def split_joint(joint: np.ndarray, num_peds: int):
-    """(robot_part, ped_blocks) views of a canonical joint vector batch."""
-    robot = joint[..., :ROBOT_PART_DIM]
-    peds = joint[..., ROBOT_PART_DIM:].reshape(*joint.shape[:-1], num_peds, PED_PART_DIM)
-    return robot, peds
+def window_slots(end: int, width: int) -> tuple[slice, int]:
+    """The episode steps that fill the `width`-slot window ending at step
+    `end` (inclusive), and the number of front-padding slots before them."""
+    lo = max(0, end - width + 1)
+    return slice(lo, end + 1), width - (end + 1 - lo)
 
 
 def history_window(states, actions, rewards, end: int, width: int, num_peds: int):
     """Fixed-width history ending at step `end` (inclusive).
 
-    states/actions/rewards are per-episode arrays; entries before the
-    episode start are front-padding. Returns:
+    states/actions/rewards are per-episode arrays or lists; only the
+    window's rows are read, so actions and rewards may stop at `end`.
+    Slots before the episode start are front-padding. Returns:
       spatial:  (width, m+1, SPATIAL_TOKEN_DIM) one robot + m ped tokens per step
       temporal: (width, temporal_token_dim)     flat step tokens
       valid:    (width,) bool
       current:  (joint_dim,) canonical joint state at `end`
     """
-    states = np.asarray(states, dtype=np.float64)
-    joint = canonicalize_joint(states, num_peds)
-    lo = max(0, end - width + 1)
-    steps = list(range(lo, end + 1))
-    pad = width - len(steps)
-
-    spatial = np.zeros((width, num_peds + 1, SPATIAL_TOKEN_DIM))
+    if end < 0 or end >= len(states):
+        raise ValueError("empty or out-of-range window")
+    steps, pad = window_slots(end, width)
+    # a step's previous transition sits in its slot of the window ending one step earlier
+    prev, prev_pad = window_slots(end - 1, width)
+    joint = canonicalize_joint(np.asarray(states[steps], dtype=np.float64), num_peds)
+    jd = joint.shape[-1]
     temporal = np.zeros((width, temporal_token_dim(num_peds)))
-    valid = np.zeros(width, dtype=bool)
-    for slot, u in enumerate(steps, start=pad):
-        prev_a = actions[u - 1] if u > 0 else (0.0, 0.0)
-        prev_r = rewards[u - 1] if u > 0 else 0.0
-        robot, peds = split_joint(joint[u], num_peds)
-        spatial[slot, 0, :ROBOT_PART_DIM] = robot
-        spatial[slot, 0, ROBOT_PART_DIM:ROBOT_PART_DIM + 2] = prev_a
-        spatial[slot, 0, ROBOT_PART_DIM + 2] = prev_r
-        spatial[slot, 1:, :PED_PART_DIM] = peds
-        temporal[slot, :joint.shape[-1]] = joint[u]
-        temporal[slot, joint.shape[-1]:joint.shape[-1] + 2] = prev_a
-        temporal[slot, joint.shape[-1] + 2] = prev_r
-        valid[slot] = True
-    return spatial, temporal, valid, joint[end]
+    temporal[pad:, :jd] = joint
+    temporal[prev_pad:, jd:jd + 2] = np.reshape(actions[prev], (-1, 2))
+    temporal[prev_pad:, jd + 2] = rewards[prev]
+    spatial = np.zeros((width, num_peds + 1, SPATIAL_TOKEN_DIM))
+    spatial[:, 0, :ROBOT_PART_DIM] = temporal[:, :ROBOT_PART_DIM]
+    spatial[:, 0, ROBOT_PART_DIM:] = temporal[:, jd:]
+    spatial[:, 1:, :PED_PART_DIM] = temporal[:, ROBOT_PART_DIM:jd].reshape(
+        width, num_peds, PED_PART_DIM)
+    return spatial, temporal, np.arange(width) >= pad, joint[-1]
 
 
 def clip_action_norm(actions: np.ndarray, v_max: float, frac: float = 0.999):

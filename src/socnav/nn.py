@@ -137,17 +137,6 @@ class ParamStore:
                     target[name] = arr
         return store, header["extra"], off
 
-    def save(self, path, extra: dict | None = None):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes(extra))
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        store, extra, _ = cls.from_bytes(data)
-        return store, extra
-
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):
     bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -328,22 +317,11 @@ def encoder_block_bwd(store, cache, dy):
 # -- losses ---------------------------------------------------------------
 
 
-def mse_loss(pred, target, weights=None):
-    """Mean squared error and its gradient w.r.t. pred.
-
-    With `weights`, entries are weighted and normalized by the weight sum
-    (used to average over valid sequence positions only).
-    """
+def mse_loss(pred, target):
+    """Mean squared error and its gradient w.r.t. pred."""
     diff = pred - target
-    if weights is None:
-        n = diff.size
-        loss = float((diff * diff).sum() / n)
-        return loss, (2.0 / n) * diff
-    wsum = float(weights.sum())
-    if wsum <= 0:
-        raise ValueError("mse_loss: weights sum to zero")
-    loss = float((weights * diff * diff).sum() / wsum)
-    return loss, (2.0 / wsum) * weights * diff
+    n = diff.size
+    return float((diff * diff).sum() / n), (2.0 / n) * diff
 
 
 # -- optimizer -------------------------------------------------------------

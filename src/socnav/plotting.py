@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 
+from .dataset import atomic_write
+
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",
            "#e377c2", "#17becf", "#bcbd22"]
 ROBOT_COLOR = "#000000"
@@ -27,7 +29,7 @@ def write_positions_log(path, episodes):
     peds: [[[x, y] * m]...]} with one entry per step including the
     initial placement.
     """
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for ep in episodes:
             fh.write(json.dumps(ep) + "\n")
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .config import RTG_MODES
 from .core import joint_dim
-from .features import canonicalize_joint
+from .features import canonicalize_joint, window_slots
 
 
 def squash_fwd(z, v_max):
@@ -48,8 +49,7 @@ def squash_bwd(cache, da, v_max):
     return v_max * (g * da + c * zdot * z)
 
 
-@dataclass
-class TokenSequence:
+class TokenSequence(NamedTuple):
     """One context window: aligned (rtg, state, action) triples.
 
     states are canonicalized joint vectors; slots before the episode start
@@ -199,38 +199,30 @@ def tokenize(states, actions, rtg, end: int, context: int, num_peds: int,
     """Build one context window ending at step `end` (inclusive).
 
     The conditioning slots copy `rtg`, the per-step return-to-go values
-    aligned with `states`.
+    aligned with `states`. Only the window's rows are read; an action
+    list that stops before `end` (as Actor's does) leaves its later slots
+    zeroed and masked, and so does action_known_at_end=False for `end`.
     """
     if end < 0 or end >= len(states):
         raise ValueError("empty or out-of-range window")
-    lo = max(0, end - context + 1)
-    steps = list(range(lo, end + 1))
-    pad = context - len(steps)
-
-    jd = joint_dim(num_peds)
-    seq = TokenSequence(rtg=np.zeros(context), states=np.zeros((context, jd)),
-                        actions=np.zeros((context, 2)),
-                        step_valid=np.zeros(context, dtype=bool),
-                        action_valid=np.zeros(context, dtype=bool))
-    canon = canonicalize_joint(np.asarray(states, dtype=np.float64), num_peds)
-    for slot, u in enumerate(steps, start=pad):
-        seq.rtg[slot] = rtg[u]
-        seq.states[slot] = canon[u]
-        seq.step_valid[slot] = True
-        if u < len(actions) and (action_known_at_end or u < end):
-            seq.actions[slot] = actions[u]
-            seq.action_valid[slot] = True
+    steps, pad = window_slots(end, context)
+    stop = end + 1 if action_known_at_end else end
+    acts = np.reshape(actions[steps.start:stop], (-1, 2))
+    slots = np.arange(context)
+    seq = TokenSequence(rtg=np.zeros(context),
+                        states=np.zeros((context, joint_dim(num_peds))),
+                        actions=np.zeros((context, 2)), step_valid=slots >= pad,
+                        action_valid=(slots >= pad) & (slots < pad + len(acts)))
+    seq.rtg[pad:] = rtg[steps]
+    seq.states[pad:] = canonicalize_joint(np.asarray(states[steps], dtype=np.float64),
+                                          num_peds)
+    seq.actions[pad:pad + len(acts)] = acts
     return seq
 
 
-def stack_sequences(sequences: list[TokenSequence]):
-    """Batch TokenSequences into the array tuple DtPolicy.forward expects."""
-    rtg = np.stack([s.rtg for s in sequences])
-    states = np.stack([s.states for s in sequences])
-    actions = np.stack([s.actions for s in sequences])
-    step_valid = np.stack([s.step_valid for s in sequences])
-    action_valid = np.stack([s.action_valid for s in sequences])
-    return rtg, states, actions, step_valid, action_valid
+def stack_sequences(sequences: list[TokenSequence]) -> TokenSequence:
+    """Batch TokenSequences into the (B, K, ...) arrays DtPolicy.forward expects."""
+    return TokenSequence(*map(np.stack, zip(*sequences)))
 
 
 # -- acting ----------------------------------------------------------------

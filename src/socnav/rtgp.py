@@ -164,17 +164,11 @@ class RtgPredictor:
     def window_batch(self, episodes, ends):
         """Batch of history windows: episodes[i] is (states, actions, rewards),
         ends[i] the inclusive end step of window i."""
-        B = len(ends)
-        M1 = self.num_peds + 1
-        spatial = np.zeros((B, self.window, M1, SPATIAL_TOKEN_DIM))
-        temporal = np.zeros((B, self.window, self.temporal_dim))
-        valid = np.zeros((B, self.window), dtype=bool)
-        current = np.zeros((B, self.joint_dim))
-        for i, ((states, actions, rewards), end) in enumerate(zip(episodes, ends)):
-            sp, te, va, cu = history_window(states, actions, rewards, end,
-                                            self.window, self.num_peds)
-            spatial[i], temporal[i], valid[i], current[i] = sp, te, va, cu
-        return spatial, temporal, valid, current
+        windows = [history_window(s, a, r, end, self.window, self.num_peds)
+                   for (s, a, r), end in zip(episodes, ends, strict=True)]
+        if not windows:
+            raise ValueError("empty batch")
+        return tuple(map(np.stack, zip(*windows)))
 
     def predict(self, store, states, actions, rewards, end: int) -> float:
         batch = self.window_batch([(states, actions, rewards)], [end])

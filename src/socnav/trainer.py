@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import Config
-from .dataset import Trajectory, dumps_lossless
+from .dataset import Trajectory, atomic_write, dumps_lossless
 from .env import CrowdEnv, rollout
 from .features import clip_action_norm
 from .nn import ParamStore, lamb_step
@@ -70,24 +70,26 @@ def build_models(cfg: Config) -> tuple[DtPolicy, RtgPredictor]:
 # -- batch assembly ---------------------------------------------------------
 
 
+def sample_windows(trajs, size: int, rng: np.random.Generator):
+    """`size` (trajectory index, end step) pairs: all trajectories are
+    drawn uniformly with replacement first, then one end step per pick."""
+    picks = [int(i) for i in rng.integers(0, len(trajs), size=size)]
+    return [(i, int(rng.integers(0, trajs[i].num_steps))) for i in picks]
+
+
 def policy_batch_from(trajs_ends, policy: DtPolicy, rtg_sequences):
     """Stack context windows for a policy update.
 
     rtg_sequences holds the per-step conditioning array of each window's
     trajectory (stored labels or predictor outputs), indexed like
-    trajs_ends.
+    trajs_ends. The targets are the windows' logged actions clipped
+    inside the squash; padded slots stay zero.
     """
-    seqs, targets = [], []
-    for (traj, end), rtg in zip(trajs_ends, rtg_sequences, strict=True):
-        seq = tokenize(traj.states, traj.actions, rtg, end=end,
-                       context=policy.context, num_peds=policy.num_peds)
-        seqs.append(seq)
-        lo = max(0, end - policy.context + 1)
-        pad = policy.context - (end - lo + 1)
-        tgt = np.zeros((policy.context, 2))
-        tgt[pad:] = clip_action_norm(traj.actions[lo:end + 1], policy.v_max)
-        targets.append(tgt)
-    return stack_sequences(seqs), np.stack(targets)
+    batch = stack_sequences([
+        tokenize(traj.states, traj.actions, rtg, end=end, context=policy.context,
+                 num_peds=policy.num_peds)
+        for (traj, end), rtg in zip(trajs_ends, rtg_sequences, strict=True)])
+    return batch, clip_action_norm(batch.actions, policy.v_max)
 
 
 def rtgp_batch_from(trajs_ends, rtgp: RtgPredictor):
@@ -130,22 +132,19 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
     rtgp_store = rtgp.init_store(seed + SEED_MODEL_INIT + 1)
     rng = np.random.default_rng(seed + SEED_PRETRAIN)
 
-    n = len(trajectories)
     policy_losses, rtgp_losses = [], []
     epoch_pol, epoch_rtg = [], []
     last_good = None
     iters = 0
     for it in range(train.pretrain_iters):
-        picks = rng.integers(0, n, size=train.policy_batch)
-        ends = [int(rng.integers(0, trajectories[int(i)].num_steps)) for i in picks]
-        trajs_ends = [(trajectories[int(i)], e) for i, e in zip(picks, ends)]
+        trajs_ends = [(trajectories[i], e) for i, e in
+                      sample_windows(trajectories, train.policy_batch, rng)]
         batch, targets = policy_batch_from(trajs_ends, policy,
                                            [t.rtg for t, _ in trajs_ends])
         pol_loss, _ = policy.loss_and_grad(policy_store, batch, targets)
 
-        picks = rng.integers(0, n, size=train.rtgp_fast_batch)
-        ends = [int(rng.integers(0, trajectories[int(i)].num_steps)) for i in picks]
-        trajs_ends = [(trajectories[int(i)], e) for i, e in zip(picks, ends)]
+        trajs_ends = [(trajectories[i], e) for i, e in
+                      sample_windows(trajectories, train.rtgp_fast_batch, rng)]
         rbatch, rtargets = rtgp_batch_from(trajs_ends, rtgp)
         rtg_loss, _ = rtgp.loss_and_grad(rtgp_store, rbatch, rtargets)
 
@@ -194,18 +193,6 @@ class FinetuneResult:
     episodes: list
     env_transitions: int
     rtg_mode: str
-
-    def returns(self):
-        return [e.episode_return for e in self.episodes]
-
-    def success_window(self, width: int = 100):
-        """Moving success rate over trailing `width` episodes."""
-        flags = [1.0 if e.outcome == "success" else 0.0 for e in self.episodes]
-        out = []
-        for i in range(len(flags)):
-            lo = max(0, i - width + 1)
-            out.append(sum(flags[lo:i + 1]) / (i - lo + 1))
-        return out
 
 
 def run_policy_episode(env: CrowdEnv, actor: Actor, seed: int, gamma: float,
@@ -266,11 +253,9 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
             sequences = [t.rtg for t in sampled]
 
         # slow timescale: one policy update on windows from the sampled trajectories
-        picks = rng.integers(0, len(sampled), size=train.policy_batch)
-        ends = [int(rng.integers(0, sampled[int(i)].num_steps)) for i in picks]
-        trajs_ends = [(sampled[int(i)], u) for i, u in zip(picks, ends)]
-        batch, targets = policy_batch_from(trajs_ends, policy,
-                                           [sequences[int(i)] for i in picks])
+        windows = sample_windows(sampled, train.policy_batch, rng)
+        batch, targets = policy_batch_from([(sampled[i], u) for i, u in windows], policy,
+                                           [sequences[i] for i, _ in windows])
         pol_loss, _ = policy.loss_and_grad(policy_store, batch, targets)
         if not math.isfinite(pol_loss):
             raise TrainingAborted(f"non-finite policy loss at episode {e}",
@@ -306,17 +291,7 @@ class EvalReport:
     per_episode: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"schema": REPORT_SCHEMA,
-                "success_rate": self.success_rate,
-                "collision_rate": self.collision_rate,
-                "timeout_rate": self.timeout_rate,
-                "mean_nav_time": self.mean_nav_time,
-                "mean_return": self.mean_return,
-                "sampling_efficiency": self.sampling_efficiency,
-                "train_transitions": self.train_transitions,
-                "num_episodes": self.num_episodes,
-                "rtg_mode": self.rtg_mode,
-                "per_episode": self.per_episode}
+        return {"schema": REPORT_SCHEMA, **asdict(self)}
 
     def to_json(self) -> str:
         return dumps_lossless(self.to_dict()) + "\n"
@@ -343,7 +318,7 @@ def save_bundle(path, policy_store: ParamStore, rtgp_store: ParamStore,
     header = json.dumps({"format": 1, "meta": meta or {},
                          "policy_len": len(p), "rtgp_len": len(r)},
                         sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(BUNDLE_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)

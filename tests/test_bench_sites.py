@@ -1,0 +1,44 @@
+"""The benchmark tracer's patch sites exist and agree.
+
+`benchmarks/tracer.py` wraps socnav functions at the module attributes
+where their callers look them up. A change that moves or renames one of
+those names fails here, in the default test run, and not only in the
+benchmark's own self-test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("socnav_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolved(tracer, sites):
+    return [tracer._resolve(module, path)[2] for module, path in sites]
+
+
+def test_every_span_site_resolves_to_one_function():
+    tracer = load_tracer()
+    originals = {}
+    for name, sites in tracer.SPAN_SITES.items():
+        functions = set(resolved(tracer, sites))
+        assert len(functions) == 1, f"{name}: sites hold different objects"
+        (originals[name],) = functions
+        assert callable(originals[name]), name
+
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        for name, sites in tracer.SPAN_SITES.items():
+            for fn in resolved(tracer, sites):
+                assert fn.__wrapped__ is originals[name], name
+    finally:
+        tr.uninstall()
+    for name, sites in tracer.SPAN_SITES.items():
+        assert set(resolved(tracer, sites)) == {originals[name]}, name

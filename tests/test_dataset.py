@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from socnav.dataset import (DatasetFormatError, Trajectory, compute_rtg,
+from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, compute_rtg,
                             dataset_stats, dumps_lossless, generate_dataset,
                             load_trajectories, save_trajectories, stats_of)
+from socnav.plotting import write_positions_log
 
 
 def suffix_sum_oracle(rewards, gamma):
@@ -125,6 +126,45 @@ class TestSerialization:
         vals = [0.1, 1 / 3, 1e-17, -2.5e300, 123456.789]
         out = json.loads(dumps_lossless(vals))
         assert out == vals
+
+
+class TestAtomicWrite:
+    OLD = b"previous contents\n"
+
+    def _check_untouched(self, tmp_path, target):
+        assert target.read_bytes() == self.OLD
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_raise_part_way_keeps_old_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_bytes(self.OLD)
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as fh:
+                fh.write("half of the new")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        self._check_untouched(tmp_path, target)
+
+    def test_completed_write_replaces_target(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(self.OLD)
+        with atomic_write(target, "wb") as fh:
+            fh.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_writers_fail_without_partial_output(self, tmp_path, rng):
+        # the second record cannot be serialized, after the first was written
+        bad = make_traj(rng)
+        bad.rewards[0] = np.nan
+        target = tmp_path / "t.jsonl"
+        target.write_bytes(self.OLD)
+        with pytest.raises(ValueError, match="non-finite"):
+            save_trajectories(target, [make_traj(rng), bad], gamma=0.99)
+        self._check_untouched(tmp_path, target)
+        with pytest.raises(TypeError):
+            write_positions_log(target, [{"episode": 0}, {"episode": object()}])
+        self._check_untouched(tmp_path, target)
 
 
 class TestGenerate:

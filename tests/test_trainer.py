@@ -80,13 +80,6 @@ class TestFinetune:
             trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs,
                                     tiny_cfg, seed=1, episodes=2)
 
-    def test_success_window_shape(self, tiny_cfg, tiny_dataset):
-        trajs, _, _ = tiny_dataset
-        pre = trainer.pretrain_offline(trajs, tiny_cfg, seed=1)
-        ft = trainer.finetune_online(pre.policy_store, pre.rtgp_store, trajs,
-                                     tiny_cfg, seed=1, episodes=3)
-        assert len(ft.success_window(2)) == 3
-
 
 class TestEvaluate:
     def test_report_fields_and_determinism(self, tiny_cfg, tiny_dataset):
