@@ -65,6 +65,53 @@ def _write_manifest(path, command, cfg: Config, artifacts, started,
     return manifest
 
 
+# -- stages: each writes its artifact; `pipeline` chains the same code ------
+
+
+def _gen_data(cfg: Config, episodes: int, out):
+    """Generate and write the offline dataset; returns (trajectories, stats)."""
+    return generate_dataset(episodes, seed=cfg.seed + tr.SEED_DATA, sim_cfg=cfg.sim,
+                            gamma=cfg.train.gamma, out_path=out, config_hash=cfg.hash(),
+                            max_capacity=cfg.train.buffer_capacity)
+
+
+def _pretrain(cfg: Config, trajs, out):
+    """Pre-train and write the bundle; returns (result, bundle meta)."""
+    result = tr.pretrain_offline(trajs, cfg, seed=cfg.seed)
+    meta = {"config_hash": cfg.hash(), "phase": "pretrained",
+            "env_transitions": result.env_transitions}
+    tr.save_bundle(out, result.policy_store, result.rtgp_store, meta=meta)
+    return result, meta
+
+
+def _finetune(cfg: Config, policy_store, rtgp_store, meta, trajs, out, episodes,
+              rtg_mode):
+    """Fine-tune the stores in place and write the bundle; returns (result, meta)."""
+    result = tr.finetune_online(policy_store, rtgp_store, trajs, cfg, seed=cfg.seed,
+                                episodes=episodes, rtg_mode=rtg_mode)
+    prev = int(meta.get("env_transitions", 0))
+    meta = {"config_hash": cfg.hash(), "phase": "finetuned", "rtg_mode": result.rtg_mode,
+            "env_transitions": prev + result.env_transitions}
+    tr.save_bundle(out, result.policy_store, result.rtgp_store, meta=meta)
+    return result, meta
+
+
+def _eval(cfg: Config, policy_store, rtgp_store, meta, episodes, report_path,
+          positions_log, rtg_mode):
+    """Evaluate and write the report, plus the positions log if a path is given."""
+    rtg_mode = rtg_mode or meta.get("rtg_mode", cfg.train.rtg_mode)
+    report, worlds = tr.evaluate(policy_store, rtgp_store, cfg, num_episodes=episodes,
+                                 seed=cfg.seed, rtg_mode=rtg_mode,
+                                 train_transitions=int(meta.get("env_transitions", 0)),
+                                 record_world=bool(positions_log))
+    with atomic_write(report_path) as fh:
+        fh.write(report.to_json())
+    if positions_log:
+        seeds = [rec["seed"] for rec in report.per_episode]
+        write_positions_log(positions_log, worlds_to_log(worlds, seeds, cfg.sim.dt))
+    return report
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -73,10 +120,7 @@ def cmd_gen_data(args) -> int:
     if args.safety_space is not None:
         cfg.sim.robot_orca.safety_space = args.safety_space
     _guard_overwrite([args.out, args.out + ".stats.json"], args.force)
-    _, stats = generate_dataset(args.episodes, seed=cfg.seed + tr.SEED_DATA,
-                                sim_cfg=cfg.sim, gamma=cfg.train.gamma,
-                                out_path=args.out, config_hash=cfg.hash(),
-                                max_capacity=cfg.train.buffer_capacity)
+    _, stats = _gen_data(cfg, args.episodes, args.out)
     print(f"wrote {args.out}: {args.episodes} episodes, "
           f"success {stats.success_rate:.3f}, collision {stats.collision_rate:.3f}")
     return EXIT_OK
@@ -86,11 +130,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args.config, args.seed)
     _guard_overwrite([args.out], args.force)
     trajectories, _ = load_trajectories(args.data)
-    result = tr.pretrain_offline(trajectories, cfg, seed=cfg.seed)
-    tr.save_bundle(args.out, result.policy_store, result.rtgp_store,
-                   meta={"config_hash": cfg.hash(), "phase": "pretrained",
-                         "iterations": result.iterations,
-                         "env_transitions": result.env_transitions})
+    result, _ = _pretrain(cfg, trajectories, args.out)
     print(f"wrote {args.out}: {result.iterations} iterations, final losses "
           f"policy {result.policy_losses[-1]:.5f} rtgp {result.rtgp_losses[-1]:.5f}")
     return EXIT_OK
@@ -101,14 +141,8 @@ def cmd_finetune(args) -> int:
     _guard_overwrite([args.out], args.force)
     policy_store, rtgp_store, meta = tr.load_bundle(args.ckpt)
     trajectories, _ = load_trajectories(args.data)
-    result = tr.finetune_online(policy_store, rtgp_store, trajectories, cfg,
-                                seed=cfg.seed, episodes=args.episodes,
-                                rtg_mode=args.rtg_mode)
-    prev = int(meta.get("env_transitions", 0))
-    tr.save_bundle(args.out, result.policy_store, result.rtgp_store,
-                   meta={"config_hash": cfg.hash(), "phase": "finetuned",
-                         "rtg_mode": result.rtg_mode,
-                         "env_transitions": prev + result.env_transitions})
+    result, _ = _finetune(cfg, policy_store, rtgp_store, meta, trajectories, args.out,
+                          args.episodes, args.rtg_mode)
     n_succ = sum(1 for e in result.episodes if e.outcome == "success")
     print(f"wrote {args.out}: {len(result.episodes)} episodes "
           f"({n_succ} successes), {result.env_transitions} transitions")
@@ -117,23 +151,10 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    outputs = [args.report]
-    if args.positions_log:
-        outputs.append(args.positions_log)
-    _guard_overwrite(outputs, args.force)
+    _guard_overwrite([args.report, args.positions_log], args.force)
     policy_store, rtgp_store, meta = tr.load_bundle(args.ckpt)
-    rtg_mode = args.rtg_mode or meta.get("rtg_mode", cfg.train.rtg_mode)
-    report, worlds = tr.evaluate(policy_store, rtgp_store, cfg,
-                                 num_episodes=args.episodes, seed=cfg.seed,
-                                 rtg_mode=rtg_mode,
-                                 train_transitions=int(meta.get("env_transitions", 0)),
-                                 record_world=bool(args.positions_log))
-    with atomic_write(args.report) as fh:
-        fh.write(report.to_json())
-    if args.positions_log:
-        seeds = [rec["seed"] for rec in report.per_episode]
-        write_positions_log(args.positions_log,
-                            worlds_to_log(worlds, seeds, cfg.sim.dt))
+    report = _eval(cfg, policy_store, rtgp_store, meta, args.episodes, args.report,
+                   args.positions_log, args.rtg_mode)
     print(f"wrote {args.report}: success {report.success_rate:.3f}, "
           f"reward {report.mean_return:.4f}")
     return EXIT_OK
@@ -169,48 +190,25 @@ def cmd_pipeline(args) -> int:
     _guard_overwrite([paths["config"], paths["dataset"], paths["pretrained"],
                       paths["finetuned"], paths["report"], paths["positions"]],
                      args.force)
-    stages = {}
-
-    cfg.save(paths["config"])
+    with atomic_write(paths["config"]) as fh:
+        fh.write(cfg.to_json() + "\n")
     episodes = args.episodes or cfg.train.offline_episodes
-    trajectories, stats = generate_dataset(
-        episodes, seed=cfg.seed + tr.SEED_DATA, sim_cfg=cfg.sim,
-        gamma=cfg.train.gamma, out_path=paths["dataset"], config_hash=cfg.hash(),
-        max_capacity=cfg.train.buffer_capacity)
-    stages["gen-data"] = {"episodes": episodes,
-                          "success_rate": stats.success_rate}
-
-    pre = tr.pretrain_offline(trajectories, cfg, seed=cfg.seed)
-    tr.save_bundle(paths["pretrained"], pre.policy_store, pre.rtgp_store,
-                   meta={"config_hash": cfg.hash(), "phase": "pretrained",
-                         "env_transitions": 0})
-    stages["pretrain"] = {"iterations": pre.iterations,
-                          "policy_loss": pre.policy_losses[-1],
-                          "rtgp_loss": pre.rtgp_losses[-1]}
-
-    ft = tr.finetune_online(pre.policy_store.copy(), pre.rtgp_store.copy(),
-                            trajectories, cfg, seed=cfg.seed,
-                            episodes=args.finetune_episodes)
-    tr.save_bundle(paths["finetuned"], ft.policy_store, ft.rtgp_store,
-                   meta={"config_hash": cfg.hash(), "phase": "finetuned",
-                         "rtg_mode": ft.rtg_mode,
-                         "env_transitions": ft.env_transitions})
-    stages["finetune"] = {"episodes": len(ft.episodes),
-                          "env_transitions": ft.env_transitions}
-
-    report, worlds = tr.evaluate(ft.policy_store, ft.rtgp_store, cfg,
-                                 num_episodes=args.eval_episodes, seed=cfg.seed,
-                                 train_transitions=ft.env_transitions,
-                                 record_world=True)
-    with atomic_write(paths["report"]) as fh:
-        fh.write(report.to_json())
-    seeds = [rec["seed"] for rec in report.per_episode]
-    write_positions_log(paths["positions"], worlds_to_log(worlds, seeds, cfg.sim.dt))
-    stages["eval"] = {"success_rate": report.success_rate,
-                      "mean_return": report.mean_return}
-
+    trajectories, stats = _gen_data(cfg, episodes, paths["dataset"])
+    pre, meta = _pretrain(cfg, trajectories, paths["pretrained"])
+    ft, meta = _finetune(cfg, pre.policy_store, pre.rtgp_store, meta, trajectories,
+                         paths["finetuned"], args.finetune_episodes, rtg_mode=None)
+    report = _eval(cfg, ft.policy_store, ft.rtgp_store, meta, args.eval_episodes,
+                   paths["report"], paths["positions"], rtg_mode=None)
     written = plot_trajectories(paths["positions"], paths["plots"], force=args.force)
-    stages["plot"] = {"files": len(written)}
+    stages = {"gen-data": {"episodes": episodes, "success_rate": stats.success_rate},
+              "pretrain": {"iterations": pre.iterations,
+                           "policy_loss": pre.policy_losses[-1],
+                           "rtgp_loss": pre.rtgp_losses[-1]},
+              "finetune": {"episodes": len(ft.episodes),
+                           "env_transitions": ft.env_transitions},
+              "eval": {"success_rate": report.success_rate,
+                       "mean_return": report.mean_return},
+              "plot": {"files": len(written)}}
 
     artifacts = [paths[k] for k in ("config", "dataset", "pretrained",
                                     "finetuned", "report", "positions")]

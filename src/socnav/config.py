@@ -173,10 +173,6 @@ class Config:
         canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
     @classmethod
     def load(cls, path) -> "Config":
         try:

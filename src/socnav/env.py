@@ -14,7 +14,7 @@ parallel instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,10 +115,7 @@ class CrowdEnv:
 
         # clearance to each pedestrian over this step's motion segment
         d_min = math.inf
-        robot_new = AgentState(px=self.robot.px, py=self.robot.py, vx=action[0],
-                               vy=action[1], radius=self.robot.radius,
-                               gx=self.robot.gx, gy=self.robot.gy,
-                               v_pref=self.robot.v_pref, heading=self.robot.heading)
+        robot_new = replace(self.robot, vx=action[0], vy=action[1])
         for ped, vel in zip(self.peds, ped_vels):
             rel0 = np.array([ped.px - robot_new.px, ped.py - robot_new.py])
             rel1 = rel0 + (np.array([vel[0], vel[1]]) - action) * cfg.dt
@@ -129,13 +126,8 @@ class CrowdEnv:
 
         # simultaneous holonomic update
         self.robot = robot_new.moved(cfg.dt)
-        new_peds = []
-        for ped, vel in zip(self.peds, ped_vels):
-            moved = AgentState(px=ped.px, py=ped.py, vx=float(vel[0]), vy=float(vel[1]),
-                               radius=ped.radius, gx=ped.gx, gy=ped.gy,
-                               v_pref=ped.v_pref, heading=ped.heading).moved(cfg.dt)
-            new_peds.append(moved)
-        self.peds = new_peds
+        self.peds = [replace(ped, vx=float(vel[0]), vy=float(vel[1])).moved(cfg.dt)
+                     for ped, vel in zip(self.peds, ped_vels)]
         self.time += cfg.dt
         self._reassign_reached_goals()
 
@@ -171,9 +163,7 @@ class CrowdEnv:
                 g = self.cfg.arena_radius * np.array([math.cos(theta), math.sin(theta)])
                 if math.hypot(g[0] - ped.px, g[1] - ped.py) >= 2.0:
                     break
-            self.peds[i] = AgentState(px=ped.px, py=ped.py, vx=ped.vx, vy=ped.vy,
-                                      radius=ped.radius, gx=float(g[0]), gy=float(g[1]),
-                                      v_pref=ped.v_pref, heading=ped.heading)
+            self.peds[i] = replace(ped, gx=float(g[0]), gy=float(g[1]))
 
 
 def rollout(env: CrowdEnv, act_fn, seed: int, record_world: bool = False,

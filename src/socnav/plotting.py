@@ -153,9 +153,9 @@ def plot_trajectories(log_path, out_dir, force: bool = False):
         for path in (svg_path, csv_path):
             if os.path.exists(path) and not force:
                 raise FileExistsError(f"{path} exists (use force to overwrite)")
-        with open(svg_path, "w") as fh:
+        with atomic_write(svg_path) as fh:
             fh.write(episode_svg(record))
-        with open(csv_path, "w") as fh:
+        with atomic_write(csv_path) as fh:
             fh.write(episode_csv(record))
         written.extend([svg_path, csv_path])
     return written

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import Config
-from .dataset import Trajectory, atomic_write, dumps_lossless
+from .dataset import Trajectory, atomic_write, dumps_lossless, stats_of
 from .env import CrowdEnv, rollout
 from .features import clip_action_norm
 from .nn import ParamStore, lamb_step
@@ -246,9 +246,12 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
                 rbatch, rtargets = rtgp_batch_from(trajs_ends, rtgp)
                 rtgp.loss_and_grad(rtgp_store, rbatch, rtargets)
                 lamb_step(rtgp_store, train.learning_rate)
-            # the slow update conditions on fresh predictions (post fast updates)
-            sequences = [rtgp.predict_sequence(rtgp_store, t.states, t.actions,
-                                               t.rewards) for t in sampled]
+            # the slow update conditions on fresh predictions (post fast updates),
+            # made once per distinct trajectory: sampling draws with replacement
+            distinct = {id(t): t for t in sampled}
+            fresh = {k: rtgp.predict_sequence(rtgp_store, t.states, t.actions, t.rewards)
+                     for k, t in distinct.items()}
+            sequences = [fresh[id(t)] for t in sampled]
         else:
             sequences = [t.rtg for t in sampled]
 
@@ -262,10 +265,11 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
                                   policy_store, rtgp_store)
         lamb_step(policy_store, train.learning_rate)
 
+        fast_updates = len(sampled) if rtg_mode == "rtgp" else 0
         logs.append(EpisodeLog(seed=ep_seed, outcome=traj.outcome,
                                steps=traj.num_steps, duration=traj.duration,
                                episode_return=traj.episode_return,
-                               sampled=len(sampled), fast_updates=len(sampled),
+                               sampled=len(sampled), fast_updates=fast_updates,
                                slow_updates=1))
     return FinetuneResult(policy_store=policy_store, rtgp_store=rtgp_store,
                           episodes=logs, env_transitions=env_transitions,
@@ -360,31 +364,23 @@ def evaluate(policy_store: ParamStore, rtgp_store: ParamStore | None, cfg: Confi
     actor = Actor(policy, policy_store, rtg_source=rtg_mode, rtgp=rtgp,
                   rtgp_store=rtgp_store, fixed_target=train.fixed_rtg_target)
 
-    per_episode, worlds = [], []
-    returns, times = [], []
-    counts = {"success": 0, "collision": 0, "timeout": 0}
+    trajs, worlds = [], []
     for e in range(num_episodes):
-        ep_seed = seed + SEED_EVAL + e
-        traj, world = run_policy_episode(env, actor, ep_seed, train.gamma,
+        traj, world = run_policy_episode(env, actor, seed + SEED_EVAL + e, train.gamma,
                                          record_world=record_world)
-        counts[traj.outcome] += 1
-        returns.append(traj.episode_return)
-        if traj.outcome == "success":
-            times.append(traj.duration)
-        per_episode.append({"seed": ep_seed, "outcome": traj.outcome,
-                            "steps": traj.num_steps, "duration": traj.duration,
-                            "return": traj.episode_return})
+        trajs.append(traj)
         if record_world:
             worlds.append(world)
 
-    mean_return = float(np.mean(returns)) if returns else 0.0
+    stats = stats_of(trajs)
     report = EvalReport(
-        success_rate=counts["success"] / num_episodes,
-        collision_rate=counts["collision"] / num_episodes,
-        timeout_rate=counts["timeout"] / num_episodes,
-        mean_nav_time=float(np.mean(times)) if times else None,
-        mean_return=mean_return,
-        sampling_efficiency=sampling_efficiency(mean_return, train_transitions),
-        train_transitions=train_transitions,
-        num_episodes=num_episodes, rtg_mode=rtg_mode, per_episode=per_episode)
+        success_rate=stats.success_rate, collision_rate=stats.collision_rate,
+        timeout_rate=stats.timeout_rate, mean_nav_time=stats.mean_nav_time,
+        mean_return=stats.mean_return,
+        sampling_efficiency=sampling_efficiency(stats.mean_return, train_transitions),
+        train_transitions=train_transitions, num_episodes=num_episodes,
+        rtg_mode=rtg_mode,
+        per_episode=[{"seed": t.seed, "outcome": t.outcome, "steps": t.num_steps,
+                      "duration": t.duration, "return": t.episode_return}
+                     for t in trajs])
     return report, worlds

@@ -100,6 +100,29 @@ class TestStages:
         assert rep["sampling_efficiency"] == pytest.approx(
             rep["mean_return"] / rep["train_transitions"], abs=1e-12)
 
+    def test_chained_stages_match_pipeline_bytes(self, tiny_config_file, tmp_path):
+        # the subcommands and `pipeline` run the same stage code
+        pipe = tmp_path / "run"
+        assert run("--config", tiny_config_file, "pipeline", "--out", str(pipe),
+                   "--eval-episodes", "2") == EXIT_OK
+        st = tmp_path / "stages"
+        st.mkdir()
+        chain = [
+            ["gen-data", "--episodes", "4", "--out", f"{st}/dataset.jsonl"],
+            ["pretrain", "--data", f"{st}/dataset.jsonl", "--out", f"{st}/pretrained.ckpt"],
+            ["finetune", "--ckpt", f"{st}/pretrained.ckpt", "--data",
+             f"{st}/dataset.jsonl", "--episodes", "2", "--out", f"{st}/finetuned.ckpt"],
+            ["eval", "--ckpt", f"{st}/finetuned.ckpt", "--episodes", "2", "--report",
+             f"{st}/eval_report.json", "--positions-log", f"{st}/eval_positions.jsonl"],
+        ]
+        for argv in chain:
+            assert run("--config", tiny_config_file, *argv) == EXIT_OK
+        names = sorted(p.name for p in st.iterdir())
+        assert names == ["dataset.jsonl", "dataset.jsonl.stats.json", "eval_positions.jsonl",
+                         "eval_report.json", "finetuned.ckpt", "pretrained.ckpt"]
+        for name in names:
+            assert (st / name).read_bytes() == (pipe / name).read_bytes(), name
+
     def test_stats_command(self, tiny_config_file, tmp_path, capsys):
         data = str(tmp_path / "d.jsonl")
         run("--config", tiny_config_file, "gen-data", "--episodes", "3",
@@ -148,7 +171,7 @@ class TestPipeline:
         # every artifact except the wall-clock stamped manifest is a pure
         # function of (config, seed)
         cfg_path = tmp_path / "tiny.json"
-        tiny_cfg.save(cfg_path)
+        cfg_path.write_text(tiny_cfg.to_json() + "\n")
         files = []
         for name in ("a", "b"):
             out = tmp_path / name

@@ -64,7 +64,7 @@ class TestIO:
         cfg.seed = 17
         cfg.sim.num_peds = 3
         path = tmp_path / "c.json"
-        cfg.save(path)
+        path.write_text(cfg.to_json() + "\n")
         loaded = Config.load(path)
         assert loaded.seed == 17
         assert loaded.sim.num_peds == 3

@@ -6,7 +6,7 @@ import pytest
 from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, compute_rtg,
                             dataset_stats, dumps_lossless, generate_dataset,
                             load_trajectories, save_trajectories, stats_of)
-from socnav.plotting import write_positions_log
+from socnav.plotting import PlotError, plot_trajectories, write_positions_log
 
 
 def suffix_sum_oracle(rewards, gamma):
@@ -165,6 +165,20 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             write_positions_log(target, [{"episode": 0}, {"episode": object()}])
         self._check_untouched(tmp_path, target)
+
+    def test_plot_render_fails_without_partial_figure(self, tmp_path):
+        # the second step lacks its pedestrian, after the first was rendered
+        log = tmp_path / "pos.jsonl"
+        write_positions_log(log, [{"episode": 0, "dt": 0.25,
+                                   "robot": [[0.0, 0.0], [0.1, 0.0]],
+                                   "peds": [[[1.0, 1.0]], []]}])
+        out = tmp_path / "plots"
+        out.mkdir()
+        target = out / "episode_0000.svg"
+        target.write_bytes(self.OLD)
+        with pytest.raises(PlotError, match="step 1"):
+            plot_trajectories(log, out, force=True)
+        self._check_untouched(out, target)
 
 
 class TestGenerate:

@@ -5,6 +5,8 @@ from socnav import trainer
 from socnav.config import Config
 from socnav.env import ActionBoundsError, CrowdEnv
 from socnav.nn import ParamStore
+from socnav.replay import HybridBuffer
+from socnav.rtgp import RtgPredictor
 
 
 class TestPretrain:
@@ -56,6 +58,32 @@ class TestFinetune:
                                      tiny_cfg, seed=1, episodes=2, rtg_mode="fixed")
         for k, v in before.items():
             assert np.array_equal(ft.rtgp_store[k], v)
+        for ep in ft.episodes:
+            assert ep.fast_updates == 0
+            assert ep.slow_updates == 1
+
+    def test_repeated_draw_is_predicted_once(self, tiny_cfg, tiny_dataset, monkeypatch):
+        trajs, _, _ = tiny_dataset
+        assert tiny_cfg.train.sampled_trajs > 1
+        pol, rtgp = trainer.build_models(tiny_cfg)
+        sample = HybridBuffer.sample_trajectories
+
+        def sample_repeated(self, batch, rng):
+            drawn = sample(self, batch, rng)
+            return [drawn[0]] * len(drawn)
+
+        calls = []
+        predict = RtgPredictor.predict_sequence
+
+        def counted(self, *args):
+            calls.append(1)
+            return predict(self, *args)
+
+        monkeypatch.setattr(HybridBuffer, "sample_trajectories", sample_repeated)
+        monkeypatch.setattr(RtgPredictor, "predict_sequence", counted)
+        trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs,
+                                tiny_cfg, seed=1, episodes=2)
+        assert len(calls) == 2   # one prediction per episode, not one per draw
 
     def test_policy_changes_during_finetune(self, tiny_cfg, tiny_dataset):
         trajs, _, _ = tiny_dataset
