@@ -20,7 +20,7 @@ from . import trainer as tr
 from .config import RTG_MODES, Config, ConfigError
 from .dataset import (atomic_write, dataset_stats, dumps_lossless, generate_dataset,
                       load_trajectories)
-from .plotting import plot_trajectories, worlds_to_log, write_positions_log
+from .plotting import figure_paths, plot_trajectories, worlds_to_log, write_positions_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,6 +45,32 @@ def _guard_overwrite(paths, force: bool):
     for p in paths:
         if p and os.path.exists(p) and not force:
             raise CliError(f"refusing to overwrite {p} (pass --force)", EXIT_CONFIG)
+
+
+def _count(text) -> int:
+    """argparse type of an episode count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _load_bundle(cfg: Config, path):
+    """Read a bundle whose blocks match the config's models in name and shape;
+    the first missing, extra or reshaped block is a configuration error."""
+    policy_store, rtgp_store, meta = tr.load_bundle(path)
+    for role, store, model in zip(("policy", "rtgp"), (policy_store, rtgp_store),
+                                  tr.build_models(cfg)):
+        want = {n: b.shape for n, b in model.init_store(0).blocks.items()}
+        got = {n: b.shape for n, b in store.blocks.items()}
+        for name in [*want, *(n for n in got if n not in want)]:
+            if got.get(name) != want.get(name):
+                found, expected = (f"shape {s[name]}" if name in s else "missing"
+                                   for s in (got, want))
+                raise CliError(f"{path}: {role} block {name!r} is {found} in the "
+                               f"checkpoint and {expected} in the config's model",
+                               EXIT_CONFIG)
+    return policy_store, rtgp_store, meta
 
 
 def _write_manifest(path, command, cfg: Config, artifacts, started,
@@ -139,7 +165,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _load_config(args.config, args.seed)
     _guard_overwrite([args.out], args.force)
-    policy_store, rtgp_store, meta = tr.load_bundle(args.ckpt)
+    policy_store, rtgp_store, meta = _load_bundle(cfg, args.ckpt)
     trajectories, _ = load_trajectories(args.data)
     result, _ = _finetune(cfg, policy_store, rtgp_store, meta, trajectories, args.out,
                           args.episodes, args.rtg_mode)
@@ -152,7 +178,7 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.seed)
     _guard_overwrite([args.report, args.positions_log], args.force)
-    policy_store, rtgp_store, meta = tr.load_bundle(args.ckpt)
+    policy_store, rtgp_store, meta = _load_bundle(cfg, args.ckpt)
     report = _eval(cfg, policy_store, rtgp_store, meta, args.episodes, args.report,
                    args.positions_log, args.rtg_mode)
     print(f"wrote {args.report}: success {report.success_rate:.3f}, "
@@ -187,12 +213,13 @@ def cmd_pipeline(args) -> int:
         print(f"dry run: wrote {paths['manifest']} only")
         return EXIT_OK
 
-    _guard_overwrite([paths["config"], paths["dataset"], paths["pretrained"],
-                      paths["finetuned"], paths["report"], paths["positions"]],
-                     args.force)
+    figures = [p for i in range(args.eval_episodes) for p in figure_paths(paths["plots"], i)]
+    _guard_overwrite([paths["config"], paths["dataset"], paths["dataset"] + ".stats.json",
+                      paths["pretrained"], paths["finetuned"], paths["report"],
+                      paths["positions"], *figures], args.force)
     with atomic_write(paths["config"]) as fh:
         fh.write(cfg.to_json() + "\n")
-    episodes = args.episodes or cfg.train.offline_episodes
+    episodes = cfg.train.offline_episodes if args.episodes is None else args.episodes
     trajectories, stats = _gen_data(cfg, episodes, paths["dataset"])
     pre, meta = _pretrain(cfg, trajectories, paths["pretrained"])
     ft, meta = _finetune(cfg, pre.policy_store, pre.rtgp_store, meta, trajectories,
@@ -238,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="collect the offline dataset")
-    g.add_argument("--episodes", type=int, required=True)
+    g.add_argument("--episodes", type=_count, required=True)
     g.add_argument("--safety-space", type=float, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_data)
@@ -251,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("finetune", help="online fine-tuning")
     g.add_argument("--ckpt", required=True)
     g.add_argument("--data", required=True, help="offline dataset for the hybrid buffer")
-    g.add_argument("--episodes", type=int, default=None)
+    g.add_argument("--episodes", type=_count, default=None)
     g.add_argument("--rtg-mode", choices=RTG_MODES, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_finetune)
 
     g = sub.add_parser("eval", help="seeded policy evaluation")
     g.add_argument("--ckpt", required=True)
-    g.add_argument("--episodes", type=int, default=500)
+    g.add_argument("--episodes", type=_count, default=500)
     g.add_argument("--report", required=True)
     g.add_argument("--rtg-mode", choices=RTG_MODES, default=None)
     g.add_argument("--positions-log", default=None,
@@ -276,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("pipeline", help="gen-data > pretrain > finetune > eval > plot")
     g.add_argument("--out", required=True)
-    g.add_argument("--episodes", type=int, default=None,
+    g.add_argument("--episodes", type=_count, default=None,
                    help="offline dataset episodes (default from config)")
-    g.add_argument("--finetune-episodes", type=int, default=None)
-    g.add_argument("--eval-episodes", type=int, default=100)
+    g.add_argument("--finetune-episodes", type=_count, default=None)
+    g.add_argument("--eval-episodes", type=_count, default=100)
     g.add_argument("--dry-run", action="store_true")
     g.set_defaults(fn=cmd_pipeline)
     return p

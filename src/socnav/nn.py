@@ -153,25 +153,35 @@ def add_dense(store: ParamStore, name: str, din: int, dout: int,
 
 
 def dense_fwd(store, name, x, relu=False):
-    """y = x @ W + b, optionally through ReLU. x: (..., din)."""
+    """y = x @ W + b, optionally through ReLU. x: (..., din).
+
+    The GEMM runs on the 2-D view (rows, din) and the bias and ReLU are
+    applied in place. With `relu` the cache keeps the output itself, whose
+    positive entries are the backward mask, so a caller must not modify a
+    ReLU output in place.
+    """
     W, b = store[f"{name}.W"], store[f"{name}.b"]
-    if x.shape[-1] != W.shape[0]:
-        raise ValueError(f"{name}: input width {x.shape[-1]} != {W.shape[0]}")
-    pre = x @ W + b
-    y = np.maximum(pre, 0.0) if relu else pre
-    return y, (name, x, pre if relu else None)
+    din, dout = W.shape
+    if x.shape[-1] != din:
+        raise ValueError(f"{name}: input width {x.shape[-1]} != {din}")
+    y = x.reshape(-1, din) @ W
+    y += b
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    y = y.reshape(*x.shape[:-1], dout)
+    return y, (name, x, y if relu else None)
 
 
 def dense_bwd(store, cache, dy):
-    name, x, pre = cache
-    if pre is not None:
-        dy = dy * (pre > 0)
+    name, x, y = cache
     W = store[f"{name}.W"]
-    x2 = x.reshape(-1, x.shape[-1])
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    store.accumulate(f"{name}.W", x2.T @ dy2)
+    din, dout = W.shape
+    dy2 = dy.reshape(-1, dout)
+    if y is not None:
+        dy2 = dy2 * (y.reshape(-1, dout) > 0)
+    store.accumulate(f"{name}.W", x.reshape(-1, din).T @ dy2)
     store.accumulate(f"{name}.b", dy2.sum(axis=0))
-    return (dy @ W.T).reshape(x.shape)
+    return (dy2 @ W.T).reshape(x.shape)
 
 
 def add_layer_norm(store: ParamStore, name: str, dim: int):
@@ -185,30 +195,49 @@ LN_EPS = 1e-5
 def layer_norm_fwd(store, name, x):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     g, b = store[f"{name}.g"], store[f"{name}.b"]
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv_std
-    return g * xhat + b, (name, xc, inv_std, xhat)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv_std
+    y = g * xhat
+    y += b
+    return y, (name, inv_std, xhat)
 
 
 def layer_norm_bwd(store, cache, dy):
-    name, xc, inv_std, xhat = cache
+    """dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = dy * g and both means over the last axis."""
+    name, inv_std, xhat = cache
     g = store[f"{name}.g"]
-    d = xc.shape[-1]
     reduce_axes = tuple(range(dy.ndim - 1))
-    store.accumulate(f"{name}.g", (dy * xhat).sum(axis=reduce_axes))
+    buf = dy * xhat
+    store.accumulate(f"{name}.g", buf.sum(axis=reduce_axes))
     store.accumulate(f"{name}.b", dy.sum(axis=reduce_axes))
-    dxhat = dy * g
-    dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv_std ** 3
-    dmu = -dxhat.sum(axis=-1, keepdims=True) * inv_std \
-        + dvar * (-2.0) * xc.mean(axis=-1, keepdims=True)
-    return dxhat * inv_std + dvar * (2.0 / d) * xc + dmu / d
+    buf *= g
+    proj = buf.mean(axis=-1, keepdims=True)
+    dx = np.multiply(dy, g, out=buf)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= xhat * proj
+    dx *= inv_std
+    return dx
 
 
 def add_attention(store: ParamStore, name: str, dim: int, rng: np.random.Generator):
     add_dense(store, f"{name}.out", dim, dim, rng)
+
+
+def _heads(x, num_heads):
+    """(B, T, D) -> (B, H, T, dk) view with the heads split from D."""
+    B, T, D = x.shape
+    return x.reshape(B, T, num_heads, D // num_heads).transpose(0, 2, 1, 3)
+
+
+def _matmul_merged(a, b):
+    """a @ b over (B, H) stacks, written straight into the merged-heads
+    layout (B, T, H * dk) instead of through a transposed copy."""
+    B, H, T = a.shape[:3]
+    out = np.empty((B, T, H * b.shape[-1]), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_heads(out, H))
+    return out
 
 
 def attention_fwd(store, name, q_in, k_in, v_in, num_heads,
@@ -225,51 +254,46 @@ def attention_fwd(store, name, q_in, k_in, v_in, num_heads,
     if D % num_heads != 0:
         raise ValueError(f"{name}: dim {D} not divisible by {num_heads} heads")
     dk = D // num_heads
+    q, k, v = (_heads(x, num_heads) for x in (q_in, k_in, v_in))
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.sqrt(np.asarray(dk, dtype=q.dtype))
 
-    def split(x):  # (B, T, D) -> (B, H, T, dk)
-        return x.reshape(B, T, num_heads, dk).transpose(0, 2, 1, 3)
-
-    q, k, v = split(q_in), split(k_in), split(v_in)
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(np.asarray(dk, dtype=q.dtype))
-
-    allowed = np.ones((B, 1, T, T), dtype=bool)
-    if causal:
-        allowed = allowed & np.tril(np.ones((T, T), dtype=bool))
-    if valid is not None:
-        allowed = allowed & valid[:, None, None, :]
-        allowed = allowed & valid[:, None, :, None]
-    neg = np.asarray(-np.inf, dtype=scores.dtype)
-    scores = np.where(allowed, scores, neg)
+    # softmax in place on the score buffer; without a mask every row has a
+    # finite maximum and a denominator of at least 1
+    masked = causal or valid is not None
+    if masked:
+        allowed = np.tri(T, dtype=bool) if causal else np.ones((T, T), dtype=bool)
+        if valid is not None:
+            allowed = allowed & valid[:, None, None, :] & valid[:, None, :, None]
+        np.copyto(scores, -np.inf, where=~allowed)
     row_max = scores.max(axis=-1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    e = np.exp(scores - row_max)
-    denom = e.sum(axis=-1, keepdims=True)
-    probs = e / np.where(denom > 0, denom, 1.0)
+    if masked:
+        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+    scores -= row_max
+    probs = np.exp(scores, out=scores)
+    denom = probs.sum(axis=-1, keepdims=True)
+    if masked:
+        denom = np.where(denom > 0, denom, 1.0)
+    probs /= denom
 
-    ctx = probs @ v                                    # (B, H, T, dk)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
+    merged = _matmul_merged(probs, v)
     out, dcache = dense_fwd(store, f"{name}.out", merged)
     return out, (name, q, k, v, probs, dcache, num_heads)
 
 
 def attention_bwd(store, cache, dy):
     name, q, k, v, probs, dcache, num_heads = cache
-    B, H, T, dk = q.shape
-    D = H * dk
-    dmerged = dense_bwd(store, dcache, dy)
-    dctx = dmerged.reshape(B, T, H, dk).transpose(0, 2, 1, 3)
-
-    dprobs = dctx @ v.transpose(0, 1, 3, 2)
-    dv = probs.transpose(0, 1, 3, 2) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dscores = dscores / np.sqrt(np.asarray(dk, dtype=q.dtype))
-    dq = dscores @ k
-    dk_ = dscores.transpose(0, 1, 3, 2) @ q
-
-    def merge(x):  # (B, H, T, dk) -> (B, T, D)
-        return x.transpose(0, 2, 1, 3).reshape(B, T, D)
-
-    return merge(dq), merge(dk_), merge(dv)
+    dk = q.shape[-1]
+    dctx = _heads(dense_bwd(store, dcache, dy), num_heads)
+    dv = _matmul_merged(probs.transpose(0, 1, 3, 2), dctx)
+    # softmax backward in place on dprobs: probs * (dprobs - <dprobs, probs>)
+    dscores = dctx @ v.transpose(0, 1, 3, 2)
+    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+    dscores *= probs
+    dscores /= np.sqrt(np.asarray(dk, dtype=q.dtype))
+    dq = _matmul_merged(dscores, k)
+    dk_ = _matmul_merged(dscores.transpose(0, 1, 3, 2), q)
+    return dq, dk_, dv
 
 
 # -- transformer encoder block (attention + residual + LN + FFN) ----------
@@ -291,13 +315,15 @@ def encoder_block_fwd(store, name, x, num_heads, causal=False, valid=None):
     q, cq = dense_fwd(store, f"{name}.q", x, relu=True)
     k, ck = dense_fwd(store, f"{name}.k", x, relu=True)
     v, cv = dense_fwd(store, f"{name}.v", x, relu=True)
-    att, ca = attention_fwd(store, f"{name}.att", q, k, v, num_heads,
-                            causal=causal, valid=valid)
-    x1 = att + x
+    # the attention and f2 outputs are linear outputs that no cache holds,
+    # so the residual sums reuse their buffers
+    x1, ca = attention_fwd(store, f"{name}.att", q, k, v, num_heads,
+                           causal=causal, valid=valid)
+    x1 += x
     h, cn = layer_norm_fwd(store, f"{name}.ln", x1)
     f1, c1 = dense_fwd(store, f"{name}.f1", h, relu=True)
-    f2, c2 = dense_fwd(store, f"{name}.f2", f1)
-    y = f2 + x1
+    y, c2 = dense_fwd(store, f"{name}.f2", f1)
+    y += x1
     return y, (name, cq, ck, cv, ca, cn, c1, c2)
 
 
@@ -305,10 +331,11 @@ def encoder_block_bwd(store, cache, dy):
     name, cq, ck, cv, ca, cn, c1, c2 = cache
     df1 = dense_bwd(store, c2, dy)
     dh = dense_bwd(store, c1, df1)
-    dx1 = layer_norm_bwd(store, cn, dh) + dy
+    dx1 = layer_norm_bwd(store, cn, dh)
+    dx1 += dy
     dq, dk, dv = attention_bwd(store, ca, dx1)
-    dx = dx1.copy()
-    dx += dense_bwd(store, cq, dq)
+    dx = dense_bwd(store, cq, dq)
+    dx += dx1
     dx += dense_bwd(store, ck, dk)
     dx += dense_bwd(store, cv, dv)
     return dx

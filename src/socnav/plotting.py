@@ -141,15 +141,19 @@ def episode_csv(record: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
+def figure_paths(out_dir, episode: int) -> tuple[str, str]:
+    """The SVG and CSV figure paths plot_trajectories writes for an episode."""
+    stem = os.path.join(out_dir, f"episode_{episode:04d}")
+    return stem + ".svg", stem + ".csv"
+
+
 def plot_trajectories(log_path, out_dir, force: bool = False):
     """Render every episode of a positions log; returns written paths."""
     episodes = read_positions_log(log_path)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for record in episodes:
-        idx = record.get("episode", 0)
-        svg_path = os.path.join(out_dir, f"episode_{idx:04d}.svg")
-        csv_path = os.path.join(out_dir, f"episode_{idx:04d}.csv")
+        svg_path, csv_path = figure_paths(out_dir, record.get("episode", 0))
         for path in (svg_path, csv_path):
             if os.path.exists(path) and not force:
                 raise FileExistsError(f"{path} exists (use force to overwrite)")

@@ -131,10 +131,9 @@ class RtgPredictor:
         ds2 = nn.encoder_block_bwd(store, c_t2, dfst)
         ds2_tok = np.broadcast_to(ds2[:, :, None, :] / M1,
                                   (B, W, M1, D)).reshape(B * W, M1, D)
-        dtok2 = nn.encoder_block_bwd(store, c_s2,
-                                     np.ascontiguousarray(ds2_tok)).reshape(B, W, M1, D)
-        dfs = dtok2.copy()
-        dmerged = dtok2.sum(axis=2)
+        dfs = nn.encoder_block_bwd(store, c_s2,
+                                   np.ascontiguousarray(ds2_tok)).reshape(B, W, M1, D)
+        dmerged = dfs.sum(axis=2)
 
         dcat = nn.dense_bwd(store, c_m, dmerged)
         dsummary, dft = dcat[..., :D], dcat[..., D:]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from socnav import trainer
 from socnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from socnav.config import Config
 
 
 @pytest.fixture()
@@ -61,6 +63,75 @@ class TestExitCodes:
         assert rc == EXIT_OK
         assert (tmp_path / "d.jsonl").exists()
         assert (tmp_path / "d.jsonl.stats.json").exists()
+
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["gen-data", "--out", "d.jsonl", "--episodes"],
+        ["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt",
+         "--episodes"],
+        ["eval", "--ckpt", "c.ckpt", "--report", "r.json", "--episodes"],
+        ["pipeline", "--out", "run", "--episodes"],
+        ["pipeline", "--out", "run", "--finetune-episodes"],
+        ["pipeline", "--out", "run", "--eval-episodes"]],
+        ids=["gen-data", "finetune", "eval", "pipeline", "pipeline-finetune",
+             "pipeline-eval"])
+    def test_count_below_one_is_2_before_any_file(self, command, count, tiny_config_file,
+                                                  tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run("--config", tiny_config_file, *command, count)
+        assert exc.value.code == EXIT_CONFIG
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def with_net(cfg_file, path, **net) -> str:
+    """A copy of the config file with `net` overrides; returns its path."""
+    cfg = json.loads(open(cfg_file).read())
+    cfg["net"].update(net)
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def write_bundle(path, cfg_file):
+    """Freshly initialized stores of the config's models."""
+    policy, rtgp = trainer.build_models(Config.load(cfg_file).validate())
+    trainer.save_bundle(path, policy.init_store(0), rtgp.init_store(1))
+
+
+class TestBundleShapes:
+    @pytest.mark.parametrize("bundle_net, run_net, message", [
+        ({"policy_blocks": 2}, {},
+         "policy block 'block1.q.W' is shape (16, 16) in the checkpoint and missing "
+         "in the config's model"),
+        ({}, {"policy_blocks": 2},
+         "policy block 'block1.q.W' is missing in the checkpoint and shape (16, 16) "
+         "in the config's model"),
+        ({"head_hidden": 4}, {},
+         "rtgp block 'head1.W' is shape (32, 4) in the checkpoint and shape (32, 8) "
+         "in the config's model")],
+        ids=["extra", "missing", "reshaped"])
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_mismatch_is_2_naming_the_block(self, tiny_config_file, tmp_path, capsys,
+                                            bundle_net, run_net, message, command):
+        ckpt = str(tmp_path / "c.ckpt")
+        write_bundle(ckpt, with_net(tiny_config_file, tmp_path / "b.json", **bundle_net))
+        cfg = with_net(tiny_config_file, tmp_path / "r.json", **run_net)
+        argv = {"finetune": ["finetune", "--ckpt", ckpt, "--data", str(tmp_path / "d.jsonl"),
+                             "--out", str(tmp_path / "f.ckpt")],
+                "eval": ["eval", "--ckpt", ckpt, "--episodes", "1",
+                         "--report", str(tmp_path / "report.json")]}[command]
+        before = sorted(tmp_path.iterdir())
+        assert run("--config", cfg, *argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_matching_bundle_evaluates(self, tiny_config_file, tmp_path):
+        ckpt = str(tmp_path / "c.ckpt")
+        write_bundle(ckpt, tiny_config_file)
+        assert run("--config", tiny_config_file, "eval", "--ckpt", ckpt, "--episodes", "1",
+                   "--report", str(tmp_path / "r.json")) == EXIT_OK
 
 
 class TestOverwriteGuard:
@@ -182,6 +253,19 @@ class TestPipeline:
                           if p.is_file() and p.name != "manifest.json"})
         assert len(files[0]) > 5
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("leftover", ["dataset.jsonl.stats.json",
+                                          "plots/episode_0000.svg",
+                                          "plots/episode_0001.csv"])
+    def test_pipeline_guards_sidecar_and_figures_before_any_work(
+            self, tiny_config_file, tmp_path, leftover):
+        out = tmp_path / "run"
+        (out / "plots").mkdir(parents=True)
+        (out / leftover).write_text("old")
+        assert run("--config", tiny_config_file, "pipeline", "--out", str(out),
+                   "--eval-episodes", "2") == EXIT_CONFIG
+        assert not (out / "dataset.jsonl").exists()
+        assert (out / leftover).read_text() == "old"
 
     def test_pipeline_refuses_rerun_without_force(self, tiny_config_file,
                                                   tmp_path):

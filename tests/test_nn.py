@@ -4,6 +4,9 @@ import pytest
 from socnav import nn
 from socnav.gradcheck import grad_check
 
+# an in-place softmax or norm that overflows or divides by zero fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def f64_store():
     return nn.ParamStore(dtype=np.float64)
@@ -190,6 +193,159 @@ class TestEncoderBlock:
             return float((y * dy_fixed).sum())
 
         assert grad_check(loss, store, max_coords=30).max_rel_err < 1e-8
+
+
+# -- reference forms: batched 3-D dense and five-term layer-norm backward ---
+
+# float32 agreement bound, fixed before comparing: O(1) inputs, so an
+# absolute floor covers entries that cancel to near zero
+F32_TOL = dict(rtol=1e-5, atol=1e-5)
+
+# (input shape, output width) of dense layers in the policy and predictor
+# layouts at reduced size (D = 16, B = 4, K = W = 5, m + 1 = 3)
+DENSE_LAYOUTS = {
+    "policy-rtg-embed": ((4, 5, 1), 16),
+    "policy-tokens": ((4, 15, 16), 16),
+    "policy-head": ((4, 5, 16), 2),
+    "predictor-spatial-embed": ((4, 5, 3, 9), 16),
+    "predictor-spatial": ((20, 3, 16), 16),
+    "predictor-merge": ((4, 5, 32), 16),
+    "predictor-head": ((4, 32), 8),
+}
+# token layouts (batch, sequence, D) seen by layer norm and attention
+TOKEN_LAYOUTS = {"policy": (4, 15, 16), "predictor-spatial": (20, 3, 16),
+                 "predictor-temporal": (4, 5, 16)}
+
+
+def dense_3d_reference(W, b, x, dy, relu):
+    """The batched-matmul dense layer: (y, dx, dW, db)."""
+    pre = x @ W + b
+    y = np.maximum(pre, 0.0) if relu else pre
+    if relu:
+        dy = dy * (pre > 0)
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return y, (dy @ W.T).reshape(x.shape), x2.T @ dy2, dy2.sum(axis=0)
+
+
+def layer_norm_five_term_reference(g, b, x, dy):
+    """Layer norm with the variance/mean chain-rule backward: (y, dx, dg, db)."""
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + nn.LN_EPS)
+    xhat = xc * inv_std
+    axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * g
+    dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv_std ** 3
+    dmu = -dxhat.sum(axis=-1, keepdims=True) * inv_std \
+        + dvar * (-2.0) * xc.mean(axis=-1, keepdims=True)
+    dx = dxhat * inv_std + dvar * (2.0 / d) * xc + dmu / d
+    return g * xhat + b, dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def f32(rng, shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("layout", DENSE_LAYOUTS)
+    def test_dense_matches_3d_reference(self, rng, layout, relu):
+        shape, dout = DENSE_LAYOUTS[layout]
+        store = nn.ParamStore()
+        nn.add_dense(store, "d", shape[-1], dout, rng)
+        store.blocks["d.b"][...] = f32(rng, dout)
+        x = f32(rng, shape)
+        # a strided gradient, as the policy hands its embeddings
+        dy = f32(rng, (*shape[:-1], 3 * dout))[..., ::3]
+        y, cache = nn.dense_fwd(store, "d", x, relu=relu)
+        store.zero_grads()
+        dx = nn.dense_bwd(store, cache, dy)
+        ref = dense_3d_reference(store["d.W"], store["d.b"], x, dy, relu)
+        for got, want in zip((y, dx, store.grads["d.W"], store.grads["d.b"]), ref):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, **F32_TOL)
+
+    @pytest.mark.parametrize("layout", TOKEN_LAYOUTS)
+    def test_layer_norm_matches_five_term_reference(self, rng, layout):
+        shape = TOKEN_LAYOUTS[layout]
+        store = nn.ParamStore()
+        nn.add_layer_norm(store, "ln", shape[-1])
+        store.blocks["ln.g"][...] = 1.0 + 0.5 * f32(rng, shape[-1])
+        store.blocks["ln.b"][...] = f32(rng, shape[-1])
+        x = f32(rng, shape) * 3 + 1
+        dy = f32(rng, shape)
+        y, cache = nn.layer_norm_fwd(store, "ln", x)
+        store.zero_grads()
+        dx = nn.layer_norm_bwd(store, cache, dy)
+        ref = layer_norm_five_term_reference(store["ln.g"], store["ln.b"], x, dy)
+        for got, want in zip((y, dx, store.grads["ln.g"], store.grads["ln.b"]), ref):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, **F32_TOL)
+
+    @pytest.mark.parametrize("layout", TOKEN_LAYOUTS)
+    def test_unmasked_attention_equals_all_valid_mask(self, rng, layout):
+        B, T, D = TOKEN_LAYOUTS[layout]
+        store = nn.ParamStore()
+        nn.add_attention(store, "att", D, rng)
+        q, k, v = (np.maximum(f32(rng, (B, T, D)), 0.0) for _ in range(3))
+        dy = f32(rng, (B, T, D))
+        runs = []
+        for valid in (None, np.ones((B, T), dtype=bool)):
+            out, cache = nn.attention_fwd(store, "att", q, k, v, 2, valid=valid)
+            store.zero_grads()
+            grads = nn.attention_bwd(store, cache, dy)
+            runs.append((out, cache[4], *grads, *(g.copy() for g in store.grads.values())))
+        for unmasked, masked in zip(*runs):
+            assert np.array_equal(unmasked, masked)
+
+
+def backward_twice(store, backward, cache, dy):
+    """Run `backward` twice on one cache; both runs must give the same bytes
+    and leave dy as it was."""
+    before = dy.copy()
+    runs = []
+    for _ in range(2):
+        store.zero_grads()
+        dx = backward(store, cache, dy)
+        runs.append([*(dx if isinstance(dx, tuple) else (dx,)),
+                     *(g.copy() for g in store.grads.values())])
+    assert np.array_equal(dy, before)
+    for first, second in zip(*runs):
+        assert first.tobytes() == second.tobytes()
+
+
+class TestBackwardIsRepeatable:
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    def test_dense(self, rng, relu):
+        store = nn.ParamStore()
+        nn.add_dense(store, "d", 16, 16, rng)
+        y, cache = nn.dense_fwd(store, "d", f32(rng, (4, 15, 16)), relu=relu)
+        backward_twice(store, nn.dense_bwd, cache, f32(rng, y.shape))
+
+    def test_layer_norm(self, rng):
+        store = nn.ParamStore()
+        nn.add_layer_norm(store, "ln", 16)
+        y, cache = nn.layer_norm_fwd(store, "ln", f32(rng, (20, 3, 16)))
+        backward_twice(store, nn.layer_norm_bwd, cache, f32(rng, y.shape))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_attention(self, rng, masked):
+        store = nn.ParamStore()
+        nn.add_attention(store, "att", 16, rng)
+        x = f32(rng, (4, 5, 16))
+        valid = np.array([[False, True, True, True, True]] * 4) if masked else None
+        y, cache = nn.attention_fwd(store, "att", x, x, x, 2, causal=masked, valid=valid)
+        backward_twice(store, nn.attention_bwd, cache, f32(rng, y.shape))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_encoder_block(self, rng, masked):
+        store = nn.ParamStore()
+        nn.add_encoder_block(store, "blk", 16, 24, rng)
+        valid = np.array([[False, True, True, True, True]] * 4) if masked else None
+        y, cache = nn.encoder_block_fwd(store, "blk", f32(rng, (4, 5, 16)), 2,
+                                        causal=masked, valid=valid)
+        backward_twice(store, nn.encoder_block_bwd, cache, f32(rng, y.shape))
 
 
 class TestMseLoss:

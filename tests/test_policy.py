@@ -10,6 +10,9 @@ from socnav.policy import (Actor, DtPolicy, TokenSequence, squash_bwd,
                            squash_fwd, stack_sequences, tokenize)
 from socnav.rtgp import RtgPredictor
 
+# an in-place softmax or norm that overflows or divides by zero fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def small_policy(num_peds=2, context=4):
     return DtPolicy(num_peds=num_peds, context=context, hidden_dim=16,

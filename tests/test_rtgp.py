@@ -6,6 +6,9 @@ from socnav.features import canonicalize_joint, history_window
 from socnav.gradcheck import grad_check
 from socnav.rtgp import RtgPredictor
 
+# an in-place softmax or norm that overflows or divides by zero fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def small_net(num_peds=2, window=4):
     return RtgPredictor(num_peds=num_peds, window=window, hidden_dim=16,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from socnav import trainer
+from socnav import nn, trainer
 from socnav.config import Config
 from socnav.env import ActionBoundsError, CrowdEnv
 from socnav.nn import ParamStore
@@ -230,3 +230,50 @@ class TestModels:
         policy, _ = trainer.build_models(tiny_cfg)
         store = policy.init_store(0)
         assert store.dtype == np.float32
+
+    def test_training_path_stays_float32(self, tiny_cfg, tiny_dataset, monkeypatch):
+        # a float64 leak (an input, a constant or a cast left out) would double
+        # the memory traffic of every layer it touches without failing anything
+        trajs, _, _ = tiny_dataset
+        outputs, grads = [], []
+        for name in ("dense_fwd", "dense_bwd", "attention_fwd", "attention_bwd",
+                     "layer_norm_fwd", "layer_norm_bwd", "encoder_block_fwd",
+                     "encoder_block_bwd"):
+            def recorded(*args, _fn=getattr(nn, name), _name=name, **kwargs):
+                result = _fn(*args, **kwargs)
+                outputs.append((_name, result))
+                return result
+            monkeypatch.setattr(nn, name, recorded)
+        accumulate = ParamStore.accumulate
+
+        def recorded_accumulate(store, name, grad):
+            grads.append(((id(store), name), np.asarray(grad).dtype))
+            accumulate(store, name, grad)
+        monkeypatch.setattr(ParamStore, "accumulate", recorded_accumulate)
+
+        policy, rtgp = trainer.build_models(tiny_cfg)
+        rng = np.random.default_rng(0)
+        trajs_ends = [(trajs[i], e) for i, e in trainer.sample_windows(trajs, 8, rng)]
+        batch, targets = trainer.policy_batch_from(trajs_ends, policy,
+                                                   [t.rtg for t, _ in trajs_ends])
+        stores = policy.init_store(0), rtgp.init_store(1)
+        policy.loss_and_grad(stores[0], batch, targets)
+        rbatch, rtargets = trainer.rtgp_batch_from(trajs_ends, rtgp)
+        rtgp.loss_and_grad(stores[1], rbatch, rtargets)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    yield from arrays(item)
+
+        layer_dtypes = {(name, a.dtype) for name, result in outputs
+                        for a in arrays(result) if a.dtype != bool}
+        assert {name for name, _ in layer_dtypes} == {
+            "dense_fwd", "dense_bwd", "attention_fwd", "attention_bwd",
+            "layer_norm_fwd", "layer_norm_bwd", "encoder_block_fwd", "encoder_block_bwd"}
+        assert {dtype for _, dtype in layer_dtypes} == {np.dtype(np.float32)}
+        assert {key for key, _ in grads} == {(id(s), name) for s in stores
+                                             for name in s.blocks}
+        assert {dtype for _, dtype in grads} == {np.dtype(np.float32)}
