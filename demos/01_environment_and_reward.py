@@ -5,8 +5,8 @@ import numpy as np
 
 from socnav.config import SimConfig
 from socnav.core import reward, sample_scenario, to_robot_frame
-from socnav.dataset import Trajectory
-from socnav.env import CrowdEnv, rollout
+from socnav.dataset import rollout
+from socnav.env import CrowdEnv
 
 print("== scenario sampling ==")
 scn = sample_scenario(seed=7, num_peds=5)
@@ -38,7 +38,6 @@ print(f"after shifting the whole world by (3, 7): max observation change = "
 
 print("\n== a full episode under the reference controller ==")
 env = CrowdEnv(SimConfig())
-rec = rollout(env, lambda e, o: e.robot_orca_action(), seed=7)
-print(f"outcome: {rec.status.value} after {rec.num_steps} steps "
-      f"({rec.duration:.2f} s), discounted return "
-      f"{Trajectory.from_record(rec, 0.99).episode_return:+.4f}")
+traj, _ = rollout(env, lambda e, o: e.robot_orca_action(), seed=7, gamma=0.99)
+print(f"outcome: {traj.outcome} after {traj.num_steps} steps "
+      f"({traj.duration:.2f} s), discounted return {traj.episode_return:+.4f}")

@@ -12,4 +12,5 @@ __version__ = "0.1.0"
 
 from .config import Config, NetConfig, OrcaConfig, SimConfig, TrainConfig  # noqa: F401
 from .core import AgentState, Scenario, Status, reward, sample_scenario, to_robot_frame  # noqa: F401
-from .env import CrowdEnv, rollout  # noqa: F401
+from .dataset import rollout  # noqa: F401
+from .env import CrowdEnv  # noqa: F401

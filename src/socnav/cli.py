@@ -143,8 +143,6 @@ def _eval(cfg: Config, policy_store, rtgp_store, meta, episodes, report_path,
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    if args.safety_space is not None:
-        cfg.sim.robot_orca.safety_space = args.safety_space
     _guard_overwrite([args.out, args.out + ".stats.json"], args.force)
     _, stats = _gen_data(cfg, args.episodes, args.out)
     print(f"wrote {args.out}: {args.episodes} episodes, "
@@ -217,10 +215,10 @@ def cmd_pipeline(args) -> int:
     _guard_overwrite([paths["config"], paths["dataset"], paths["dataset"] + ".stats.json",
                       paths["pretrained"], paths["finetuned"], paths["report"],
                       paths["positions"], *figures], args.force)
-    with atomic_write(paths["config"]) as fh:
-        fh.write(cfg.to_json() + "\n")
     episodes = cfg.train.offline_episodes if args.episodes is None else args.episodes
     trajectories, stats = _gen_data(cfg, episodes, paths["dataset"])
+    with atomic_write(paths["config"]) as fh:
+        fh.write(cfg.to_json() + "\n")
     pre, meta = _pretrain(cfg, trajectories, paths["pretrained"])
     ft, meta = _finetune(cfg, pre.policy_store, pre.rtgp_store, meta, trajectories,
                          paths["finetuned"], args.finetune_episodes, rtg_mode=None)
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="collect the offline dataset")
     g.add_argument("--episodes", type=_count, required=True)
-    g.add_argument("--safety-space", type=float, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_data)
 

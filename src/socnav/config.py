@@ -85,6 +85,9 @@ class SimConfig:
             raise ConfigError("sim.perturbation must be >= 0")
         self.ped_orca.validate()
         self.robot_orca.validate()
+        if self.robot_orca.max_speed > self.v_max:
+            raise ConfigError(f"sim.robot_orca.max_speed {self.robot_orca.max_speed} "
+                              f"exceeds the action bound sim.v_max {self.v_max}")
 
 
 @dataclass

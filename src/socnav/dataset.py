@@ -1,4 +1,4 @@
-"""Offline dataset: rollout collection, return-to-go labels, persistence.
+"""Episodes as labelled trajectories: rollouts, return-to-go labels, persistence.
 
 Trajectories are stored as JSON Lines: a header line carrying the schema
 version, config hash and discount factor, then one trajectory per line.
@@ -16,14 +16,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .core import Status
-from .env import CrowdEnv, EpisodeRecord, rollout
+from .env import CrowdEnv
 
 SCHEMA_VERSION = 1
-OUTCOMES = ("success", "collision", "timeout")
-_STATUS_TO_OUTCOME = {Status.GOAL: "success", Status.COLLISION: "collision",
-                      Status.TIMEOUT: "timeout"}
+# terminal status of an episode -> its stored outcome label
+OUTCOMES = {Status.GOAL: "success", Status.COLLISION: "collision",
+            Status.TIMEOUT: "timeout"}
 
 
 class DatasetFormatError(ValueError):
@@ -59,7 +59,7 @@ class Trajectory:
         T = len(self.states)
         if not (len(self.actions) == len(self.rewards) == len(self.rtg) == T):
             raise ValueError("trajectory arrays must share one length")
-        if self.outcome not in OUTCOMES:
+        if self.outcome not in OUTCOMES.values():
             raise ValueError(f"unknown outcome {self.outcome!r}")
 
     @property
@@ -74,16 +74,37 @@ class Trajectory:
     def episode_return(self) -> float:
         return float(self.rtg[0]) if self.num_steps else 0.0
 
-    @classmethod
-    def from_record(cls, record: EpisodeRecord, gamma: float) -> "Trajectory":
-        if record.status is Status.RUNNING:
-            raise ValueError("cannot label an unfinished episode")
-        rewards = np.asarray(record.rewards, dtype=np.float64)
-        return cls(states=np.asarray(record.states, dtype=np.float64),
-                   actions=np.asarray(record.actions, dtype=np.float64),
-                   rewards=rewards, rtg=compute_rtg(rewards, gamma),
-                   outcome=_STATUS_TO_OUTCOME[record.status],
-                   duration=record.duration, seed=record.seed)
+
+def rollout(env: CrowdEnv, act_fn, seed: int, gamma: float, record_world: bool = False,
+            observe=None) -> tuple[Trajectory, list]:
+    """Run one episode and label it; act_fn maps (env, observation) -> action.
+
+    `states[t]` is the observation the action `actions[t]` was chosen from.
+    `observe`, when given, is called with (action, reward) after each step,
+    before act_fn chooses the next action. Returns the trajectory and the
+    world log: (robot_xy, peds_xy) per step including the initial
+    placement when `record_world`, else empty.
+    """
+    obs = env.reset(seed)
+    states, actions, rewards = [], [], []
+    world_log = [env.world_positions()] if record_world else []
+    while env.status is Status.RUNNING:
+        action = np.asarray(act_fn(env, obs), dtype=float)
+        states.append(obs.joint.copy())
+        outcome = env.step(action)
+        if observe is not None:
+            observe(action, outcome.reward)
+        actions.append(action.copy())
+        rewards.append(outcome.reward)
+        obs = outcome.observation
+        if record_world:
+            world_log.append(env.world_positions())
+    rewards = np.asarray(rewards, dtype=np.float64)
+    traj = Trajectory(states=np.asarray(states, dtype=np.float64),
+                      actions=np.asarray(actions, dtype=np.float64),
+                      rewards=rewards, rtg=compute_rtg(rewards, gamma),
+                      outcome=OUTCOMES[env.status], duration=env.time, seed=seed)
+    return traj, world_log
 
 
 @dataclass
@@ -207,18 +228,19 @@ def generate_dataset(num_episodes: int, seed: int, sim_cfg: SimConfig,
     the labelled trajectories plus a `.stats.json` sidecar.
 
     Episode i uses scenario seed `seed + i`; the file is a pure function
-    of (num_episodes, seed, sim_cfg, gamma).
+    of (num_episodes, seed, sim_cfg, gamma). More transitions than
+    `max_capacity` (the replay buffer's size) raise ConfigError before
+    anything is written.
     """
     if sim_cfg.robot_visible:
         raise ValueError("dataset generation requires an invisible robot")
-    if num_episodes > max_capacity:
-        raise ValueError(f"num_episodes {num_episodes} exceeds replay capacity "
-                         f"{max_capacity}")
     env = CrowdEnv(sim_cfg)
-    trajectories = []
-    for i in range(num_episodes):
-        record = rollout(env, lambda e, o: e.robot_orca_action(), seed=seed + i)
-        trajectories.append(Trajectory.from_record(record, gamma))
+    trajectories = [rollout(env, lambda e, o: e.robot_orca_action(), seed + i, gamma)[0]
+                    for i in range(num_episodes)]
+    transitions = sum(t.num_steps for t in trajectories)
+    if transitions > max_capacity:
+        raise ConfigError(f"{num_episodes} episodes hold {transitions} transitions, more "
+                          f"than the replay capacity of {max_capacity}")
 
     save_trajectories(out_path, trajectories, gamma=gamma, config_hash=config_hash)
     stats = stats_of(trajectories)

@@ -14,7 +14,7 @@ parallel instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,28 +26,6 @@ from .core import (AgentState, RobotFrameState, Status, StepOutcome,
 
 class ActionBoundsError(ValueError):
     """Robot action exceeded the configured speed limit."""
-
-
-@dataclass
-class EpisodeRecord:
-    """Raw rollout log: per-step joint observations, actions and rewards.
-
-    `states[t]` is the observation the action `actions[t]` was chosen from;
-    `world_log`, when recorded, holds (robot_xy, peds_xy) world positions
-    per step including the initial placement.
-    """
-
-    states: list
-    actions: list
-    rewards: list
-    status: Status
-    duration: float
-    seed: int
-    world_log: list = field(default_factory=list)
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.actions)
 
 
 class CrowdEnv:
@@ -164,31 +142,3 @@ class CrowdEnv:
                 if math.hypot(g[0] - ped.px, g[1] - ped.py) >= 2.0:
                     break
             self.peds[i] = replace(ped, gx=float(g[0]), gy=float(g[1]))
-
-
-def rollout(env: CrowdEnv, act_fn, seed: int, record_world: bool = False,
-            observe=None) -> EpisodeRecord:
-    """Run one episode; act_fn maps (env, observation) -> action array.
-
-    `observe`, when given, is called with (action, reward) after each step,
-    before act_fn chooses the next action.
-    """
-    obs = env.reset(seed)
-    states, actions, rewards = [], [], []
-    world_log = []
-    if record_world:
-        world_log.append(env.world_positions())
-    while env.status is Status.RUNNING:
-        action = np.asarray(act_fn(env, obs), dtype=float)
-        states.append(obs.joint.copy())
-        outcome = env.step(action)
-        if observe is not None:
-            observe(action, outcome.reward)
-        actions.append(action.copy())
-        rewards.append(outcome.reward)
-        obs = outcome.observation
-        if record_world:
-            world_log.append(env.world_positions())
-    return EpisodeRecord(states=states, actions=actions, rewards=rewards,
-                         status=env.status, duration=env.time, seed=seed,
-                         world_log=world_log)

@@ -52,7 +52,7 @@ def worlds_to_log(worlds, seeds, dt):
     for i, snapshots in enumerate(worlds):
         out.append({
             "episode": i,
-            "seed": int(seeds[i]) if seeds is not None else i,
+            "seed": int(seeds[i]),
             "dt": dt,
             "robot": [[float(r[0]), float(r[1])] for r, _ in snapshots],
             "peds": [[[float(x), float(y)] for x, y in peds] for _, peds in snapshots],

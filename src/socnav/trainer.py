@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import Config
-from .dataset import Trajectory, atomic_write, dumps_lossless, stats_of
-from .env import CrowdEnv, rollout
+from .dataset import Trajectory, atomic_write, dumps_lossless, rollout, stats_of
+from .env import CrowdEnv
 from .features import clip_action_norm
 from .nn import ParamStore, lamb_step
 from .policy import Actor, DtPolicy, stack_sequences, tokenize
@@ -200,9 +200,8 @@ def run_policy_episode(env: CrowdEnv, actor: Actor, seed: int, gamma: float,
     """One greedy rollout of the conditioned policy; returns the labelled
     trajectory and the world-coordinate log (empty unless requested)."""
     actor.begin_episode()
-    record = rollout(env, lambda e, obs: actor.act(obs.joint), seed,
-                     record_world=record_world, observe=actor.observe)
-    return Trajectory.from_record(record, gamma), record.world_log
+    return rollout(env, lambda e, obs: actor.act(obs.joint), seed, gamma,
+                   record_world=record_world, observe=actor.observe)
 
 
 def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,

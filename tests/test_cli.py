@@ -57,6 +57,21 @@ class TestExitCodes:
             run(*command, "--rtg-mode", "labels")
         assert exc.value.code == EXIT_CONFIG
 
+    def test_reference_faster_than_v_max_is_2_before_any_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sim": {"v_max": 0.8}}')
+        rc = run("--config", str(bad), "gen-data", "--episodes", "5",
+                 "--out", str(tmp_path / "d.jsonl"))
+        assert rc == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_safety_space_flag_removed(self, tmp_path):
+        # the robot controller's safety space is set in the config only
+        with pytest.raises(SystemExit) as exc:
+            run("gen-data", "--episodes", "1", "--safety-space", "0.02",
+                "--out", str(tmp_path / "d.jsonl"))
+        assert exc.value.code == EXIT_CONFIG
+
     def test_gen_data_ok(self, tiny_config_file, tmp_path):
         rc = run("--config", tiny_config_file, "gen-data", "--episodes", "2",
                  "--out", str(tmp_path / "d.jsonl"))
@@ -266,6 +281,18 @@ class TestPipeline:
                    "--eval-episodes", "2") == EXIT_CONFIG
         assert not (out / "dataset.jsonl").exists()
         assert (out / leftover).read_text() == "old"
+
+    def test_dataset_over_buffer_capacity_is_2_before_any_file(
+            self, tiny_config_file, tmp_path, capsys):
+        cfg = json.loads(open(tiny_config_file).read())
+        cfg["train"]["buffer_capacity"] = 100
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run("--config", str(path), "pipeline", "--out", str(out),
+                   "--eval-episodes", "2") == EXIT_CONFIG
+        assert "capacity of 100" in capsys.readouterr().err
+        assert sorted(p.name for p in out.rglob("*")) == []
 
     def test_pipeline_refuses_rerun_without_force(self, tiny_config_file,
                                                   tmp_path):

@@ -57,6 +57,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_reference_controller_faster_than_action_bound_rejected(self):
+        # the reference controller's actions must pass the env's speed check
+        with pytest.raises(ConfigError, match="robot_orca.max_speed 1.0 exceeds"):
+            Config.from_dict({"sim": {"v_max": 0.8}}).validate()
+        Config.from_dict({"sim": {"v_max": 0.8,
+                                  "robot_orca": {"max_speed": 0.8}}}).validate()
+
 
 class TestIO:
     def test_roundtrip(self, tmp_path):

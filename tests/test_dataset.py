@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from socnav.config import ConfigError, SimConfig
 from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, compute_rtg,
                             dataset_stats, dumps_lossless, generate_dataset,
-                            load_trajectories, save_trajectories, stats_of)
+                            load_trajectories, rollout, save_trajectories, stats_of)
+from socnav.env import CrowdEnv
 from socnav.plotting import PlotError, plot_trajectories, write_positions_log
 
 
@@ -181,6 +183,36 @@ class TestAtomicWrite:
         self._check_untouched(out, target)
 
 
+def toward_goal(env, obs):
+    return np.array([0.0, 1.0])
+
+
+def into_ped(env, obs):
+    d = env.peds[0].pos - env.robot.pos
+    return d / np.linalg.norm(d)
+
+
+def stand_still(env, obs):
+    return np.zeros(2)
+
+
+class TestRollout:
+    @pytest.mark.parametrize("num_peds, act_fn, outcome", [
+        (0, toward_goal, "success"),
+        (1, into_ped, "collision"),
+        (0, stand_still, "timeout")], ids=["goal", "collision", "timeout"])
+    def test_terminal_status_labels_trajectory(self, num_peds, act_fn, outcome):
+        env = CrowdEnv(SimConfig(num_peds=num_peds, perturbation=0.0))
+        traj, world_log = rollout(env, act_fn, seed=5, gamma=0.9)
+        assert traj.outcome == outcome
+        assert traj.duration == env.time
+        assert traj.seed == 5
+        assert traj.rtg.tobytes() == compute_rtg(traj.rewards, 0.9).tobytes()
+        assert traj.states.shape == (traj.num_steps, env.observe().joint.size)
+        assert traj.actions.shape == (traj.num_steps, 2)
+        assert world_log == []
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path, tiny_cfg):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -199,6 +231,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="capacity"):
             generate_dataset(11, seed=0, sim_cfg=tiny_cfg.sim, gamma=0.99,
                              out_path=tmp_path / "x.jsonl", max_capacity=10)
+
+    def test_capacity_counts_transitions_before_writing(self, tmp_path, tiny_cfg):
+        # 3 episodes fit a capacity of 10 episodes but not of 10 transitions
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(ConfigError, match=r"3 episodes hold \d+ transitions.* 10$"):
+            generate_dataset(3, seed=0, sim_cfg=tiny_cfg.sim, gamma=0.99,
+                             out_path=out, max_capacity=10)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rtg_labels_match_oracle_exactly(self, tiny_dataset):
         trajs, _, _ = tiny_dataset

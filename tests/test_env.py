@@ -3,7 +3,8 @@ import pytest
 
 from socnav.config import SimConfig
 from socnav.core import Status
-from socnav.env import ActionBoundsError, CrowdEnv, rollout
+from socnav.dataset import rollout
+from socnav.env import ActionBoundsError, CrowdEnv
 
 
 def no_ped_cfg():
@@ -92,20 +93,21 @@ class TestDeterminism:
     def test_bit_identical_rollouts(self):
         cfg = SimConfig()
         env1, env2 = CrowdEnv(cfg), CrowdEnv(cfg)
-        r1 = rollout(env1, lambda e, o: e.robot_orca_action(), seed=11)
-        r2 = rollout(env2, lambda e, o: e.robot_orca_action(), seed=11)
-        assert r1.status == r2.status
+        r1, _ = rollout(env1, lambda e, o: e.robot_orca_action(), seed=11, gamma=0.99)
+        r2, _ = rollout(env2, lambda e, o: e.robot_orca_action(), seed=11, gamma=0.99)
+        assert r1.outcome == r2.outcome
         assert r1.duration == r2.duration
-        assert all(np.array_equal(a, b) for a, b in zip(r1.states, r2.states))
-        assert all(np.array_equal(a, b) for a, b in zip(r1.actions, r2.actions))
-        assert r1.rewards == r2.rewards
+        assert np.array_equal(r1.states, r2.states)
+        assert np.array_equal(r1.actions, r2.actions)
+        assert r1.rewards.tobytes() == r2.rewards.tobytes()
 
     def test_episode_length_bounded(self):
         cfg = SimConfig()
         env = CrowdEnv(cfg)
         for seed in range(5):
-            rec = rollout(env, lambda e, o: e.robot_orca_action(), seed=seed)
-            assert rec.num_steps <= cfg.max_steps
+            traj, _ = rollout(env, lambda e, o: e.robot_orca_action(), seed=seed,
+                              gamma=0.99)
+            assert traj.num_steps <= cfg.max_steps
 
     def test_regoal_on_arena_circle_and_apart(self):
         cfg = SimConfig(num_peds=1, perturbation=0.0)
@@ -126,7 +128,7 @@ class TestDeterminism:
         goals = []
         for _ in range(2):
             env = CrowdEnv(cfg)
-            rollout(env, lambda e, o: e.robot_orca_action(), seed=2)
+            rollout(env, lambda e, o: e.robot_orca_action(), seed=2, gamma=0.99)
             goals.append([(p.gx, p.gy) for p in env.peds])
         assert goals[0] == goals[1]
 
@@ -169,6 +171,6 @@ class TestObservation:
     def test_rollout_records_world_log(self):
         cfg = SimConfig(num_peds=2)
         env = CrowdEnv(cfg)
-        rec = rollout(env, lambda e, o: e.robot_orca_action(), seed=3,
-                      record_world=True)
-        assert len(rec.world_log) == rec.num_steps + 1
+        traj, world_log = rollout(env, lambda e, o: e.robot_orca_action(), seed=3,
+                                  gamma=0.99, record_world=True)
+        assert len(world_log) == traj.num_steps + 1

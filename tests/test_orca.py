@@ -5,7 +5,8 @@ import pytest
 
 from socnav.config import OrcaConfig, SimConfig
 from socnav.core import AgentState, Status
-from socnav.env import CrowdEnv, rollout
+from socnav.dataset import rollout
+from socnav.env import CrowdEnv
 from socnav.orca import HalfPlane, orca_action, orca_halfplanes, solve_velocity
 
 
@@ -239,7 +240,7 @@ class TestPedPedSafety:
         env = CrowdEnv(sim)
         worst = math.inf
         for seed in range(20):
-            rollout(env, lambda e, o: e.robot_orca_action(), seed=seed)
+            rollout(env, lambda e, o: e.robot_orca_action(), seed=seed, gamma=0.99)
             worst = min(worst, env.min_ped_ped_clearance)
         assert worst > 0.0
 

@@ -27,10 +27,10 @@ class TestInsertEvict:
         buf = HybridBuffer(offline, capacity=60)   # online budget: 30 transitions
         for i in range(4):                          # 40 transitions inserted
             buf.insert(traj(1.0, steps=10, seed=i))
-        assert len(buf.offline) == 3
+        assert buf.num_offline == 3
         assert buf.num_online == 3
-        assert buf.online[0].seed == 1              # seed 0 evicted first
-        assert [t.seed for t in buf.offline] == [100, 101, 102]
+        assert buf.trajectories[3].seed == 1        # seed 0 evicted first
+        assert [t.seed for t in buf.trajectories[:3]] == [100, 101, 102]
 
     def test_offline_overflow_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -47,15 +47,18 @@ class TestInsertEvict:
             buf.insert(t)
 
     def test_priority_registered_only_for_inserted(self):
-        # the cached per-trajectory features follow inserts and evictions:
-        # weights() equals a brute-force recompute over the stored episodes
+        # priorities follow inserts and evictions: weights() equals a
+        # brute-force recompute over the offline set plus the newest four
         offline = [traj(0.1 * i, seed=i, outcome="collision") for i in range(5)]
         buf = HybridBuffer(offline, capacity=90)    # online budget: 40 transitions
         rng = np.random.default_rng(4)
+        inserted = []
         for i in range(12):
-            buf.insert(traj(float(rng.normal()), steps=10, seed=10 + i,
-                            outcome="success" if i % 3 else "timeout"))
-            stored = list(buf.offline) + buf.online
+            inserted.append(traj(float(rng.normal()), steps=10, seed=10 + i,
+                                 outcome="success" if i % 3 else "timeout"))
+            buf.insert(inserted[-1])
+            stored = offline + inserted[-4:]
+            assert [t.seed for t in buf.trajectories] == [t.seed for t in stored]
             g = np.array([t.episode_return for t in stored])
             w = (g - g.min()) / (g.max() - g.min()) + PRIORITY_EPSILON
             w = np.where([t.success for t in stored], SUCCESS_MULTIPLIER * w, w)
