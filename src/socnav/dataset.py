@@ -237,16 +237,22 @@ def generate_dataset(num_episodes: int, seed: int, sim_cfg: SimConfig,
     env = CrowdEnv(sim_cfg)
     trajectories = [rollout(env, lambda e, o: e.robot_orca_action(), seed + i, gamma)[0]
                     for i in range(num_episodes)]
-    transitions = sum(t.num_steps for t in trajectories)
-    if transitions > max_capacity:
-        raise ConfigError(f"{num_episodes} episodes hold {transitions} transitions, more "
-                          f"than the replay capacity of {max_capacity}")
-
+    check_capacity(trajectories, max_capacity)
     save_trajectories(out_path, trajectories, gamma=gamma, config_hash=config_hash)
     stats = stats_of(trajectories)
     with atomic_write(str(out_path) + ".stats.json") as fh:
         fh.write(dumps_lossless(stats.to_dict()) + "\n")
     return trajectories, stats
+
+
+def check_capacity(trajectories, capacity: int) -> int:
+    """The trajectories' transition count; ConfigError when it exceeds the
+    replay buffer's capacity."""
+    transitions = sum(t.num_steps for t in trajectories)
+    if transitions > capacity:
+        raise ConfigError(f"{len(trajectories)} episodes hold {transitions} transitions, "
+                          f"more than the replay capacity of {capacity}")
+    return transitions
 
 
 def stats_of(trajectories) -> DatasetStats:

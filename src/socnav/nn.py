@@ -240,6 +240,28 @@ def _matmul_merged(a, b):
     return out
 
 
+SHORT_ROW = 8
+
+
+def _reduce_keys(ufunc, x):
+    """ufunc.reduce over the key axis (last), keeping it.
+
+    numpy reduces each row in its own inner loop, which dominates at a
+    handful of keys; rows shorter than SHORT_ROW keys instead take
+    elementwise ufunc calls over the key columns, left to right, which
+    give the same bytes as numpy's reduction at these lengths.
+    """
+    n = x.shape[-1]
+    if n >= SHORT_ROW:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    if ufunc is np.add:
+        out += 0.0     # numpy sums from +0, so a row of -0.0 sums to +0.0
+    for j in range(1, n):
+        ufunc(out, x[..., j:j + 1], out=out)
+    return out
+
+
 def attention_fwd(store, name, q_in, k_in, v_in, num_heads,
                   causal=False, valid=None):
     """Multi-head scaled dot-product attention over axis -2.
@@ -266,12 +288,12 @@ def attention_fwd(store, name, q_in, k_in, v_in, num_heads,
         if valid is not None:
             allowed = allowed & valid[:, None, None, :] & valid[:, None, :, None]
         np.copyto(scores, -np.inf, where=~allowed)
-    row_max = scores.max(axis=-1, keepdims=True)
+    row_max = _reduce_keys(np.maximum, scores)
     if masked:
         row_max = np.where(np.isfinite(row_max), row_max, 0.0)
     scores -= row_max
     probs = np.exp(scores, out=scores)
-    denom = probs.sum(axis=-1, keepdims=True)
+    denom = _reduce_keys(np.add, probs)
     if masked:
         denom = np.where(denom > 0, denom, 1.0)
     probs /= denom
@@ -288,7 +310,7 @@ def attention_bwd(store, cache, dy):
     dv = _matmul_merged(probs.transpose(0, 1, 3, 2), dctx)
     # softmax backward in place on dprobs: probs * (dprobs - <dprobs, probs>)
     dscores = dctx @ v.transpose(0, 1, 3, 2)
-    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+    dscores -= _reduce_keys(np.add, dscores * probs)
     dscores *= probs
     dscores /= np.sqrt(np.asarray(dk, dtype=q.dtype))
     dq = _matmul_merged(dscores, k)
@@ -344,11 +366,18 @@ def encoder_block_bwd(store, cache, dy):
 # -- losses ---------------------------------------------------------------
 
 
-def mse_loss(pred, target):
-    """Mean squared error and its gradient w.r.t. pred."""
+def mse_loss(pred, target, weights=None):
+    """Mean squared error and its gradient w.r.t. pred.
+
+    `weights` holds one weight per entry of the leading axis (one each by
+    default); the squared errors are summed with them and divided by the
+    total weight of all elements.
+    """
     diff = pred - target
-    n = diff.size
-    return float((diff * diff).sum() / n), (2.0 / n) * diff
+    w = np.ones(len(diff)) if weights is None else np.asarray(weights)
+    w = w.astype(diff.dtype).reshape(-1, *(1,) * (diff.ndim - 1))
+    n = w.sum() * (diff.size // len(diff))
+    return float((w * diff * diff).sum() / n), (2.0 / n) * w * diff
 
 
 # -- optimizer -------------------------------------------------------------

@@ -164,15 +164,16 @@ class DtPolicy:
         nn.dense_bwd(store, c_s, ds)
         nn.dense_bwd(store, c_a, da)
 
-    def loss_and_grad(self, store, batch, target_actions):
+    def loss_and_grad(self, store, batch, target_actions, counts=None):
         """Action regression over valid context positions.
 
         Per position the squared Euclidean action error is taken; the loss
-        averages positions and batch. The total is accumulated with exact
-        summation, so it does not depend on batch order. Callers preparing
-        logged actions as targets should radially clip them to
-        0.999 * v_max first (see features.clip_action_norm): the squashed
-        head cannot reach the open boundary.
+        averages positions and batch, window i weighted by counts[i], the
+        number of times it was drawn (one each by default). The total is
+        accumulated with exact summation, so it does not depend on batch
+        order. Callers preparing logged actions as targets should radially
+        clip them to 0.999 * v_max first (see features.clip_action_norm):
+        the squashed head cannot reach the open boundary.
         """
         rtg, states, actions, step_valid, action_valid = batch
         if len(rtg) == 0:
@@ -182,7 +183,8 @@ class DtPolicy:
                                     step_valid, action_valid)
         targets = np.asarray(target_actions, dtype=a_hat.dtype)
         diff = a_hat - targets
-        w = step_valid.astype(a_hat.dtype)
+        counts = np.ones(len(rtg)) if counts is None else np.asarray(counts)
+        w = (counts[:, None] * step_valid).astype(a_hat.dtype)
         per_sample = (w[..., None] * diff * diff).sum(axis=(1, 2))
         wsum = math.fsum(w.sum(axis=1).tolist())
         loss = math.fsum(per_sample.tolist()) / wsum

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Trajectory
+from .dataset import Trajectory, check_capacity
 
 PRIORITY_EPSILON = 0.01
 SUCCESS_MULTIPLIER = 2.0
@@ -31,11 +31,7 @@ class HybridBuffer:
         self.num_offline = len(self.trajectories)
         self.epsilon = epsilon
 
-        offline_transitions = sum(t.num_steps for t in self.trajectories)
-        if offline_transitions > capacity:
-            raise ValueError(f"offline dataset ({offline_transitions} transitions) "
-                             f"exceeds capacity {capacity}")
-        self._online_budget = capacity - offline_transitions
+        self._online_budget = capacity - check_capacity(self.trajectories, capacity)
         self._online_transitions = 0
 
     def __len__(self):

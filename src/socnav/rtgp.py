@@ -16,11 +16,28 @@ configurable with defaults (128) and (256, 1).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import nn
 from .features import (SPATIAL_TOKEN_DIM, history_window, temporal_token_dim)
 from .core import joint_dim
+
+
+class WindowBatch(NamedTuple):
+    """History windows over shared per-step token sets.
+
+    A step's spatial tokens depend only on that step and its previous
+    transition, so windows that hold the same step read one row of
+    `spatial`; row 0 is the all-zero token set of every padded slot.
+    """
+
+    spatial: np.ndarray    # (S, m+1, SPATIAL_TOKEN_DIM) distinct steps, row 0 padding
+    temporal: np.ndarray   # (B, W, temporal_dim) flat step tokens
+    valid: np.ndarray      # (B, W) bool, False at front padding
+    current: np.ndarray    # (B, joint_dim) canonical joint state at the window end
+    rows: np.ndarray       # (B, W) row of `spatial` read by each slot
 
 
 class RtgPredictor:
@@ -68,24 +85,26 @@ class RtgPredictor:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, store, spatial, temporal, valid, current):
-        """Return estimates for a batch of windows.
+    def forward(self, store, spatial, temporal, valid, current, rows):
+        """Return estimates for a batch of windows (see WindowBatch).
 
-        spatial: (B, W, m+1, 9); temporal: (B, W, temporal_dim);
-        valid: (B, W) bool; current: (B, joint_dim). Returns (rhat, cache).
+        spatial: (S, m+1, 9) step token sets; temporal: (B, W, temporal_dim);
+        valid: (B, W) bool; current: (B, joint_dim); rows: (B, W) index of
+        each slot's step in spatial. Returns (rhat, cache).
         """
         dt = store.dtype
         spatial = np.ascontiguousarray(spatial, dtype=dt)
         temporal = np.ascontiguousarray(temporal, dtype=dt)
         current = np.ascontiguousarray(current, dtype=dt)
-        B, W, M1, _ = spatial.shape
+        S, M1, _ = spatial.shape
+        B, W = rows.shape
         D = self.hidden
 
+        # a step's spatial encoding does not depend on the window holding it:
+        # encode each step once, then gather into the (B, W, m+1, D) layout
         f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
-        fs_flat, c_s1 = nn.encoder_block_fwd(store, "spatial1",
-                                             f.reshape(B * W, M1, D), self.heads)
-        fs = fs_flat.reshape(B, W, M1, D)
-        summary = fs.mean(axis=2)
+        fs_rows, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
+        summary = fs_rows.mean(axis=1)[rows]
 
         te_raw, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
         te = np.where(valid[..., None], te_raw, store["pad"])
@@ -96,7 +115,8 @@ class RtgPredictor:
         cat = np.concatenate([summary, ft], axis=-1)
         merged, c_m = nn.dense_fwd(store, "merge", cat, relu=True)
 
-        tok2 = fs + merged[:, :, None, :]
+        tok2 = fs_rows[rows]
+        tok2 += merged[:, :, None, :]
         s2_flat, c_s2 = nn.encoder_block_fwd(store, "spatial2",
                                              tok2.reshape(B * W, M1, D), self.heads)
         s2 = s2_flat.reshape(B, W, M1, D).mean(axis=2)
@@ -111,13 +131,14 @@ class RtgPredictor:
         h1, c_h1 = nn.dense_fwd(store, "head1", hin, relu=True)
         out, c_h2 = nn.dense_fwd(store, "head2", h1)
         rhat = out[:, 0]
-        cache = (B, W, M1, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
+        cache = (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
                  c_t2, c_ec, c_h1, c_h2)
         return rhat, cache
 
     def backward(self, store, cache, drhat):
-        (B, W, M1, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
+        (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
          c_t2, c_ec, c_h1, c_h2) = cache
+        B, W = rows.shape
         D = self.hidden
         dt = store.dtype
 
@@ -144,30 +165,62 @@ class RtgPredictor:
         nn.dense_bwd(store, c_et, dx_t * valid[..., None])
 
         dfs += dsummary[:, :, None, :] / M1
-        df = nn.encoder_block_bwd(store, c_s1, dfs.reshape(B * W, M1, D))
-        nn.dense_bwd(store, c_es, df.reshape(B, W, M1, D))
+        df = nn.encoder_block_bwd(store, c_s1, _scatter_rows(dfs, rows, S))
+        nn.dense_bwd(store, c_es, df)
 
-    def loss_and_grad(self, store, batch, targets):
-        """Mean squared error against Monte-Carlo returns; populates grads."""
-        spatial, temporal, valid, current = batch
-        if len(spatial) == 0:
+    def loss_and_grad(self, store, batch, targets, counts=None):
+        """Mean squared error against Monte-Carlo returns; populates grads.
+
+        counts[i] is how many times window i was drawn (one each by
+        default): the loss is sum(c_i * (rhat_i - y_i)^2) / sum(c), the
+        mean over the draws.
+        """
+        if len(batch.rows) == 0:
             raise ValueError("empty batch")
         store.zero_grads()
-        rhat, cache = self.forward(store, spatial, temporal, valid, current)
-        loss, drhat = nn.mse_loss(rhat, np.asarray(targets, dtype=rhat.dtype))
+        rhat, cache = self.forward(store, *batch)
+        loss, drhat = nn.mse_loss(rhat, np.asarray(targets, dtype=rhat.dtype), counts)
         self.backward(store, cache, drhat)
         return loss, rhat
 
     # -- data assembly -------------------------------------------------------
 
-    def window_batch(self, episodes, ends):
+    def window_batch(self, episodes, ends) -> WindowBatch:
         """Batch of history windows: episodes[i] is (states, actions, rewards),
-        ends[i] the inclusive end step of window i."""
-        windows = [history_window(s, a, r, end, self.window, self.num_peds)
-                   for (s, a, r), end in zip(episodes, ends, strict=True)]
-        if not windows:
+        ends[i] the inclusive end step of window i.
+
+        Windows of one episode (the same three objects) share their step
+        rows: each episode contributes the steps from the first slot of its
+        earliest window to its latest end, built by one history_window call.
+        """
+        if len(ends) == 0:
             raise ValueError("empty batch")
-        return tuple(map(np.stack, zip(*windows)))
+        W = self.window
+        groups = {}
+        for i, (episode, end) in enumerate(zip(episodes, ends, strict=True)):
+            groups.setdefault(tuple(map(id, episode)), (episode, []))[1].append(i)
+        ends = np.asarray(ends)
+        if ends.min() < 0:
+            raise ValueError("empty or out-of-range window")
+        spatial = [np.zeros((1, self.num_peds + 1, SPATIAL_TOKEN_DIM))]
+        temporal = [np.zeros((1, self.temporal_dim))]
+        rows = np.empty((len(ends), W), dtype=np.intp)
+        slot_steps = np.arange(1 - W, 1)
+        first = 1
+        for (states, actions, rewards), members in groups.values():
+            e = ends[members]
+            lo, hi = max(0, int(e.min()) + 1 - W), int(e.max())
+            sp, te, _, _ = history_window(states, actions, rewards, hi, hi + 1 - lo,
+                                          self.num_peds)
+            steps = e[:, None] + slot_steps
+            rows[members] = np.where(steps >= 0, steps - lo + first, 0)
+            spatial.append(sp)
+            temporal.append(te)
+            first += hi + 1 - lo
+        temporal = np.concatenate(temporal)
+        return WindowBatch(spatial=np.concatenate(spatial), temporal=temporal[rows],
+                           valid=rows > 0, current=temporal[rows[:, -1], :self.joint_dim],
+                           rows=rows)
 
     def predict(self, store, states, actions, rewards, end: int) -> float:
         batch = self.window_batch([(states, actions, rewards)], [end])
@@ -181,3 +234,16 @@ class RtgPredictor:
         batch = self.window_batch(episodes, list(range(T)))
         rhat, _ = self.forward(store, *batch)
         return rhat.astype(np.float64)
+
+
+def _scatter_rows(x, rows, num_rows: int):
+    """Sum the (B, W, ...) per-slot values x into their `num_rows` step rows
+    (the adjoint of gathering with `rows`); rows no slot reads stay zero."""
+    flat = rows.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    out = np.zeros((num_rows, *x.shape[2:]), dtype=x.dtype)
+    out[ordered[starts]] = np.add.reduceat(x.reshape(-1, *x.shape[2:])[order],
+                                           starts, axis=0)
+    return out

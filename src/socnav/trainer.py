@@ -77,26 +77,44 @@ def sample_windows(trajs, size: int, rng: np.random.Generator):
     return [(i, int(rng.integers(0, trajs[i].num_steps))) for i in picks]
 
 
+def distinct_windows(windows):
+    """The distinct entries of `windows`, in first-draw order, and how many
+    times each was drawn. An entry is (objects..., end step); the objects
+    compare by identity, so the same trajectory drawn twice is one key."""
+    groups = {}
+    for window in windows:
+        key = (*map(id, window[:-1]), window[-1])
+        groups.setdefault(key, [window, 0])[1] += 1
+    return [w for w, _ in groups.values()], np.array([c for _, c in groups.values()])
+
+
 def policy_batch_from(trajs_ends, policy: DtPolicy, rtg_sequences):
-    """Stack context windows for a policy update.
+    """Stack the distinct context windows of a policy update.
 
     rtg_sequences holds the per-step conditioning array of each window's
     trajectory (stored labels or predictor outputs), indexed like
     trajs_ends. The targets are the windows' logged actions clipped
-    inside the squash; padded slots stay zero.
+    inside the squash; padded slots stay zero. Returns (batch, targets,
+    counts): a window drawn several times appears once, weighted by its
+    count in the loss.
     """
+    windows, counts = distinct_windows(
+        [(traj, rtg, end) for (traj, end), rtg in zip(trajs_ends, rtg_sequences,
+                                                      strict=True)])
     batch = stack_sequences([
         tokenize(traj.states, traj.actions, rtg, end=end, context=policy.context,
                  num_peds=policy.num_peds)
-        for (traj, end), rtg in zip(trajs_ends, rtg_sequences, strict=True)])
-    return batch, clip_action_norm(batch.actions, policy.v_max)
+        for traj, rtg, end in windows])
+    return batch, clip_action_norm(batch.actions, policy.v_max), counts
 
 
 def rtgp_batch_from(trajs_ends, rtgp: RtgPredictor):
-    episodes = [(t.states, t.actions, t.rewards) for t, _ in trajs_ends]
-    ends = [e for _, e in trajs_ends]
-    targets = np.array([t.rtg[e] for t, e in trajs_ends])
-    return rtgp.window_batch(episodes, ends), targets
+    """The distinct history windows among trajs_ends, their return-to-go
+    targets and their draw counts."""
+    windows, counts = distinct_windows(trajs_ends)
+    episodes = [(t.states, t.actions, t.rewards) for t, _ in windows]
+    targets = np.array([t.rtg[e] for t, e in windows])
+    return rtgp.window_batch(episodes, [e for _, e in windows]), targets, counts
 
 
 # -- offline pre-training ---------------------------------------------------
@@ -139,14 +157,12 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
     for it in range(train.pretrain_iters):
         trajs_ends = [(trajectories[i], e) for i, e in
                       sample_windows(trajectories, train.policy_batch, rng)]
-        batch, targets = policy_batch_from(trajs_ends, policy,
-                                           [t.rtg for t, _ in trajs_ends])
-        pol_loss, _ = policy.loss_and_grad(policy_store, batch, targets)
+        pol_loss, _ = policy.loss_and_grad(policy_store, *policy_batch_from(
+            trajs_ends, policy, [t.rtg for t, _ in trajs_ends]))
 
         trajs_ends = [(trajectories[i], e) for i, e in
                       sample_windows(trajectories, train.rtgp_fast_batch, rng)]
-        rbatch, rtargets = rtgp_batch_from(trajs_ends, rtgp)
-        rtg_loss, _ = rtgp.loss_and_grad(rtgp_store, rbatch, rtargets)
+        rtg_loss, _ = rtgp.loss_and_grad(rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
 
         if not (math.isfinite(pol_loss) and math.isfinite(rtg_loss)):
             ps, rs = last_good if last_good else (policy_store, rtgp_store)
@@ -184,6 +200,8 @@ class EpisodeLog:
     sampled: int
     fast_updates: int
     slow_updates: int
+    policy_loss: float
+    rtgp_loss: float | None      # mean of the fast updates' losses; None when fixed
 
 
 @dataclass
@@ -237,14 +255,19 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
         buffer.insert(traj)
 
         sampled = buffer.sample_trajectories(train.sampled_trajs, rng)
+        rtg_losses = []
         if rtg_mode == "rtgp":
             # fast timescale: one predictor update per sampled trajectory
-            for tau in sampled:
+            for k, tau in enumerate(sampled):
                 ends = rng.integers(0, tau.num_steps, size=train.rtgp_fast_batch)
                 trajs_ends = [(tau, int(u)) for u in ends]
-                rbatch, rtargets = rtgp_batch_from(trajs_ends, rtgp)
-                rtgp.loss_and_grad(rtgp_store, rbatch, rtargets)
+                rtg_loss, _ = rtgp.loss_and_grad(rtgp_store,
+                                                 *rtgp_batch_from(trajs_ends, rtgp))
+                if not math.isfinite(rtg_loss):
+                    raise TrainingAborted(f"non-finite predictor loss at episode {e}, "
+                                          f"fast update {k}", policy_store, rtgp_store)
                 lamb_step(rtgp_store, train.learning_rate)
+                rtg_losses.append(rtg_loss)
             # the slow update conditions on fresh predictions (post fast updates),
             # made once per distinct trajectory: sampling draws with replacement
             distinct = {id(t): t for t in sampled}
@@ -256,20 +279,20 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
 
         # slow timescale: one policy update on windows from the sampled trajectories
         windows = sample_windows(sampled, train.policy_batch, rng)
-        batch, targets = policy_batch_from([(sampled[i], u) for i, u in windows], policy,
-                                           [sequences[i] for i, _ in windows])
-        pol_loss, _ = policy.loss_and_grad(policy_store, batch, targets)
+        pol_loss, _ = policy.loss_and_grad(policy_store, *policy_batch_from(
+            [(sampled[i], u) for i, u in windows], policy, [sequences[i] for i, _ in windows]))
         if not math.isfinite(pol_loss):
             raise TrainingAborted(f"non-finite policy loss at episode {e}",
                                   policy_store, rtgp_store)
         lamb_step(policy_store, train.learning_rate)
 
-        fast_updates = len(sampled) if rtg_mode == "rtgp" else 0
         logs.append(EpisodeLog(seed=ep_seed, outcome=traj.outcome,
                                steps=traj.num_steps, duration=traj.duration,
                                episode_return=traj.episode_return,
-                               sampled=len(sampled), fast_updates=fast_updates,
-                               slow_updates=1))
+                               sampled=len(sampled), fast_updates=len(rtg_losses),
+                               slow_updates=1, policy_loss=pol_loss,
+                               rtgp_loss=(math.fsum(rtg_losses) / len(rtg_losses)
+                                          if rtg_losses else None)))
     return FinetuneResult(policy_store=policy_store, rtgp_store=rtgp_store,
                           episodes=logs, env_transitions=env_transitions,
                           rtg_mode=rtg_mode)

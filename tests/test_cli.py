@@ -5,6 +5,7 @@ import pytest
 from socnav import trainer
 from socnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from socnav.config import Config
+from socnav.dataset import load_trajectories
 
 
 @pytest.fixture()
@@ -99,6 +100,28 @@ class TestExitCodes:
             run("--config", tiny_config_file, *command, count)
         assert exc.value.code == EXIT_CONFIG
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestFinetuneCapacity:
+    def test_dataset_over_buffer_capacity_is_2_naming_both_numbers(
+            self, tiny_config_file, tmp_path, capsys):
+        # a dataset written under a larger capacity than the fine-tuning config's
+        data, ckpt, out = (str(tmp_path / n) for n in ("d.jsonl", "c.ckpt", "f.ckpt"))
+        assert run("--config", tiny_config_file, "gen-data", "--episodes", "4",
+                   "--out", data) == EXIT_OK
+        write_bundle(ckpt, tiny_config_file)
+        transitions = sum(t.num_steps for t in load_trajectories(data)[0])
+        assert transitions > 100
+        cfg = json.loads(open(tiny_config_file).read())
+        cfg["train"]["buffer_capacity"] = 100
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("--config", str(small), "finetune", "--ckpt", ckpt, "--data", data,
+                   "--out", out) == EXIT_CONFIG
+        assert (f"4 episodes hold {transitions} transitions, more than the replay "
+                f"capacity of 100") in capsys.readouterr().err
+        assert not (tmp_path / "f.ckpt").exists()
 
 
 def with_net(cfg_file, path, **net) -> str:

@@ -142,6 +142,27 @@ class TestAttention:
         with pytest.raises(ValueError, match="divisible"):
             nn.attention_fwd(store, "att", x, x, x, num_heads=3)
 
+    @pytest.mark.parametrize("keys", [1, 2, 5, 6, 7])
+    def test_short_row_reductions_give_numpy_bytes(self, rng, keys):
+        # rows shorter than SHORT_ROW keys (the predictor's spatial blocks have
+        # 6) reduce with elementwise ops over the key columns; the row max and
+        # both row sums must match numpy's reductions bit for bit, with masked
+        # keys, fully masked rows and signed zeros present
+        scores = rng.normal(size=(64, 4, 6, keys)).astype(np.float32)
+        scores[::3, ..., keys // 2] = 0.0
+        scores[::4, ..., -1] = -0.0
+        scores[::5, ..., :keys - 1] = -np.inf
+        scores[1::7] = -np.inf
+        probs = np.exp(scores)
+        signed = probs * rng.normal(size=probs.shape).astype(np.float32)
+        for ufunc, x, want in ((np.maximum, scores, scores.max(axis=-1, keepdims=True)),
+                               (np.add, probs, probs.sum(axis=-1, keepdims=True)),
+                               (np.add, signed, signed.sum(axis=-1, keepdims=True))):
+            got = nn._reduce_keys(ufunc, x)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert keys < nn.SHORT_ROW
+
     def test_gradcheck_with_masks(self, rng):
         store = self._store(rng)
         q = rng.normal(size=(2, 4, 8))

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from socnav.dataset import compute_rtg
+from socnav.dataset import Trajectory, compute_rtg
 from socnav.features import clip_action_norm
 from socnav.gradcheck import grad_check
 from socnav.policy import (Actor, DtPolicy, TokenSequence, squash_bwd,
                            squash_fwd, stack_sequences, tokenize)
 from socnav.rtgp import RtgPredictor
+from socnav.trainer import policy_batch_from
 
 # an in-place softmax or norm that overflows or divides by zero fails loudly
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -177,6 +178,39 @@ class TestLoss:
         rep = grad_check(loss, store, max_coords=250, rng=np.random.default_rng(8))
         assert rep.max_rel_err < 1e-4
 
+    def test_weighted_distinct_batch_matches_duplicated(self, rng):
+        # one window per distinct draw weighted by its count: the loss and
+        # every gradient block agree with the batch holding each draw, within
+        # a float32 bound fixed in advance
+        pol = small_policy(context=5)
+        trajs = []
+        for steps in (9, 4):
+            states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=steps)
+            trajs.append(Trajectory(states=states, actions=actions, rewards=rewards,
+                                    rtg=compute_rtg(rewards, 0.99), outcome="timeout",
+                                    duration=1.0, seed=steps))
+        draws = ([(trajs[0], int(e)) for e in rng.integers(0, 9, size=40)]
+                 + [(trajs[1], int(e)) for e in rng.integers(0, 4, size=16)])
+        batch, targets, counts = policy_batch_from(draws, pol, [t.rtg for t, _ in draws])
+        assert len(counts) < len(draws) == counts.sum()
+        full = stack_sequences([tokenize(t.states, t.actions, t.rtg, end=e, context=5,
+                                         num_peds=pol.num_peds) for t, e in draws])
+        full_targets = clip_action_norm(full.actions, pol.v_max)
+
+        head = rng.normal(size=(pol.hidden, 2)) * 0.1   # a zero head has no gradient below it
+        results = []
+        for args in ((batch, targets, counts), (full, full_targets)):
+            store = pol.init_store(9)
+            store.blocks["head.W"][...] = head
+            loss, _ = pol.loss_and_grad(store, *args)
+            results.append((loss, {k: g.copy() for k, g in store.grads.items()}))
+        (loss_d, grads_d), (loss_full, grads_full) = results
+        np.testing.assert_allclose(loss_d, loss_full, rtol=1e-5, atol=1e-5)
+        for name, g in grads_full.items():
+            assert grads_d[name].dtype == np.float32
+            np.testing.assert_allclose(grads_d[name], g, rtol=1e-5, atol=1e-5,
+                                       err_msg=name)
+
 
 class TestTokenize:
     def test_labels_mode_copies_stored_returns(self, rng):
@@ -294,8 +328,8 @@ class TestActor:
         for it in range(800):
             picks = rng_l.integers(0, len(pairs), size=16)
             te = [pairs[i] for i in picks]
-            batch, targets = policy_batch_from(te, pol, [t.rtg for t, _ in te])
-            loss, _ = pol.loss_and_grad(store, batch, targets)
+            batch, targets, counts = policy_batch_from(te, pol, [t.rtg for t, _ in te])
+            loss, _ = pol.loss_and_grad(store, batch, targets, counts)
             lamb_step(store, 2e-3)
         assert loss < 0.05
         traj = trajs[0]

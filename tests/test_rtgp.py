@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
+from socnav.dataset import Trajectory, compute_rtg
 from socnav.features import canonicalize_joint, history_window
 from socnav.gradcheck import grad_check
-from socnav.rtgp import RtgPredictor
+from socnav.rtgp import RtgPredictor, WindowBatch
+from socnav.trainer import rtgp_batch_from
 
 # an in-place softmax or norm that overflows or divides by zero fails loudly
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -158,8 +160,10 @@ class TestLoss:
         net = small_net()
         store = net.init_store(0)
         with pytest.raises(ValueError, match="empty"):
-            net.loss_and_grad(store, (np.zeros((0, 4, 3, 9)), np.zeros((0, 4, 23)),
-                                      np.zeros((0, 4), bool), np.zeros((0, 20))), [])
+            net.loss_and_grad(store, WindowBatch(
+                spatial=np.zeros((1, 3, 9)), temporal=np.zeros((0, 4, 23)),
+                valid=np.zeros((0, 4), bool), current=np.zeros((0, 20)),
+                rows=np.zeros((0, 4), np.intp)), [])
 
     def test_full_gradcheck(self, rng):
         net = small_net()
@@ -174,6 +178,68 @@ class TestLoss:
 
         rep = grad_check(loss, store, max_coords=250, rng=np.random.default_rng(5))
         assert rep.max_rel_err < 1e-4
+
+
+    def test_gradcheck_through_shared_step_rows(self, rng):
+        # overlapping windows of one episode read the same step rows, padded
+        # slots read the shared zero row, and repeated windows carry counts
+        net = small_net()
+        store = net.init_store(3, dtype=np.float64)
+        a, b = fake_episode(rng, net, steps=8), fake_episode(rng, net, steps=5)
+        batch = net.window_batch([a, a, a, a, b, b], [7, 5, 2, 0, 4, 1])
+        assert len(batch.spatial) == 1 + 8 + 5
+        assert (batch.rows == 0).any()
+        counts = np.array([2, 1, 3, 1, 1, 2])
+        targets = rng.normal(size=6)
+
+        def loss(s):
+            L, _ = net.loss_and_grad(s, batch, targets, counts)
+            return L
+
+        rep = grad_check(loss, store, max_coords=250, rng=np.random.default_rng(6))
+        assert rep.max_rel_err < 1e-4
+
+
+def per_slot_layout(batch):
+    """The same windows with one spatial row per slot, as if no two slots
+    shared a step (padded slots keep their all-zero token sets)."""
+    B, W = batch.rows.shape
+    spatial = batch.spatial[batch.rows].reshape(B * W, *batch.spatial.shape[1:])
+    return batch._replace(spatial=spatial, rows=np.arange(B * W).reshape(B, W))
+
+
+class TestDistinctWindows:
+    def test_weighted_distinct_batch_matches_duplicated(self, rng):
+        # grouping repeated draws and sharing step rows changes float32
+        # summation order only: loss and every gradient block agree with one
+        # per-slot window per draw within a bound fixed in advance
+        net = small_net(window=5)
+        trajs = []
+        for steps in (9, 4):
+            states, actions, rewards = fake_episode(rng, net, steps=steps)
+            trajs.append(Trajectory(states=states, actions=actions, rewards=rewards,
+                                    rtg=compute_rtg(rewards, 0.99), outcome="timeout",
+                                    duration=1.0, seed=steps))
+        draws = ([(trajs[0], int(e)) for e in rng.integers(0, 9, size=40)]
+                 + [(trajs[1], int(e)) for e in rng.integers(0, 4, size=16)])
+        distinct, targets, counts = rtgp_batch_from(draws, net)
+        assert len(counts) < len(draws) == counts.sum()
+
+        results = []
+        for batch, tgt, cnt in ((distinct, targets, counts),
+                                (per_slot_layout(net.window_batch(
+                                    [(t.states, t.actions, t.rewards) for t, _ in draws],
+                                    [e for _, e in draws])),
+                                 np.array([t.rtg[e] for t, e in draws]), None)):
+            store = net.init_store(7)
+            loss, _ = net.loss_and_grad(store, batch, tgt, cnt)
+            results.append((loss, {k: g.copy() for k, g in store.grads.items()}))
+        (loss_d, grads_d), (loss_full, grads_full) = results
+        np.testing.assert_allclose(loss_d, loss_full, rtol=1e-5, atol=1e-5)
+        for name, g in grads_full.items():
+            assert grads_d[name].dtype == np.float32
+            np.testing.assert_allclose(grads_d[name], g, rtol=1e-5, atol=1e-5,
+                                       err_msg=name)
 
 
 class TestPredictSequence:

@@ -1,3 +1,9 @@
+import copy
+import hashlib
+import json
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,14 @@ from socnav.env import ActionBoundsError, CrowdEnv
 from socnav.nn import ParamStore
 from socnav.replay import HybridBuffer
 from socnav.rtgp import RtgPredictor
+
+# an overflow or division by zero anywhere in training fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# sha256 of the JSON list of [batch function, [(trajectory seed, end), ...]]
+# drawn by TestDistinctWindows's run, recorded with the batch assembly that
+# built one window per draw, before draws were grouped
+PINNED_DRAWS = "b0c34cdb1c9c71497844f8bebc9b2f6ff55cb7254166dc9185a523265129ae50"
 
 
 class TestPretrain:
@@ -35,6 +49,44 @@ class TestPretrain:
         falling = list(np.linspace(1.0, 0.0, 11))
         assert not trainer._plateaued(falling, patience=10, delta=1e-4)
         assert not trainer._plateaued([1.0, 0.9], patience=10, delta=1e-4)
+
+
+class TestDistinctWindows:
+    def test_groups_by_identity_in_first_draw_order(self, tiny_dataset):
+        a, b = tiny_dataset[0][:2]
+        windows, counts = trainer.distinct_windows([(a, 3), (b, 3), (a, 3), (a, 0), (b, 3)])
+        assert [(t is a, e) for t, e in windows] == [(True, 3), (False, 3), (True, 0)]
+        assert counts.tolist() == [2, 2, 1]
+
+    def test_draws_unchanged_and_expand_to_the_batch(self, tiny_cfg, tiny_dataset,
+                                                     monkeypatch):
+        trajs, _, _ = tiny_dataset
+        cfg = copy.deepcopy(tiny_cfg)
+        cfg.train.pretrain_iters = 2
+        cfg.train.policy_batch = cfg.train.rtgp_fast_batch = 48
+        drawn, grouped = [], []
+        for name in ("policy_batch_from", "rtgp_batch_from"):
+            def recorded(trajs_ends, *args, _fn=getattr(trainer, name), _name=name):
+                batch, targets, counts = _fn(trajs_ends, *args)
+                drawn.append([_name, [(t.seed, e) for t, e in trajs_ends]])
+                windows, want = trainer.distinct_windows(trajs_ends)
+                assert counts.tolist() == want.tolist()
+                assert len(targets) == len(counts)
+                grouped.append(Counter({(t.seed, e): c
+                                        for (t, e), c in zip(windows, counts)}))
+                return batch, targets, counts
+            monkeypatch.setattr(trainer, name, recorded)
+        trainer.pretrain_offline(trajs, cfg, seed=1)
+        pol, rtgp = trainer.build_models(cfg)
+        trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs, cfg,
+                                seed=1, episodes=1)
+        # pretraining's 2 + 2 batches, then 2 fast updates and the slow one
+        assert len(drawn) == 7
+        digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+        assert digest == PINNED_DRAWS
+        for (_, pairs), counts in zip(drawn, grouped):
+            assert counts == Counter(pairs)
+        assert max(max(c.values()) for c in grouped) > 1
 
 
 class TestFinetune:
@@ -94,6 +146,53 @@ class TestFinetune:
         changed = any(not np.array_equal(ft.policy_store[k], v)
                       for k, v in before.items())
         assert changed
+
+    def test_episode_log_records_losses(self, tiny_cfg, tiny_dataset, monkeypatch):
+        trajs, _, _ = tiny_dataset
+        pol, rtgp = trainer.build_models(tiny_cfg)
+        losses = []
+        loss_and_grad = RtgPredictor.loss_and_grad
+
+        def recorded(self, *args):
+            loss, rhat = loss_and_grad(self, *args)
+            losses.append(loss)
+            return loss, rhat
+
+        monkeypatch.setattr(RtgPredictor, "loss_and_grad", recorded)
+        ft = trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs,
+                                     tiny_cfg, seed=1, episodes=2)
+        n = tiny_cfg.train.sampled_trajs
+        for k, ep in enumerate(ft.episodes):
+            assert math.isfinite(ep.policy_loss) and ep.policy_loss >= 0.0
+            assert ep.rtgp_loss == math.fsum(losses[k * n:(k + 1) * n]) / n
+        fixed = trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs,
+                                        tiny_cfg, seed=1, episodes=1, rtg_mode="fixed")
+        assert fixed.episodes[0].rtgp_loss is None
+        assert math.isfinite(fixed.episodes[0].policy_loss)
+
+    def test_non_finite_predictor_loss_aborts_before_the_step(self, tiny_cfg, tiny_dataset,
+                                                              monkeypatch):
+        trajs, _, _ = tiny_dataset
+        pol, rtgp = trainer.build_models(tiny_cfg)
+        calls = []
+        loss_and_grad = RtgPredictor.loss_and_grad
+
+        def poisoned(self, *args):
+            loss, rhat = loss_and_grad(self, *args)
+            calls.append(1)
+            return (float("nan") if len(calls) == 3 else loss), rhat
+
+        monkeypatch.setattr(RtgPredictor, "loss_and_grad", poisoned)
+        rtgp_store = rtgp.init_store(1)
+        with pytest.raises(trainer.TrainingAborted,
+                           match="predictor loss at episode 1, fast update 0") as exc:
+            trainer.finetune_online(pol.init_store(0), rtgp_store, trajs, tiny_cfg,
+                                    seed=1, episodes=2)
+        assert exc.value.rtgp_store is rtgp_store
+        # two steps taken in episode 0, none for the poisoned update
+        assert rtgp_store.step == tiny_cfg.train.sampled_trajs == 2
+        for store in (exc.value.policy_store, exc.value.rtgp_store):
+            assert all(np.isfinite(b).all() for b in store.blocks.values())
 
     def test_rollout_error_propagates(self, tiny_cfg, tiny_dataset, monkeypatch):
         # a defect inside a rollout is not episode data: it must surface
@@ -254,12 +353,11 @@ class TestModels:
         policy, rtgp = trainer.build_models(tiny_cfg)
         rng = np.random.default_rng(0)
         trajs_ends = [(trajs[i], e) for i, e in trainer.sample_windows(trajs, 8, rng)]
-        batch, targets = trainer.policy_batch_from(trajs_ends, policy,
-                                                   [t.rtg for t, _ in trajs_ends])
+        trajs_ends += trajs_ends[:3]   # repeated draws: counts above one reach the loss
         stores = policy.init_store(0), rtgp.init_store(1)
-        policy.loss_and_grad(stores[0], batch, targets)
-        rbatch, rtargets = trainer.rtgp_batch_from(trajs_ends, rtgp)
-        rtgp.loss_and_grad(stores[1], rbatch, rtargets)
+        policy.loss_and_grad(stores[0], *trainer.policy_batch_from(
+            trajs_ends, policy, [t.rtg for t, _ in trajs_ends]))
+        rtgp.loss_and_grad(stores[1], *trainer.rtgp_batch_from(trajs_ends, rtgp))
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):

@@ -143,8 +143,16 @@ def test_window_batch_matches_reference(rng, num_peds):
     eps = [episode(rng, num_peds, steps=n)[:3] for n in (1, 3, 7)]
     episodes = [eps[0], eps[1], eps[1], eps[2], eps[2], eps[2]]
     ends = [0, 0, 2, 1, 3, 6]
-    assert_same(net.window_batch(episodes, ends),
+    batch = net.window_batch(episodes, ends)
+    # gathered back to one token set per slot, the shared step rows give the
+    # per-window layout byte for byte
+    assert_same((batch.spatial[batch.rows], *batch[1:4]),
                 ref_window_batch(net, episodes, ends))
+    # one all-zero padding row plus each episode's steps from its earliest
+    # window's first slot to its latest end, each built once
+    assert len(batch.spatial) == 1 + 1 + 3 + 7
+    assert not batch.spatial[0].any()
+    assert np.array_equal(batch.rows == 0, ~batch.valid)
 
 
 @pytest.mark.parametrize("end", [-1, STEPS])
@@ -171,7 +179,9 @@ def test_policy_targets_match_reference(rng):
         trajs.append(Trajectory(states=states, actions=actions * 2.0, rewards=rewards,
                                 rtg=rtg, outcome="timeout", duration=1.0, seed=0))
     trajs_ends = [(trajs[0], 0), (trajs[0], 1), (trajs[1], 2), (trajs[1], 5)]
-    batch, targets = policy_batch_from(trajs_ends, pol, [t.rtg for t, _ in trajs_ends])
+    batch, targets, counts = policy_batch_from(trajs_ends, pol,
+                                               [t.rtg for t, _ in trajs_ends])
+    assert counts.tolist() == [1, 1, 1, 1]
     want_seqs, want_targets = [], []
     for t, end in trajs_ends:
         want_seqs.append(ref_tokenize(t.states, t.actions, t.rtg, end, 4, 2))
