@@ -165,7 +165,10 @@ class RtgPredictor:
         nn.dense_bwd(store, c_et, dx_t * valid[..., None])
 
         dfs += dsummary[:, :, None, :] / M1
-        df = nn.encoder_block_bwd(store, c_s1, _scatter_rows(dfs, rows, S))
+        # adjoint of the gather: each step row sums the slots that read it
+        dfs_rows = np.zeros((S, M1, D), dtype=dfs.dtype)
+        np.add.at(dfs_rows, rows.reshape(-1), dfs.reshape(B * W, M1, D))
+        df = nn.encoder_block_bwd(store, c_s1, dfs_rows)
         nn.dense_bwd(store, c_es, df)
 
     def loss_and_grad(self, store, batch, targets, counts=None):
@@ -190,8 +193,9 @@ class RtgPredictor:
         ends[i] the inclusive end step of window i.
 
         Windows of one episode (the same three objects) share their step
-        rows: each episode contributes the steps from the first slot of its
-        earliest window to its latest end, built by one history_window call.
+        rows: one history_window call canonicalizes the steps from the first
+        slot of its earliest window to its latest end, and only the steps
+        some window reads become rows.
         """
         if len(ends) == 0:
             raise ValueError("empty batch")
@@ -213,10 +217,13 @@ class RtgPredictor:
             sp, te, _, _ = history_window(states, actions, rewards, hi, hi + 1 - lo,
                                           self.num_peds)
             steps = e[:, None] + slot_steps
-            rows[members] = np.where(steps >= 0, steps - lo + first, 0)
-            spatial.append(sp)
-            temporal.append(te)
-            first += hi + 1 - lo
+            read = np.zeros(hi + 1 - lo, dtype=bool)
+            read[steps[steps >= 0] - lo] = True
+            row_of = np.cumsum(read) - 1 + first
+            rows[members] = np.where(steps >= 0, row_of[np.maximum(steps - lo, 0)], 0)
+            spatial.append(sp[read])
+            temporal.append(te[read])
+            first += int(read.sum())
         temporal = np.concatenate(temporal)
         return WindowBatch(spatial=np.concatenate(spatial), temporal=temporal[rows],
                            valid=rows > 0, current=temporal[rows[:, -1], :self.joint_dim],
@@ -235,15 +242,3 @@ class RtgPredictor:
         rhat, _ = self.forward(store, *batch)
         return rhat.astype(np.float64)
 
-
-def _scatter_rows(x, rows, num_rows: int):
-    """Sum the (B, W, ...) per-slot values x into their `num_rows` step rows
-    (the adjoint of gathering with `rows`); rows no slot reads stay zero."""
-    flat = rows.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    out = np.zeros((num_rows, *x.shape[2:]), dtype=x.dtype)
-    out[ordered[starts]] = np.add.reduceat(x.reshape(-1, *x.shape[2:])[order],
-                                           starts, axis=0)
-    return out

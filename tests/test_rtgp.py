@@ -199,6 +199,20 @@ class TestLoss:
         rep = grad_check(loss, store, max_coords=250, rng=np.random.default_rng(6))
         assert rep.max_rel_err < 1e-4
 
+    def test_steps_no_window_reads_take_no_row(self, rng):
+        # two far-apart windows of one episode encode their 2W steps, not
+        # the whole span between them, and predict as they do alone
+        net = small_net()
+        store = net.init_store(8)
+        episode = fake_episode(rng, net, steps=30)
+        ends = [net.window - 1, 29]
+        batch = net.window_batch([episode, episode], ends)
+        assert len(batch.spatial) == 1 + 2 * net.window
+        rhat, _ = net.forward(store, *batch)
+        for i, end in enumerate(ends):
+            assert rhat[i] == pytest.approx(net.predict(store, *episode, end=end),
+                                            abs=2e-6)
+
 
 def per_slot_layout(batch):
     """The same windows with one spatial row per slot, as if no two slots
