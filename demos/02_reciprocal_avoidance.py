@@ -1,10 +1,13 @@
 """The collision-avoidance controller: velocity half-planes, the
 constrained velocity program, and a crossing episode without contact."""
 
+import itertools
+
 import numpy as np
 
 from socnav.config import OrcaConfig, SimConfig
-from socnav.core import AgentState, Status
+from socnav.core import AgentState, point_to_segment_dist
+from socnav.dataset import rollout
 from socnav.env import CrowdEnv
 from socnav.orca import orca_action, orca_halfplanes, solve_velocity
 
@@ -27,13 +30,17 @@ print(f"preferred {pref} -> constrained {v}, "
       f"constraint slack {planes[0].normal @ (v - planes[0].point):+.2e}")
 
 print("\n== five pedestrians crossing, tracking worst separation ==")
+# agents move linearly within a step, so a pair's separation sweeps the
+# segment between its values at consecutive world snapshots
 sim = SimConfig()
 env = CrowdEnv(sim)
 worst = np.inf
 for seed in range(10):
-    env.reset(seed)
-    while env.status is Status.RUNNING:
-        env.step(env.robot_orca_action())
-    worst = min(worst, env.min_ped_ped_clearance)
+    _, world = rollout(env, lambda e, o: e.robot_orca_action(), seed=seed, gamma=0.99,
+                       record_world=True)
+    for (_, p0), (_, p1) in zip(world, world[1:]):
+        for i, j in itertools.combinations(range(len(p0)), 2):
+            gap = point_to_segment_dist(p0[j] - p0[i], p1[j] - p1[i]) - 2 * sim.ped_radius
+            worst = min(worst, gap)
 print(f"closest pedestrian-pedestrian surface gap over 10 episodes: "
       f"{worst:.4f} m (never negative: no contact)")

@@ -9,7 +9,7 @@ import numpy as np
 from socnav import trainer
 from socnav.config import Config, SimConfig
 from socnav.dataset import generate_dataset
-from socnav.policy import Actor, DtPolicy, stack_sequences, tokenize
+from socnav.policy import Actor, DtPolicy, tokenize
 from socnav.replay import HybridBuffer
 
 out = Path(tempfile.mkdtemp()) / "demo.jsonl"
@@ -31,8 +31,8 @@ for u in range(end + 1):
     actor.act(traj.states[u])
     actor.observe(traj.actions[u], traj.rewards[u])
 for source, rtg in (("labels", traj.rtg), ("fixed", actor.ctx.rtg)):
-    seq = tokenize(traj.states, traj.actions, rtg, end=end, context=4, num_peds=5)
-    print(f"  {source:>6}: rtg slots {np.round(seq.rtg, 3).tolist()}")
+    seq = tokenize([(traj.states, traj.actions, rtg)], [end], context=4, num_peds=5)
+    print(f"  {source:>6}: rtg slots {np.round(seq.rtg[0], 3).tolist()}")
 
 print("\n== hybrid buffer with return-based priorities ==")
 buf = HybridBuffer(trajs, capacity=100_000)
@@ -68,7 +68,7 @@ for i, ep in enumerate(ft.episodes):
           f"{ep.slow_updates} policy update (cumulative {fast} > {slow})")
 
 print("\n== deterministic bounded actions ==")
-seq = tokenize(traj.states, traj.actions, traj.rtg, end=3, context=4, num_peds=5)
-a_hat, _ = policy.forward(store, *stack_sequences([seq]))
+batch = tokenize([(traj.states, traj.actions, traj.rtg)], [3], context=4, num_peds=5)
+a_hat, _ = policy.forward(store, *batch)
 print(f"  action at the last step {a_hat[0, -1]}, "
       f"speed {np.linalg.norm(a_hat[0, -1]):.3f} <= 1.0")

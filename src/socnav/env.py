@@ -38,7 +38,6 @@ class CrowdEnv:
         self.peds: list[AgentState] = []
         self.time = 0.0
         self.status = Status.RUNNING
-        self.min_ped_ped_clearance = math.inf
         self._regoal_rng: np.random.Generator | None = None
 
     def reset(self, seed: int) -> RobotFrameState:
@@ -55,7 +54,6 @@ class CrowdEnv:
                      for s, g in zip(scenario.ped_starts, scenario.ped_goals)]
         self.time = 0.0
         self.status = Status.RUNNING
-        self.min_ped_ped_clearance = math.inf
         self._regoal_rng = np.random.default_rng([scenario.seed, 0x5E60])
         return self.observe()
 
@@ -100,8 +98,6 @@ class CrowdEnv:
             gap = point_to_segment_dist(rel0, rel1) - ped.radius - robot_new.radius
             d_min = min(d_min, gap)
 
-        self._track_ped_clearances(ped_vels)
-
         # simultaneous holonomic update
         self.robot = robot_new.moved(cfg.dt)
         self.peds = [replace(ped, vx=float(vel[0]), vy=float(vel[1])).moved(cfg.dt)
@@ -119,16 +115,6 @@ class CrowdEnv:
             self.status = Status.TIMEOUT
         return StepOutcome(observation=self.observe(), reward=r,
                            status=self.status, d_min=d_min, d_goal=d_goal)
-
-    def _track_ped_clearances(self, ped_vels):
-        dt = self.cfg.dt
-        for i in range(len(self.peds)):
-            for j in range(i + 1, len(self.peds)):
-                a, b = self.peds[i], self.peds[j]
-                rel0 = np.array([b.px - a.px, b.py - a.py])
-                rel1 = rel0 + (ped_vels[j] - ped_vels[i]) * dt
-                gap = point_to_segment_dist(rel0, rel1) - a.radius - b.radius
-                self.min_ped_ped_clearance = min(self.min_ped_ped_clearance, gap)
 
     def _reassign_reached_goals(self):
         """Pedestrians at their goal get a fresh destination on the arena circle,

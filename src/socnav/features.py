@@ -6,11 +6,14 @@ network consumes them. This makes every model output exactly invariant
 to pedestrian labelling while the spatial attention still treats the
 blocks as a set.
 
-History windows are front-padded to a fixed length with a validity mask;
-the step token at time u carries the previous transition's action and
-reward (zeros at the episode start), which keeps training and rollout
-inputs identically distributed: the current step's action does not exist
-yet when the return estimate is needed.
+Both networks read fixed-width windows of episode steps, front-padded
+before the episode start. `window_rows` is the one place that decides
+which steps a batch of windows reads: each read step becomes one row,
+built once however many windows hold it, and row 0 is the shared
+padding. The predictor's step token at time u carries the previous
+transition's action and reward (zeros at the episode start), which keeps
+training and rollout inputs identically distributed: the current step's
+action does not exist yet when the return estimate is needed.
 """
 
 from __future__ import annotations
@@ -41,41 +44,68 @@ def canonicalize_joint(joint: np.ndarray, num_peds: int) -> np.ndarray:
                                               num_peds * PED_PART_DIM)], axis=-1)
 
 
-def window_slots(end: int, width: int) -> tuple[slice, int]:
-    """The episode steps that fill the `width`-slot window ending at step
-    `end` (inclusive), and the number of front-padding slots before them."""
-    lo = max(0, end - width + 1)
-    return slice(lo, end + 1), width - (end + 1 - lo)
+def window_rows(episodes, ends, width: int):
+    """Which episode steps a batch of `width`-slot windows reads.
 
-
-def history_window(states, actions, rewards, end: int, width: int, num_peds: int):
-    """Fixed-width history ending at step `end` (inclusive).
-
-    states/actions/rewards are per-episode arrays or lists; only the
-    window's rows are read, so actions and rewards may stop at `end`.
-    Slots before the episode start are front-padding. Returns:
-      spatial:  (width, m+1, SPATIAL_TOKEN_DIM) one robot + m ped tokens per step
-      temporal: (width, temporal_token_dim)     flat step tokens
-      valid:    (width,) bool
-      current:  (joint_dim,) canonical joint state at `end`
+    Window i ends at step ends[i] (inclusive) of episodes[i], a tuple of
+    per-step sequences whose first is the states. Windows of one episode
+    (the same objects) share its steps. Returns (reads, rows): per distinct
+    episode (episode, lo, read), where read[k] says whether some window
+    holds step lo + k; and rows (B, width), the row each slot reads when
+    the read steps of all episodes are stacked in order after one shared
+    front-padding row 0.
     """
-    if end < 0 or end >= len(states):
-        raise ValueError("empty or out-of-range window")
-    steps, pad = window_slots(end, width)
-    # a step's previous transition sits in its slot of the window ending one step earlier
-    prev, prev_pad = window_slots(end - 1, width)
-    joint = canonicalize_joint(np.asarray(states[steps], dtype=np.float64), num_peds)
-    jd = joint.shape[-1]
-    temporal = np.zeros((width, temporal_token_dim(num_peds)))
-    temporal[pad:, :jd] = joint
-    temporal[prev_pad:, jd:jd + 2] = np.reshape(actions[prev], (-1, 2))
-    temporal[prev_pad:, jd + 2] = rewards[prev]
-    spatial = np.zeros((width, num_peds + 1, SPATIAL_TOKEN_DIM))
+    if len(episodes) != len(ends):
+        raise ValueError(f"{len(episodes)} episodes for {len(ends)} window ends")
+    if len(ends) == 0:
+        raise ValueError("empty batch")
+    groups = {}
+    for i, episode in enumerate(episodes):
+        groups.setdefault(tuple(map(id, episode)), (episode, []))[1].append(i)
+    ends = np.asarray(ends)
+    rows = np.empty((len(ends), width), dtype=np.intp)
+    slot_steps = np.arange(1 - width, 1)
+    reads = []
+    first = 1
+    for episode, members in groups.values():
+        e = ends[members]
+        earliest, hi = int(e.min()), int(e.max())
+        if earliest < 0 or hi >= len(episode[0]):
+            raise ValueError("empty or out-of-range window")
+        lo = max(0, earliest + 1 - width)
+        steps = e[:, None] + slot_steps
+        real = steps >= 0
+        read = np.zeros(hi + 1 - lo, dtype=bool)
+        read[steps[real] - lo] = True
+        row_of = np.cumsum(read) - 1 + first
+        rows[members] = np.where(real, row_of[np.maximum(steps - lo, 0)], 0)
+        reads.append((episode, lo, read))
+        first = int(row_of[-1]) + 1   # step hi is read: it ends a window
+    return reads, rows
+
+
+def history_window(states, actions, rewards, lo: int, hi: int, num_peds: int):
+    """Step tokens of episode steps lo..hi (inclusive).
+
+    states/actions/rewards are per-episode arrays or lists; only rows up
+    to `hi` are read, so actions and rewards may stop before `hi`. Returns:
+      spatial:  (n, m+1, SPATIAL_TOKEN_DIM) one robot + m ped tokens per step
+      temporal: (n, temporal_token_dim)     flat step tokens
+    """
+    joint = canonicalize_joint(np.asarray(states[lo:hi + 1], dtype=np.float64), num_peds)
+    n, jd = joint.shape
+    temporal = np.zeros((n, temporal_token_dim(num_peds)))
+    temporal[:, :jd] = joint
+    # step u carries transition u - 1; the episode's first step has none
+    first = max(lo, 1)
+    temporal[first - lo:, jd:jd + 2] = np.reshape(actions[first - 1:hi], (-1, 2))
+    temporal[first - lo:, jd + 2] = rewards[first - 1:hi]
+    spatial = np.zeros((n, num_peds + 1, SPATIAL_TOKEN_DIM))
     spatial[:, 0, :ROBOT_PART_DIM] = temporal[:, :ROBOT_PART_DIM]
     spatial[:, 0, ROBOT_PART_DIM:] = temporal[:, jd:]
-    spatial[:, 1:, :PED_PART_DIM] = temporal[:, ROBOT_PART_DIM:jd].reshape(
-        width, num_peds, PED_PART_DIM)
-    return spatial, temporal, np.arange(width) >= pad, joint[-1]
+    spatial[:, 1:, :PED_PART_DIM] = joint[:, ROBOT_PART_DIM:].reshape(
+        n, num_peds, PED_PART_DIM)
+    return spatial, temporal
 
 
 def clip_action_norm(actions: np.ndarray, v_max: float, frac: float = 0.999):

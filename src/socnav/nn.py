@@ -106,20 +106,7 @@ class ParamStore:
         A stream that ends early raises ValueError naming the block and the
         byte offset where the data ran out.
         """
-        def take(nbytes, what):
-            if off + nbytes > len(data):
-                raise ValueError(f"checkpoint truncated in {what} at byte offset "
-                                 f"{off}: needs {nbytes} bytes, {len(data) - off} left")
-            return data[off:off + nbytes]
-
-        off = offset
-        if data[off:off + len(CKPT_MAGIC)] != CKPT_MAGIC:
-            raise ValueError("not a checkpoint byte stream")
-        off += len(CKPT_MAGIC)
-        (hlen,) = struct.unpack("<Q", take(8, "header length"))
-        off += 8
-        header = json.loads(take(hlen, "header").decode())
-        off += hlen
+        header, off = read_header(data, offset, CKPT_MAGIC, "checkpoint byte stream")
         store = cls(dtype=header["dtype"])
         store.step = header["step"]
         shapes = [(b["name"], tuple(b["shape"])) for b in header["blocks"]]
@@ -127,15 +114,35 @@ class ParamStore:
             target = getattr(store, kind)
             for name, shape in shapes:
                 count = int(np.prod(shape)) if shape else 1
-                nbytes = count * store.dtype.itemsize
-                raw = take(nbytes, f"{kind} block {name!r}")
+                raw, off = read_span(data, off, count * store.dtype.itemsize,
+                                     f"{kind} block {name!r}")
                 arr = np.frombuffer(raw, dtype=store.dtype).reshape(shape).copy()
-                off += nbytes
                 if kind == "blocks":
                     store.add(name, arr)
                 else:
                     target[name] = arr
         return store, header["extra"], off
+
+
+def read_span(data: bytes, off: int, nbytes: int, what: str) -> tuple[bytes, int]:
+    """The `nbytes` bytes at `off` and the offset after them; data that ends
+    early raises ValueError naming `what` and the byte offset."""
+    if off + nbytes > len(data):
+        raise ValueError(f"checkpoint truncated in {what} at byte offset {off}: "
+                         f"needs {nbytes} bytes, {len(data) - off} left")
+    return data[off:off + nbytes], off + nbytes
+
+
+def read_header(data: bytes, off: int, magic: bytes, what: str) -> tuple[dict, int]:
+    """Parse `magic`, a little-endian u64 length and that many bytes of JSON
+    starting at `off`; returns (header, offset after it)."""
+    raw, end = read_span(data, off, len(magic), f"{what} magic")
+    if raw != magic:
+        raise ValueError(f"not a {what} at byte offset {off}")
+    raw, end = read_span(data, end, 8, f"{what} header length")
+    (hlen,) = struct.unpack("<Q", raw)
+    raw, end = read_span(data, end, hlen, f"{what} header")
+    return json.loads(raw.decode()), end
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):

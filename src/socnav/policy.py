@@ -24,7 +24,7 @@ import numpy as np
 from . import nn
 from .config import RTG_MODES
 from .core import joint_dim
-from .features import canonicalize_joint, window_slots
+from .features import canonicalize_joint, window_rows
 
 
 def squash_fwd(z, v_max):
@@ -50,7 +50,7 @@ def squash_bwd(cache, da, v_max):
 
 
 class TokenSequence(NamedTuple):
-    """One context window: aligned (rtg, state, action) triples.
+    """A batch of context windows: aligned (rtg, state, action) triples.
 
     states are canonicalized joint vectors; slots before the episode start
     are front padding (step_valid False). action_valid marks steps whose
@@ -58,11 +58,11 @@ class TokenSequence(NamedTuple):
     not exist yet and its slot is zeroed and masked.
     """
 
-    rtg: np.ndarray           # (K,)
-    states: np.ndarray        # (K, joint_dim)
-    actions: np.ndarray       # (K, 2)
-    step_valid: np.ndarray    # (K,) bool
-    action_valid: np.ndarray  # (K,) bool
+    rtg: np.ndarray           # (B, K)
+    states: np.ndarray        # (B, K, joint_dim)
+    actions: np.ndarray       # (B, K, 2)
+    step_valid: np.ndarray    # (B, K) bool
+    action_valid: np.ndarray  # (B, K) bool
 
 
 class DtPolicy:
@@ -196,35 +196,33 @@ class DtPolicy:
 # -- tokenization ----------------------------------------------------------
 
 
-def tokenize(states, actions, rtg, end: int, context: int, num_peds: int,
-             action_known_at_end: bool = True) -> TokenSequence:
-    """Build one context window ending at step `end` (inclusive).
+def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
+    """Batch of context windows: episodes[i] is (states, actions, rtg),
+    ends[i] the inclusive end step of window i.
 
     The conditioning slots copy `rtg`, the per-step return-to-go values
-    aligned with `states`. Only the window's rows are read; an action
-    list that stops before `end` (as Actor's does) leaves its later slots
-    zeroed and masked, and so does action_known_at_end=False for `end`.
+    aligned with `states`. Windows of one episode (the same three objects)
+    share their step rows (see features.window_rows): each read step is
+    canonicalized once. An action list that stops before a window's end
+    (as Actor's does) leaves its later slots zeroed and masked.
     """
-    if end < 0 or end >= len(states):
-        raise ValueError("empty or out-of-range window")
-    steps, pad = window_slots(end, context)
-    stop = end + 1 if action_known_at_end else end
-    acts = np.reshape(actions[steps.start:stop], (-1, 2))
-    slots = np.arange(context)
-    seq = TokenSequence(rtg=np.zeros(context),
-                        states=np.zeros((context, joint_dim(num_peds))),
-                        actions=np.zeros((context, 2)), step_valid=slots >= pad,
-                        action_valid=(slots >= pad) & (slots < pad + len(acts)))
-    seq.rtg[pad:] = rtg[steps]
-    seq.states[pad:] = canonicalize_joint(np.asarray(states[steps], dtype=np.float64),
-                                          num_peds)
-    seq.actions[pad:pad + len(acts)] = acts
-    return seq
-
-
-def stack_sequences(sequences: list[TokenSequence]) -> TokenSequence:
-    """Batch TokenSequences into the (B, K, ...) arrays DtPolicy.forward expects."""
-    return TokenSequence(*map(np.stack, zip(*sequences)))
+    reads, rows = window_rows(episodes, ends, context)
+    rtg, states = [np.zeros(1)], [np.zeros((1, joint_dim(num_peds)))]
+    actions, known = [np.zeros((1, 2))], [np.zeros(1, dtype=bool)]
+    for (s, a, g), lo, read in reads:
+        stop = lo + len(read)
+        logged = np.arange(lo, stop) < len(a)
+        acts = np.zeros((len(read), 2))
+        acts[logged] = np.reshape(a[lo:stop], (-1, 2))
+        rtg.append(np.asarray(g[lo:stop], dtype=np.float64)[read])
+        states.append(canonicalize_joint(np.asarray(s[lo:stop], dtype=np.float64)[read],
+                                         num_peds))
+        actions.append(acts[read])
+        known.append(logged[read])
+    rtg, states, actions, known = (np.concatenate(x)[rows]
+                                   for x in (rtg, states, actions, known))
+    return TokenSequence(rtg=rtg, states=states, actions=actions, step_valid=rows > 0,
+                         action_valid=known)
 
 
 # -- acting ----------------------------------------------------------------
@@ -275,10 +273,8 @@ class Actor:
         t = len(ctx.actions)
         ctx.states.append(np.asarray(obs_joint, dtype=np.float64))
         ctx.rtg.append(self.conditioning(t))
-        seq = tokenize(ctx.states, ctx.actions, ctx.rtg, end=t,
-                       context=self.policy.context, num_peds=self.policy.num_peds,
-                       action_known_at_end=False)
-        batch = stack_sequences([seq])
+        batch = tokenize([(ctx.states, ctx.actions, ctx.rtg)], [t],
+                         self.policy.context, self.policy.num_peds)
         a_hat, _ = self.policy.forward(self.policy_store, *batch)
         action = a_hat[0, -1].astype(np.float64)
         # float32 rounding can land a hair above the tanh bound; renormalize

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .features import (SPATIAL_TOKEN_DIM, history_window, temporal_token_dim)
+from .features import (SPATIAL_TOKEN_DIM, history_window, temporal_token_dim,
+                       window_rows)
 from .core import joint_dim
 
 
@@ -193,37 +194,18 @@ class RtgPredictor:
         ends[i] the inclusive end step of window i.
 
         Windows of one episode (the same three objects) share their step
-        rows: one history_window call canonicalizes the steps from the first
-        slot of its earliest window to its latest end, and only the steps
-        some window reads become rows.
+        rows (see features.window_rows): one history_window call builds the
+        tokens of the steps from the first slot of its earliest window to
+        its latest end, and only the steps some window reads become rows.
         """
-        if len(ends) == 0:
-            raise ValueError("empty batch")
-        W = self.window
-        groups = {}
-        for i, (episode, end) in enumerate(zip(episodes, ends, strict=True)):
-            groups.setdefault(tuple(map(id, episode)), (episode, []))[1].append(i)
-        ends = np.asarray(ends)
-        if ends.min() < 0:
-            raise ValueError("empty or out-of-range window")
+        reads, rows = window_rows(episodes, ends, self.window)
         spatial = [np.zeros((1, self.num_peds + 1, SPATIAL_TOKEN_DIM))]
         temporal = [np.zeros((1, self.temporal_dim))]
-        rows = np.empty((len(ends), W), dtype=np.intp)
-        slot_steps = np.arange(1 - W, 1)
-        first = 1
-        for (states, actions, rewards), members in groups.values():
-            e = ends[members]
-            lo, hi = max(0, int(e.min()) + 1 - W), int(e.max())
-            sp, te, _, _ = history_window(states, actions, rewards, hi, hi + 1 - lo,
-                                          self.num_peds)
-            steps = e[:, None] + slot_steps
-            read = np.zeros(hi + 1 - lo, dtype=bool)
-            read[steps[steps >= 0] - lo] = True
-            row_of = np.cumsum(read) - 1 + first
-            rows[members] = np.where(steps >= 0, row_of[np.maximum(steps - lo, 0)], 0)
+        for (states, actions, rewards), lo, read in reads:
+            sp, te = history_window(states, actions, rewards, lo, lo + len(read) - 1,
+                                    self.num_peds)
             spatial.append(sp[read])
             temporal.append(te[read])
-            first += int(read.sum())
         temporal = np.concatenate(temporal)
         return WindowBatch(spatial=np.concatenate(spatial), temporal=temporal[rows],
                            valid=rows > 0, current=temporal[rows[:, -1], :self.joint_dim],

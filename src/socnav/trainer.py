@@ -30,8 +30,8 @@ from .config import Config
 from .dataset import Trajectory, atomic_write, dumps_lossless, rollout, stats_of
 from .env import CrowdEnv
 from .features import clip_action_norm
-from .nn import ParamStore, lamb_step
-from .policy import Actor, DtPolicy, stack_sequences, tokenize
+from .nn import ParamStore, lamb_step, read_header
+from .policy import Actor, DtPolicy, tokenize
 from .replay import HybridBuffer
 from .rtgp import RtgPredictor
 
@@ -101,10 +101,8 @@ def policy_batch_from(trajs_ends, policy: DtPolicy, rtg_sequences):
     windows, counts = distinct_windows(
         [(traj, rtg, end) for (traj, end), rtg in zip(trajs_ends, rtg_sequences,
                                                       strict=True)])
-    batch = stack_sequences([
-        tokenize(traj.states, traj.actions, rtg, end=end, context=policy.context,
-                 num_peds=policy.num_peds)
-        for traj, rtg, end in windows])
+    batch = tokenize([(traj.states, traj.actions, rtg) for traj, rtg, _ in windows],
+                     [end for *_, end in windows], policy.context, policy.num_peds)
     return batch, clip_action_norm(batch.actions, policy.v_max), counts
 
 
@@ -354,21 +352,18 @@ def save_bundle(path, policy_store: ParamStore, rtgp_store: ParamStore,
 
 def load_bundle(path):
     """Read a bundle; a truncated file or bytes after the predictor stream
-    raise ValueError with the byte offset."""
+    raise ValueError naming the path and the byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint bundle")
-    off = len(BUNDLE_MAGIC)
-    (hlen,) = struct.unpack("<Q", data[off:off + 8])
-    off += 8
-    header = json.loads(data[off:off + hlen].decode())
-    off += hlen
-    policy_store, _, off = ParamStore.from_bytes(data, off)
-    rtgp_store, _, off = ParamStore.from_bytes(data, off)
-    if off != len(data):
-        raise ValueError(f"{path}: {len(data) - off} unexpected bytes after the "
-                         f"predictor stream at byte offset {off}")
+    try:
+        header, off = read_header(data, 0, BUNDLE_MAGIC, "checkpoint bundle")
+        policy_store, _, off = ParamStore.from_bytes(data, off)
+        rtgp_store, _, off = ParamStore.from_bytes(data, off)
+        if off != len(data):
+            raise ValueError(f"{len(data) - off} unexpected bytes after the "
+                             f"predictor stream at byte offset {off}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return policy_store, rtgp_store, header["meta"]
 
 

@@ -6,8 +6,8 @@ import pytest
 from socnav.dataset import Trajectory, compute_rtg
 from socnav.features import clip_action_norm
 from socnav.gradcheck import grad_check
-from socnav.policy import (Actor, DtPolicy, TokenSequence, squash_bwd,
-                           squash_fwd, stack_sequences, tokenize)
+from socnav.policy import (Actor, DtPolicy, TokenSequence, squash_bwd, squash_fwd,
+                           tokenize)
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import policy_batch_from
 
@@ -193,8 +193,8 @@ class TestLoss:
                  + [(trajs[1], int(e)) for e in rng.integers(0, 4, size=16)])
         batch, targets, counts = policy_batch_from(draws, pol, [t.rtg for t, _ in draws])
         assert len(counts) < len(draws) == counts.sum()
-        full = stack_sequences([tokenize(t.states, t.actions, t.rtg, end=e, context=5,
-                                         num_peds=pol.num_peds) for t, e in draws])
+        full = tokenize([(t.states, t.actions, t.rtg) for t, _ in draws],
+                        [e for _, e in draws], context=5, num_peds=pol.num_peds)
         full_targets = clip_action_norm(full.actions, pol.v_max)
 
         head = rng.normal(size=(pol.hidden, 2)) * 0.1   # a zero head has no gradient below it
@@ -218,25 +218,24 @@ class TestTokenize:
         states, actions, _ = fake_episode(rng, pol.joint_dim)
         rewards = rng.normal(size=6) * 0.1
         rtg = compute_rtg(rewards, 0.99)
-        seq = tokenize(states, actions, rtg, end=5, context=4, num_peds=2)
-        np.testing.assert_array_equal(seq.rtg, rtg[2:6])
+        seq = tokenize([(states, actions, rtg)], [5], context=4, num_peds=2)
+        np.testing.assert_array_equal(seq.rtg[0], rtg[2:6])
 
     def test_short_window_front_padded(self, rng):
         pol = small_policy()
         states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=2)
-        seq = tokenize(states, actions, compute_rtg(rewards, 0.99), end=1,
+        seq = tokenize([(states, actions, compute_rtg(rewards, 0.99))], [1],
                        context=5, num_peds=2)
-        assert seq.step_valid.tolist() == [False, False, False, True, True]
-        assert seq.rtg.shape == (5,)
+        assert seq.step_valid.tolist() == [[False, False, False, True, True]]
+        assert seq.rtg.shape == (1, 5)
 
     def test_rtg_slot_precedes_action_slot(self, rng):
-        # interleaving in stack order: rtg, state, action per step
+        # interleaving in field order: rtg, state, action per step
         pol = small_policy()
-        seqs = [TokenSequence(rtg=np.arange(4.0), states=np.zeros((4, pol.joint_dim)),
-                              actions=np.zeros((4, 2)), step_valid=np.ones(4, bool),
-                              action_valid=np.ones(4, bool))]
-        rtg, states, actions, sv, av = stack_sequences(seqs)
-        assert rtg.shape == (1, 4)
+        states, actions, _ = fake_episode(rng, pol.joint_dim, steps=4)
+        seq = tokenize([(states, actions, np.arange(4.0))], [3], context=4, num_peds=2)
+        assert TokenSequence._fields[:3] == ("rtg", "states", "actions")
+        assert seq.rtg.tolist() == [[0.0, 1.0, 2.0, 3.0]]
 
     def test_bad_source_and_empty_window(self, rng):
         # the conditioning source is the actor's choice; "labels" has no
@@ -247,7 +246,7 @@ class TestTokenize:
                 Actor(pol, pol.init_store(0), rtg_source=source)
         states, actions, rewards = fake_episode(rng, 20, steps=2)
         with pytest.raises(ValueError, match="window"):
-            tokenize(states, actions, rewards, end=5, context=4, num_peds=2)
+            tokenize([(states, actions, rewards)], [5], context=4, num_peds=2)
 
 
 class TestActor:
@@ -335,9 +334,8 @@ class TestActor:
         traj = trajs[0]
         misses = 0.0
         for end in range(traj.num_steps):
-            seq = tokenize(traj.states, traj.actions, traj.rtg, end=end,
-                           context=6, num_peds=2, action_known_at_end=False)
-            batch = stack_sequences([seq])
+            batch = tokenize([(traj.states, traj.actions[:end], traj.rtg)], [end],
+                             context=6, num_peds=2)
             a_hat, _ = pol.forward(store, *batch)
             want = clip_action_norm(traj.actions[end], 1.0)
             misses = max(misses, float(np.linalg.norm(a_hat[0, -1] - want)))

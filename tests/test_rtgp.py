@@ -3,7 +3,7 @@ import pytest
 
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
 from socnav.dataset import Trajectory, compute_rtg
-from socnav.features import canonicalize_joint, history_window
+from socnav.features import canonicalize_joint
 from socnav.gradcheck import grad_check
 from socnav.rtgp import RtgPredictor, WindowBatch
 from socnav.trainer import rtgp_batch_from
@@ -46,8 +46,9 @@ class TestFeatures:
     def test_window_front_padding_and_prev_transition(self, rng):
         net = small_net()
         states, actions, rewards = fake_episode(rng, net, steps=3)
-        spatial, temporal, valid, current = history_window(
-            states, actions, rewards, end=1, width=4, num_peds=2)
+        batch = net.window_batch([(states, actions, rewards)], [1])
+        spatial, valid, current = (batch.spatial[batch.rows[0]], batch.valid[0],
+                                   batch.current[0])
         assert valid.tolist() == [False, False, True, True]
         assert np.all(spatial[:2] == 0.0)
         # first real step is the episode start: zero previous action/reward

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -304,6 +305,26 @@ class TestCheckpointBundle:
         with pytest.raises(ValueError, match=r"truncated in v block 'head2\.b' "
                                              rf"at byte offset {len(data) - 4}"):
             trainer.load_bundle(path)
+
+    def test_every_cut_names_its_byte_offset(self, tmp_path):
+        stores = []
+        for k in range(2):
+            store = ParamStore()
+            store.add("w", np.full((2, 3), k + 0.5, dtype=np.float32))
+            store.add("b", np.zeros(2, dtype=np.float32))
+            stores.append(store)
+        path = tmp_path / "small.ckpt"
+        trainer.save_bundle(path, *stores, meta={"k": 1})
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError) as err:
+                trainer.load_bundle(path)
+            message = str(err.value)
+            if cut < len(trainer.BUNDLE_MAGIC) and "not a checkpoint bundle" in message:
+                continue
+            found = re.search(r"truncated in .* at byte offset (\d+)", message)
+            assert found and int(found.group(1)) <= cut, (cut, message)
 
     def test_appended_bytes_rejected(self, tmp_path, tiny_cfg):
         path, data = self._bundle_bytes(tmp_path, tiny_cfg)

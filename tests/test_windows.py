@@ -2,8 +2,9 @@
 
 The reference functions below fill one slot at a time from the whole
 canonicalized episode, the way window assembly was first written. The
-gather-based `tokenize`, `history_window`, `window_batch` and
-`policy_batch_from` must reproduce them array for array, bit for bit.
+batched `tokenize`, `history_window`, `window_batch` and
+`policy_batch_from`, which share one `features.window_rows`, must
+reproduce them array for array, bit for bit.
 """
 
 import numpy as np
@@ -16,6 +17,9 @@ from socnav.features import (SPATIAL_TOKEN_DIM, canonicalize_joint, clip_action_
 from socnav.policy import DtPolicy, TokenSequence, tokenize
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import policy_batch_from
+
+# a division by zero or an invalid cast in window assembly fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 STEPS = 6
 WIDTHS = (1, 3, 5, 8)
@@ -103,37 +107,60 @@ def as_actor_history(states, actions, rewards, rtg, end):
 @pytest.mark.parametrize("as_list", [False, True], ids=["arrays", "lists"])
 @pytest.mark.parametrize("action_known_at_end", [True, False])
 def test_tokenize_matches_reference(rng, num_peds, as_list, action_known_at_end):
-    ep = episode(rng, num_peds)
+    # one call over every end of two episodes, half the windows drawn twice;
+    # where a window's last action is unknown, its episode's actions stop
+    # before the end, as Actor's list does
+    draws = []
+    for states, actions, rewards, rtg in (episode(rng, num_peds),
+                                          episode(rng, num_peds, steps=3)):
+        shared = (states, actions, rtg)
+        if as_list:
+            shared = tuple(map(list, shared))
+        for end in range(len(states)):
+            if action_known_at_end:
+                seen = shared
+            elif as_list:
+                s, a, _, g = as_actor_history(states, actions, rewards, rtg, end)
+                seen = (s, a, g)
+            else:
+                seen = (states, actions[:end], rtg)
+            draws.append((seen, end, actions))
+    draws += draws[::2]
+    episodes, ends = [e for e, _, _ in draws], [end for _, end, _ in draws]
     for width in WIDTHS:
-        for end in range(STEPS):
-            s, a, _, g = as_actor_history(*ep, end) if as_list else (*ep[:2], None, ep[3])
-            got = tokenize(s, a, g, end=end, context=width, num_peds=num_peds,
-                           action_known_at_end=action_known_at_end)
-            assert isinstance(got, TokenSequence)
-            assert_same(got, ref_tokenize(s, a, g, end, width, num_peds,
-                                          action_known_at_end))
+        got = tokenize(episodes, ends, context=width, num_peds=num_peds)
+        assert isinstance(got, TokenSequence)
+        for i, ((s, _, g), end, actions) in enumerate(draws):
+            assert_same([field[i] for field in got],
+                        ref_tokenize(s, actions, g, end, width, num_peds,
+                                     action_known_at_end))
 
 
 @pytest.mark.parametrize("num_peds", [0, 2])
 @pytest.mark.parametrize("as_list", [False, True], ids=["arrays", "lists"])
 def test_history_window_matches_reference(rng, num_peds, as_list):
+    # the steps lo..hi are the unpadded window of width hi + 1 - lo ending at hi
     ep = episode(rng, num_peds)
-    for width in WIDTHS:
-        for end in range(STEPS):
-            s, a, r, _ = as_actor_history(*ep, end) if as_list else ep
-            assert_same(history_window(s, a, r, end, width, num_peds),
-                        ref_history_window(s, a, r, end, width, num_peds))
+    for hi in range(STEPS):
+        s, a, r, _ = as_actor_history(*ep, hi) if as_list else ep
+        for lo in range(hi + 1):
+            assert_same(history_window(s, a, r, lo, hi, num_peds),
+                        ref_history_window(s, a, r, hi, hi + 1 - lo, num_peds)[:2])
 
 
 def test_episode_start_with_empty_action_list(rng):
     states, _, _, _ = episode(rng, 2, steps=1)
-    seq = tokenize(list(states), [], [0.5], end=0, context=4, num_peds=2,
-                   action_known_at_end=False)
-    assert_same(seq, ref_tokenize(list(states), [], [0.5], 0, 4, 2, False))
-    assert seq.step_valid.tolist() == [False, False, False, True]
+    seq = tokenize([(list(states), [], [0.5])], [0], context=4, num_peds=2)
+    assert_same([field[0] for field in seq],
+                ref_tokenize(list(states), [], [0.5], 0, 4, 2, False))
+    assert seq.step_valid.tolist() == [[False, False, False, True]]
     assert not seq.action_valid.any()
-    assert_same(history_window(list(states), [], [], 0, 4, 2),
-                ref_history_window(list(states), [], [], 0, 4, 2))
+    assert_same(history_window(list(states), [], [], 0, 0, 2),
+                ref_history_window(list(states), [], [], 0, 1, 2)[:2])
+    net = RtgPredictor(num_peds=2, window=4)
+    batch = net.window_batch([(list(states), [], [])], [0])
+    assert_same((batch.spatial[batch.rows], *batch[1:4]),
+                ref_window_batch(net, [(list(states), [], [])], [0]))
 
 
 @pytest.mark.parametrize("num_peds", [0, 2])
@@ -155,13 +182,44 @@ def test_window_batch_matches_reference(rng, num_peds):
     assert np.array_equal(batch.rows == 0, ~batch.valid)
 
 
+@pytest.mark.parametrize("num_peds", [0, 2])
+def test_tokenize_and_window_batch_read_the_same_rows(rng, num_peds):
+    width = 4
+    net = RtgPredictor(num_peds=num_peds, window=width, hidden_dim=16, num_heads=2,
+                       ffn_dim=16, head_hidden=8)
+    eps = [episode(rng, num_peds, steps=n) for n in (1, 3, 7)]
+    # a unique id in each step's robot part, which canonicalization keeps
+    # in place, names the step a slot holds; padding holds 0
+    for k, (states, *_) in enumerate(eps):
+        states[:, 0] = 100 * (k + 1) + np.arange(len(states))
+    picks = [(0, 0), (1, 0), (1, 2), (2, 1), (2, 3), (2, 6), (1, 2), (2, 0)]
+    ends = [end for _, end in picks]
+    batch = net.window_batch([eps[k][:3] for k, _ in picks], ends)
+    seq = tokenize([(eps[k][0], eps[k][1], eps[k][3]) for k, _ in picks], ends,
+                   context=width, num_peds=num_peds)
+    row_ids = batch.spatial[:, 0, 0]
+    assert len(np.unique(row_ids)) == len(row_ids)
+    assert np.array_equal(seq.states[..., 0], row_ids[batch.rows])
+    assert np.array_equal(seq.step_valid, batch.valid)
+
+
 @pytest.mark.parametrize("end", [-1, STEPS])
 def test_out_of_range_end_raises(rng, end):
     states, actions, rewards, rtg = episode(rng, 2)
+    net = RtgPredictor(num_peds=2, window=4)
     with pytest.raises(ValueError, match="window"):
-        history_window(states, actions, rewards, end, 4, 2)
+        net.window_batch([(states, actions, rewards)], [0, end])
     with pytest.raises(ValueError, match="window"):
-        tokenize(states, actions, rtg, end=end, context=4, num_peds=2)
+        tokenize([(states, actions, rtg)] * 2, [0, end], context=4, num_peds=2)
+
+
+def test_mismatched_lengths_raise(rng):
+    states, actions, rewards, rtg = episode(rng, 2)
+    net = RtgPredictor(num_peds=2, window=4)
+    with pytest.raises(ValueError, match="episodes for"):
+        net.window_batch([(states, actions, rewards)], [0, 1])
+    with pytest.raises(ValueError, match="episodes for"):
+        tokenize([(states, actions, rtg)] * 2, [0], context=4, num_peds=2)
 
 
 def test_window_batch_empty_raises():
