@@ -16,11 +16,11 @@ B = AgentState(px=2, py=0, vx=0, vy=0, radius=0.3, gx=-2, gy=0, v_pref=1.0)
 cfg = OrcaConfig()
 
 print("== head-on pair ==")
-planes = orca_halfplanes(A, [B], cfg)
+# one pass builds every agent's half-planes: A's against B, B's against A
+planes, _ = orca_halfplanes([A, B], 2, cfg)
 print(f"one half-plane per neighbor: point {planes[0].point}, "
       f"normal {planes[0].normal}")
-va = orca_action(0, [A, B], cfg)
-vb = orca_action(1, [A, B], cfg)
+va, vb = orca_action([A, B], 2, cfg)
 print(f"actions: A {va}, B {vb} (each yields half the adjustment)")
 
 print("\n== velocity program ==")

@@ -182,13 +182,17 @@ class StepOutcome:
     d_goal: float
 
 
-def point_to_segment_dist(p0: np.ndarray, p1: np.ndarray) -> float:
-    """Minimum distance from the origin to the segment p0 -> p1."""
-    d = p1 - p0
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.hypot(p0[0], p0[1]))
-    t = -float(p0 @ d) / dd
-    t = min(1.0, max(0.0, t))
-    c = p0 + t * d
-    return float(np.hypot(c[0], c[1]))
+def point_to_segment_dist(p0: np.ndarray, p1: np.ndarray):
+    """Minimum distance from the origin to the segment p0 -> p1.
+
+    Segments may be stacked along leading axes ((..., 2) inputs give a
+    (...) result); a single segment gives a float.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    d = np.asarray(p1, dtype=float) - p0
+    dd = np.vecdot(d, d)
+    # a zero-length segment keeps t = 0, its start point
+    t = np.divide(-np.vecdot(p0, d), dd, out=np.zeros(np.shape(dd)), where=dd != 0.0)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    c = p0 + t[..., None] * d
+    return np.hypot(c[..., 0], c[..., 1])

@@ -145,6 +145,10 @@ def atomic_write(path, mode: str = "w"):
 
 def dumps_lossless(x) -> str:
     """Serialize to JSON with 17-significant-digit floats (round-trip exact)."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim:
+        if not np.isfinite(x).all():
+            raise ValueError("cannot serialize non-finite float")
+        return _dumps_floats(x.tolist())
     if x is None:
         return "null"
     if isinstance(x, bool):
@@ -163,6 +167,13 @@ def dumps_lossless(x) -> str:
     if isinstance(x, (list, tuple, np.ndarray)):
         return "[" + ",".join(dumps_lossless(v) for v in x) + "]"
     raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def _dumps_floats(xs: list) -> str:
+    # nested lists of Python floats, as float64 ndarray.tolist() returns them
+    if xs and isinstance(xs[0], list):
+        return "[" + ",".join(map(_dumps_floats, xs)) + "]"
+    return "[" + ",".join([format(v, ".17g") for v in xs]) + "]"
 
 
 def _traj_to_obj(t: Trajectory) -> dict:

@@ -65,17 +65,18 @@ class CrowdEnv:
         peds = np.array([[p.px, p.py] for p in self.peds]).reshape(len(self.peds), 2)
         return np.array([self.robot.px, self.robot.py]), peds
 
-    def ped_action(self, index: int) -> np.ndarray:
-        """Controller of pedestrian `index`; sees the robot only if visible."""
+    def ped_actions(self) -> np.ndarray:
+        """(num_peds, 2) controller velocities; pedestrians see the robot
+        only if visible."""
         world = list(self.peds)
         if self.cfg.robot_visible:
-            world = world + [self.robot]
-        return orca.orca_action(index, world, self.cfg.ped_orca, dt=self.cfg.dt)
+            world.append(self.robot)
+        return orca.orca_action(world, len(self.peds), self.cfg.ped_orca, dt=self.cfg.dt)
 
     def robot_orca_action(self) -> np.ndarray:
         """Reference controller for the robot (used as the behavior policy)."""
         world = [self.robot] + list(self.peds)
-        return orca.orca_action(0, world, self.cfg.robot_orca, dt=self.cfg.dt)
+        return orca.orca_action(world, 1, self.cfg.robot_orca, dt=self.cfg.dt)[0]
 
     def step(self, action) -> StepOutcome:
         if self.status is not Status.RUNNING:
@@ -87,16 +88,15 @@ class CrowdEnv:
                 f"action speed {speed:.6f} exceeds v_max {self.cfg.v_max}")
 
         cfg = self.cfg
-        ped_vels = [self.ped_action(i) for i in range(len(self.peds))]
+        ped_vels = self.ped_actions()
 
-        # clearance to each pedestrian over this step's motion segment
-        d_min = math.inf
+        # clearance to the nearest pedestrian over this step's motion segments
         robot_new = replace(self.robot, vx=action[0], vy=action[1])
-        for ped, vel in zip(self.peds, ped_vels):
-            rel0 = np.array([ped.px - robot_new.px, ped.py - robot_new.py])
-            rel1 = rel0 + (np.array([vel[0], vel[1]]) - action) * cfg.dt
-            gap = point_to_segment_dist(rel0, rel1) - ped.radius - robot_new.radius
-            d_min = min(d_min, gap)
+        ped_state = np.array([(p.px, p.py, p.radius) for p in self.peds]).reshape(-1, 3)
+        rel0 = ped_state[:, :2] - np.array([robot_new.px, robot_new.py])
+        rel1 = rel0 + (ped_vels - action) * cfg.dt
+        gaps = point_to_segment_dist(rel0, rel1) - ped_state[:, 2] - robot_new.radius
+        d_min = float(gaps.min()) if len(gaps) else math.inf
 
         # simultaneous holonomic update
         self.robot = robot_new.moved(cfg.dt)

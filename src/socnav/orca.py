@@ -6,7 +6,9 @@ needed velocity change, so paired agents share the avoidance effort). The
 new velocity is the feasible point closest to the preferred velocity,
 found by an incremental two-constraint linear program over the max-speed
 disc; when the constraints admit no common point a fallback program
-minimizes the largest violation instead.
+minimizes the largest violation instead. The half-planes of every agent
+that acts in one step are built together in one array pass; the linear
+program runs per agent.
 
 Everything here is a pure function of its inputs.
 """
@@ -37,7 +39,7 @@ class HalfPlane:
     normal: np.ndarray
 
     def __post_init__(self):
-        n = float(np.hypot(self.normal[0], self.normal[1]))
+        n = math.hypot(self.normal[0], self.normal[1])
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"half-plane normal must be unit length, got {n}")
 
@@ -46,72 +48,100 @@ class HalfPlane:
         return float(self.normal @ (self.point - v))
 
 
-def orca_halfplanes(agent: AgentState, neighbors: list[AgentState],
-                    cfg: OrcaConfig, dt: float = 0.25) -> list[HalfPlane]:
-    """One permitted-velocity half-plane per in-range neighbor.
+def orca_halfplanes(world: list[AgentState], count: int, cfg: OrcaConfig,
+                    dt: float = 0.25) -> list[list[HalfPlane]]:
+    """Permitted-velocity half-planes of agents 0..count-1 of `world`.
 
-    The agent's own radius is inflated by cfg.safety_space. Neighbors
-    beyond cfg.neighbor_dist (center distance) are ignored. Agents already
-    in contact fall back to a cone truncated at the step time dt.
+    Agent i gets one half-plane per other agent of `world` within
+    cfg.neighbor_dist (center distance), in world order. Its own radius
+    is inflated by cfg.safety_space. Agents already in contact fall back
+    to a cone truncated at the step time dt.
+
+    All count x (len(world) - 1) pairs are handled at once; masks pick
+    each pair's branch. Dot products use np.vecdot, which rounds exactly
+    as a 2-vector `@` does.
     """
+    m = len(world)
+    if count == 0 or m < 2:
+        return [[] for _ in range(count)]
+    state = np.array([(a.px, a.py, a.vx, a.vy, a.radius) for a in world])
+    pos, vel, radius = state[:, :2], state[:, 2:4], state[:, 4]
+    # agent i's neighbors: every other agent, in world order
+    agent = np.repeat(np.arange(count), m - 1)
+    other = np.tile(np.arange(m - 1), count)
+    other += other >= agent
+
+    rel_pos = pos[other] - pos[agent]
+    dist_sq = np.vecdot(rel_pos, rel_pos)
+    near = dist_sq <= cfg.neighbor_dist ** 2
+    agent, other, rel_pos, dist_sq = agent[near], other[near], rel_pos[near], dist_sq[near]
+    rel_vel = vel[agent] - vel[other]
+    combined = radius[agent] + cfg.safety_space + radius[other]
+    combined_sq = combined * combined
+    u = np.empty_like(rel_pos)
+    normal = np.empty_like(rel_pos)
+
+    is_apart = dist_sq > combined_sq
+    apart = np.flatnonzero(is_apart)
     inv_horizon = 1.0 / cfg.time_horizon
-    planes = []
-    for other in neighbors:
-        rel_pos = np.array([other.px - agent.px, other.py - agent.py])
-        dist_sq = float(rel_pos @ rel_pos)
-        if dist_sq > cfg.neighbor_dist ** 2:
-            continue
-        rel_vel = np.array([agent.vx - other.vx, agent.vy - other.vy])
-        combined = agent.radius + cfg.safety_space + other.radius
-        combined_sq = combined * combined
+    # w points from the cone's cutoff-circle center to the relative velocity
+    w = rel_vel[apart] - inv_horizon * rel_pos[apart]
+    w_len_sq = np.vecdot(w, w)
+    dot1 = np.vecdot(w, rel_pos[apart])
+    cut = (dot1 < 0.0) & (dot1 * dot1 > combined_sq[apart] * w_len_sq)
 
-        if dist_sq > combined_sq:
-            # w points from the cone's cutoff-circle center to the relative velocity
-            w = rel_vel - inv_horizon * rel_pos
-            w_len_sq = float(w @ w)
-            dot1 = float(w @ rel_pos)
-            if dot1 < 0.0 and dot1 * dot1 > combined_sq * w_len_sq:
-                # closest exit is through the cutoff circle
-                w_len = math.sqrt(w_len_sq)
-                unit_w = w / w_len if w_len > 1e-12 else _fallback_dir(rel_pos)
-                u = (combined * inv_horizon - w_len) * unit_w
-                normal = unit_w
-            else:
-                # closest exit is through one of the cone legs
-                leg = math.sqrt(dist_sq - combined_sq)
-                if _det(rel_pos, w) > 0.0:
-                    direction = np.array([rel_pos[0] * leg - rel_pos[1] * combined,
-                                          rel_pos[0] * combined + rel_pos[1] * leg]) / dist_sq
-                else:
-                    direction = -np.array([rel_pos[0] * leg + rel_pos[1] * combined,
-                                           -rel_pos[0] * combined + rel_pos[1] * leg]) / dist_sq
-                dot2 = float(rel_vel @ direction)
-                u = dot2 * direction - rel_vel
-                normal = np.array([-direction[1], direction[0]])
-        else:
-            # already overlapping: push apart within one step
-            inv_dt = 1.0 / dt
-            w = rel_vel - inv_dt * rel_pos
-            w_len = float(np.hypot(w[0], w[1]))
-            unit_w = w / w_len if w_len > 1e-12 else _fallback_dir(rel_pos)
-            u = (combined * inv_dt - w_len) * unit_w
-            normal = unit_w
+    # closest exit is through the cutoff circle
+    k = apart[cut]
+    w_len = np.sqrt(w_len_sq[cut])
+    normal[k] = _unit(w[cut], w_len, rel_pos[k])
+    u[k] = (combined[k] * inv_horizon - w_len)[:, None] * normal[k]
 
-        planes.append(HalfPlane(point=np.array([agent.vx, agent.vy]) + 0.5 * u,
-                                normal=normal))
-    return planes
+    # closest exit is through one of the cone legs
+    k = apart[~cut]
+    rp, c, d_sq = rel_pos[k], combined[k], dist_sq[k]
+    leg = np.sqrt(d_sq - combined_sq[k])
+    left = _det(rp, w[~cut]) > 0.0
+    x, y = rp[:, 0], rp[:, 1]
+    direction = np.where(left[:, None],
+                         np.stack([x * leg - y * c, x * c + y * leg], axis=1) / d_sq[:, None],
+                         -np.stack([x * leg + y * c, -x * c + y * leg], axis=1)
+                         / d_sq[:, None])
+    dot2 = np.vecdot(rel_vel[k], direction)
+    u[k] = dot2[:, None] * direction - rel_vel[k]
+    normal[k] = np.stack([-direction[:, 1], direction[:, 0]], axis=1)
+
+    # already overlapping: push apart within one step
+    k = np.flatnonzero(~is_apart)
+    inv_dt = 1.0 / dt
+    w = rel_vel[k] - inv_dt * rel_pos[k]
+    w_len = np.hypot(w[:, 0], w[:, 1])
+    normal[k] = _unit(w, w_len, rel_pos[k])
+    u[k] = (combined[k] * inv_dt - w_len)[:, None] * normal[k]
+
+    point = vel[agent] + 0.5 * u
+    planes = [HalfPlane(point=p, normal=n) for p, n in zip(point, normal)]
+    bounds = np.searchsorted(agent, np.arange(count + 1)).tolist()
+    return [planes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fallback_dir(rel_pos: np.ndarray) -> np.ndarray:
-    # relative velocity exactly at the cone center: escape straight back
-    n = float(np.hypot(rel_pos[0], rel_pos[1]))
-    if n < 1e-12:
-        return np.array([1.0, 0.0])
-    return -rel_pos / n
+def _unit(w: np.ndarray, w_len: np.ndarray, rel_pos: np.ndarray) -> np.ndarray:
+    """Rows of w over their lengths; a zero-length row (relative velocity
+    exactly at the cone center) escapes straight back along -rel_pos,
+    or along +x when the agents coincide."""
+    unit = np.empty_like(w)
+    ok = w_len > 1e-12
+    unit[ok] = w[ok] / w_len[ok, None]
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        back = rel_pos[bad]
+        n = np.hypot(back[:, 0], back[:, 1])
+        unit[bad] = np.where((n < 1e-12)[:, None], np.array([1.0, 0.0]),
+                             -back / np.where(n < 1e-12, 1.0, n)[:, None])
+    return unit
 
 
-def _det(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _det(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _direction(plane: HalfPlane) -> np.ndarray:
@@ -136,28 +166,31 @@ def solve_velocity(planes: list[HalfPlane], v_pref: np.ndarray,
     return result
 
 
-def orca_action(agent_index: int, world: list[AgentState], cfg: OrcaConfig,
+def orca_action(world: list[AgentState], count: int, cfg: OrcaConfig,
                 dt: float = 0.25) -> np.ndarray:
-    """Full controller: half-planes against all other agents, then the LP.
+    """Full controller for agents 0..count-1 of `world`: half-planes
+    against all other agents, then one LP per agent. Returns (count, 2)
+    velocities.
 
-    The preferred velocity is v_pref toward the goal, rotated by
-    agent_index * cfg.symmetry_bias radians so exactly symmetric scenarios
-    resolve deterministically.
+    Agent i's preferred velocity is v_pref toward its goal, rotated by
+    i * cfg.symmetry_bias radians so exactly symmetric scenarios resolve
+    deterministically.
     """
-    agent = world[agent_index]
-    neighbors = [a for i, a in enumerate(world) if i != agent_index]
-    planes = orca_halfplanes(agent, neighbors, cfg, dt=dt)
-    to_goal = np.array([agent.gx - agent.px, agent.gy - agent.py])
-    dist = float(np.hypot(to_goal[0], to_goal[1]))
-    if dist > 1e-12:
-        pref = agent.v_pref * to_goal / dist
-    else:
-        pref = np.zeros(2)
-    bias = cfg.symmetry_bias * agent_index
-    if bias != 0.0:
-        c, s = math.cos(bias), math.sin(bias)
-        pref = np.array([c * pref[0] - s * pref[1], s * pref[0] + c * pref[1]])
-    return solve_velocity(planes, pref, cfg.max_speed)
+    planes = orca_halfplanes(world, count, cfg, dt=dt)
+    out = np.empty((count, 2))
+    for i, agent in enumerate(world[:count]):
+        to_goal = np.array([agent.gx - agent.px, agent.gy - agent.py])
+        dist = float(np.hypot(to_goal[0], to_goal[1]))
+        if dist > 1e-12:
+            pref = agent.v_pref * to_goal / dist
+        else:
+            pref = np.zeros(2)
+        bias = cfg.symmetry_bias * i
+        if bias != 0.0:
+            c, s = math.cos(bias), math.sin(bias)
+            pref = np.array([c * pref[0] - s * pref[1], s * pref[0] + c * pref[1]])
+        out[i] = solve_velocity(planes[i], pref, cfg.max_speed)
+    return out
 
 
 def _lp1(planes, index, radius, opt, direction_opt):

@@ -6,6 +6,9 @@ import pytest
 from socnav.core import (AgentState, Status, point_to_segment_dist, reward,
                          sample_scenario, to_robot_frame)
 
+# a division by zero or an invalid cast fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_agent(px, py, gx, gy, vx=0.0, vy=0.0, radius=0.3, v_pref=1.0, heading=0.0):
     return AgentState(px=px, py=py, vx=vx, vy=vy, radius=radius,
@@ -156,6 +159,18 @@ class TestRobotFrame:
         assert to_robot_frame([], robot) is not None
 
 
+def ref_point_to_segment_dist(p0, p1) -> float:
+    """Reference: one segment in scalar arithmetic."""
+    d = p1 - p0
+    dd = float(d @ d)
+    if dd == 0.0:
+        return float(np.hypot(p0[0], p0[1]))
+    t = -float(p0 @ d) / dd
+    t = min(1.0, max(0.0, t))
+    c = p0 + t * d
+    return float(np.hypot(c[0], c[1]))
+
+
 class TestSegmentDistance:
     def test_point(self):
         assert point_to_segment_dist(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 5.0
@@ -168,6 +183,20 @@ class TestSegmentDistance:
     def test_clamps_to_endpoint(self):
         d = point_to_segment_dist(np.array([2.0, 0.0]), np.array([3.0, 0.0]))
         assert d == pytest.approx(2.0)
+
+    def test_stacked_segments_match_scalar_reference(self, rng):
+        p0 = rng.normal(size=(200, 2))
+        p1 = p0 + rng.normal(size=(200, 2)) * rng.choice([0.0, 1e-170, 0.1, 2.0], (200, 1))
+        p1[:5] = p0[:5]                 # zero-length segments
+        p1[5:10] = -p0[5:10]            # through the origin
+        got = point_to_segment_dist(p0, p1)
+        assert got.shape == (200,)
+        want = np.array([ref_point_to_segment_dist(a, b) for a, b in zip(p0, p1)])
+        assert got.tobytes() == want.tobytes()
+        for a, b, w in zip(p0, p1, want):
+            one = point_to_segment_dist(a, b)
+            assert isinstance(one, float) and np.float64(one).tobytes() == w.tobytes()
+        assert point_to_segment_dist(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
 
 
 class TestAgentState:

@@ -10,6 +10,9 @@ from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, comput
 from socnav.env import CrowdEnv
 from socnav.plotting import PlotError, plot_trajectories, write_positions_log
 
+# a division by zero or an invalid cast fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def suffix_sum_oracle(rewards, gamma):
     """Independent reverse-scan oracle for return-to-go labels."""
@@ -128,6 +131,31 @@ class TestSerialization:
         vals = [0.1, 1 / 3, 1e-17, -2.5e300, 123456.789]
         out = json.loads(dumps_lossless(vals))
         assert out == vals
+
+    @pytest.mark.parametrize("arr", [
+        np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, -1e300]),
+        np.array([[0.1, -0.0, 1 / 3], [1e-300, 5e-324, -2.5e300]]),
+        np.arange(24.0).reshape(2, 3, 4) / 7,
+        np.zeros(0), np.zeros((3, 0)), np.zeros((0, 2)),
+        np.array([[1.0, 2.0], [3.0, 4.0]])[:, ::-1],   # non-contiguous view
+    ])
+    def test_float64_array_bytes_match_element_path(self, arr):
+        # float64 arrays take a fast path; an object array takes the
+        # element-by-element one, which must write the same bytes
+        fast = dumps_lossless(arr)
+        assert fast == dumps_lossless(arr.astype(object))
+        # every value reads back to the same bits, except that -0.0 is
+        # written "-0", which JSON reads as the integer 0
+        back = np.array(json.loads(fast), dtype=np.float64)
+        assert back.tobytes() == (arr + 0.0).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_raises(self, bad):
+        for arr in (np.array([1.0, bad]), np.array([[1.0], [bad]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_lossless(arr)
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_lossless(arr.astype(object))
 
 
 class TestAtomicWrite:

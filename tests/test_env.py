@@ -1,8 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from socnav.config import SimConfig
-from socnav.core import Status
+from socnav.core import Status, point_to_segment_dist
 from socnav.dataset import rollout
 from socnav.env import ActionBoundsError, CrowdEnv
 
@@ -157,18 +160,18 @@ class TestObservation:
         env = CrowdEnv(cfg)
         env.reset(0)
         # robot parked in the pedestrian's path has no effect on its action
-        v_blind = env.ped_action(0)
+        v_blind = env.ped_actions()[0]
         env.robot.px, env.robot.py = env.peds[0].px - 1.0, env.peds[0].py
-        v_blind2 = env.ped_action(0)
+        v_blind2 = env.ped_actions()[0]
         assert np.array_equal(v_blind, v_blind2)
 
     def test_visible_robot_influences_peds(self):
         cfg = SimConfig(num_peds=1, perturbation=0.0, robot_visible=True)
         env = CrowdEnv(cfg)
         env.reset(0)
-        v_far = env.ped_action(0)
+        v_far = env.ped_actions()[0]
         env.robot.px, env.robot.py = env.peds[0].px - 1.0, env.peds[0].py
-        v_near = env.ped_action(0)
+        v_near = env.ped_actions()[0]
         assert not np.array_equal(v_far, v_near)
 
     def test_rollout_records_world_log(self):
@@ -177,3 +180,46 @@ class TestObservation:
         traj, world_log = rollout(env, lambda e, o: e.robot_orca_action(), seed=3,
                                   gamma=0.99, record_world=True)
         assert len(world_log) == traj.num_steps + 1
+
+    def test_ped_actions_one_row_per_pedestrian(self):
+        env = CrowdEnv(SimConfig(num_peds=3))
+        env.reset(0)
+        assert env.ped_actions().shape == (3, 2)
+        env = CrowdEnv(no_ped_cfg())
+        env.reset(0)
+        assert env.ped_actions().shape == (0, 2)
+
+
+def ref_clearance(env, action):
+    """Reference: the robot's clearance over this step, one pedestrian at a time."""
+    d_min = math.inf
+    robot_new = replace(env.robot, vx=action[0], vy=action[1])
+    for ped, vel in zip(env.peds, env.ped_actions()):
+        rel0 = np.array([ped.px - robot_new.px, ped.py - robot_new.py])
+        rel1 = rel0 + (np.array([vel[0], vel[1]]) - action) * env.cfg.dt
+        gap = point_to_segment_dist(rel0, rel1) - ped.radius - robot_new.radius
+        d_min = min(d_min, gap)
+    return d_min
+
+
+class TestClearance:
+    @pytest.mark.parametrize("num_peds,visible", [(1, False), (5, True), (10, False)])
+    def test_matches_per_pedestrian_loop_bitwise(self, num_peds, visible):
+        env = CrowdEnv(SimConfig(num_peds=num_peds, robot_visible=visible))
+        steps = 0
+        for seed in range(4):
+            env.reset(seed)
+            while env.status is Status.RUNNING:
+                # half the reference speed, plus a still step now and then
+                action = np.zeros(2) if steps % 7 == 0 else 0.5 * env.robot_orca_action()
+                want = ref_clearance(env, action)
+                got = env.step(action).d_min
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                steps += 1
+        assert steps > 100
+
+    def test_no_pedestrians_is_infinite(self):
+        env = CrowdEnv(no_ped_cfg())
+        env.reset(0)
+        assert env.step(np.array([0.0, 1.0])).d_min == math.inf

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socnav.config import OrcaConfig, SimConfig
 from socnav.core import AgentState, Status, point_to_segment_dist
@@ -15,8 +17,11 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def agent(px, py, gx, gy, vx=0.0, vy=0.0, radius=0.3, v_pref=1.0):
-    return AgentState(px=px, py=py, vx=vx, vy=vy, radius=radius,
-                      gx=gx, gy=gy, v_pref=v_pref)
+    # float fields, as the simulator sets them (an int coordinate would
+    # make the reference's rel_pos an int array, whose negation has no -0.0)
+    return AgentState(px=float(px), py=float(py), vx=float(vx), vy=float(vy),
+                      radius=float(radius), gx=float(gx), gy=float(gy),
+                      v_pref=float(v_pref))
 
 
 def brute_force_best(planes, pref, max_speed):
@@ -61,21 +66,211 @@ def brute_force_best(planes, pref, max_speed):
     return best
 
 
+def ref_halfplanes(agent, neighbors, cfg, dt=0.25, branches=None):
+    """Reference: one neighbor at a time, in scalar arithmetic.
+
+    `orca_halfplanes` must reproduce these planes bit for bit. When
+    `branches` is a list, the branch each neighbor took is appended.
+    """
+    def det(a, b):
+        return float(a[0] * b[1] - a[1] * b[0])
+
+    def fallback_dir(rel_pos):
+        n = float(np.hypot(rel_pos[0], rel_pos[1]))
+        if n < 1e-12:
+            return np.array([1.0, 0.0])
+        return -rel_pos / n
+
+    def took(name):
+        if branches is not None:
+            branches.append(name)
+
+    inv_horizon = 1.0 / cfg.time_horizon
+    planes = []
+    for other in neighbors:
+        rel_pos = np.array([other.px - agent.px, other.py - agent.py])
+        dist_sq = float(rel_pos @ rel_pos)
+        if dist_sq > cfg.neighbor_dist ** 2:
+            took("out of range")
+            continue
+        rel_vel = np.array([agent.vx - other.vx, agent.vy - other.vy])
+        combined = agent.radius + cfg.safety_space + other.radius
+        combined_sq = combined * combined
+
+        if dist_sq > combined_sq:
+            w = rel_vel - inv_horizon * rel_pos
+            w_len_sq = float(w @ w)
+            dot1 = float(w @ rel_pos)
+            if dot1 < 0.0 and dot1 * dot1 > combined_sq * w_len_sq:
+                w_len = math.sqrt(w_len_sq)
+                took("cutoff" if w_len > 1e-12 else "cutoff fallback")
+                unit_w = w / w_len if w_len > 1e-12 else fallback_dir(rel_pos)
+                u = (combined * inv_horizon - w_len) * unit_w
+                normal = unit_w
+            else:
+                leg = math.sqrt(dist_sq - combined_sq)
+                if det(rel_pos, w) > 0.0:
+                    took("left leg")
+                    direction = np.array([rel_pos[0] * leg - rel_pos[1] * combined,
+                                          rel_pos[0] * combined + rel_pos[1] * leg]) / dist_sq
+                else:
+                    took("right leg")
+                    direction = -np.array([rel_pos[0] * leg + rel_pos[1] * combined,
+                                           -rel_pos[0] * combined + rel_pos[1] * leg]) / dist_sq
+                dot2 = float(rel_vel @ direction)
+                u = dot2 * direction - rel_vel
+                normal = np.array([-direction[1], direction[0]])
+        else:
+            inv_dt = 1.0 / dt
+            w = rel_vel - inv_dt * rel_pos
+            w_len = float(np.hypot(w[0], w[1]))
+            if w_len > 1e-12:
+                took("overlap")
+            else:
+                took("overlap coincident" if not rel_pos.any() else "overlap fallback")
+            unit_w = w / w_len if w_len > 1e-12 else fallback_dir(rel_pos)
+            u = (combined * inv_dt - w_len) * unit_w
+            normal = unit_w
+
+        planes.append(HalfPlane(point=np.array([agent.vx, agent.vy]) + 0.5 * u,
+                                normal=normal))
+    return planes
+
+
+def ref_world_planes(world, count, cfg, dt=0.25, branches=None):
+    return [ref_halfplanes(world[i], world[:i] + world[i + 1:], cfg, dt, branches)
+            for i in range(count)]
+
+
+def ref_orca_action(index, world, cfg, dt=0.25):
+    """Reference controller of one agent: reference planes, then the LP."""
+    agent = world[index]
+    planes = ref_halfplanes(agent, world[:index] + world[index + 1:], cfg, dt)
+    to_goal = np.array([agent.gx - agent.px, agent.gy - agent.py])
+    dist = float(np.hypot(to_goal[0], to_goal[1]))
+    pref = agent.v_pref * to_goal / dist if dist > 1e-12 else np.zeros(2)
+    bias = cfg.symmetry_bias * index
+    if bias != 0.0:
+        c, s = math.cos(bias), math.sin(bias)
+        pref = np.array([c * pref[0] - s * pref[1], s * pref[0] + c * pref[1]])
+    return solve_velocity(planes, pref, cfg.max_speed)
+
+
+def assert_same_planes(got, want):
+    """Per agent: the same planes in the same order, equal to the last bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for pg, pw in zip(g, w):
+            assert pg.point.tobytes() == pw.point.tobytes()
+            assert pg.normal.tobytes() == pw.normal.tobytes()
+
+
+GRID = st.integers(-24, 24).map(lambda k: 0.25 * k)
+COORD = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def crowds(draw):
+    """(world, count, cfg, dt) with 1-12 agents, drawn so that every
+    branch occurs: coincident agents, equal velocities, overlaps,
+    neighbors at neighbor_dist and 1e-9 either side of it, and relative
+    velocities at (or 1e-13 short of) the center of a pair's cone."""
+    cfg = OrcaConfig(time_horizon=draw(st.sampled_from([2.5, 5.0, 8.0])),
+                     neighbor_dist=draw(st.sampled_from([3.0, 10.0])),
+                     safety_space=draw(st.sampled_from([0.0, 0.05])))
+    dt = draw(st.sampled_from([0.25, 0.1]))
+    world = []
+    for i in range(draw(st.integers(1, 12))):
+        base = world[draw(st.integers(0, i - 1))] if i else None
+        where = draw(st.sampled_from(["grid", "float", "copy", "near", "ring"])) if i else "grid"
+        if where == "grid":
+            px, py = draw(GRID), draw(GRID)
+        elif where == "float":
+            px, py = draw(COORD), draw(COORD)
+        elif where == "copy":
+            px, py = base.px, base.py
+        elif where == "near":
+            px, py = base.px + draw(GRID) / 32, base.py + draw(GRID) / 32
+        else:
+            r = cfg.neighbor_dist + draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+            px, py = (base.px + r, base.py) if draw(st.booleans()) else (base.px, base.py - r)
+        how = (draw(st.sampled_from(["zero", "grid", "float", "copy", "cutoff center",
+                                     "overlap center"])) if i else "grid")
+        if how == "zero":
+            vx, vy = 0.0, 0.0
+        elif how == "grid":
+            vx, vy = draw(GRID) / 8, draw(GRID) / 8
+        elif how == "float":
+            vx, vy = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+        elif how == "copy":
+            vx, vy = base.vx, base.vy
+        else:
+            # relative velocity toward base at the cone's cutoff center
+            # (just short of it) or at the overlap cone's center
+            k = (1.0 - 1e-13) / cfg.time_horizon if how == "cutoff center" else 1.0 / dt
+            vx, vy = base.vx + k * (base.px - px), base.vy + k * (base.py - py)
+        world.append(agent(px, py, draw(GRID), draw(GRID), vx=vx, vy=vy,
+                           radius=draw(st.sampled_from([0.2, 0.3, 0.45]))))
+    return world, draw(st.integers(0, len(world))), cfg, dt
+
+
+# worlds that between them reach every branch of the half-plane construction
+BRANCH_WORLDS = {
+    "neighbor_dist boundary": [agent(0, 0, 5, 0), agent(10, 0, 0, 0),
+                               agent(10.000000001, 0, 0, 0), agent(0, 9.999999999, 0, 0)],
+    "stationary head-on": [agent(-2, 0, 2, 0), agent(2, 0, -2, 0)],
+    "relative velocity at the cutoff center": [agent(0, 0, 5, 0, vx=0.4 - 1e-13),
+                                               agent(2, 0, 0, 0)],
+    "closing, offset one way": [agent(-2, 0, 2, 0, vx=0.5), agent(2, 0.1, -2, 0, vx=-0.5)],
+    "closing, offset the other way": [agent(-2, 0, 2, 0, vx=0.5),
+                                      agent(2, -0.1, -2, 0, vx=-0.5)],
+    "overlapping": [agent(0, 0, 5, 0), agent(0.3, 0, 0, 0)],
+    "overlapping, closing at rel_pos / dt": [agent(0, 0, 5, 0, vx=1.0), agent(0.25, 0, 0, 0)],
+    "coincident, equal velocities": [agent(1, 1, 5, 0, vx=0.3), agent(1, 1, 0, 0, vx=0.3)],
+}
+BRANCHES = {"out of range", "cutoff", "cutoff fallback", "left leg", "right leg",
+            "overlap", "overlap fallback", "overlap coincident"}
+
+
 class TestHalfPlanes:
+    def test_branch_worlds_reach_every_branch(self):
+        cfg = OrcaConfig()
+        seen = set()
+        for world in BRANCH_WORLDS.values():
+            ref_world_planes(world, len(world), cfg, branches=(taken := []))
+            seen.update(taken)
+        assert seen == BRANCHES
+
+    @pytest.mark.parametrize("name", BRANCH_WORLDS)
+    def test_branch_worlds_match_reference_bitwise(self, name):
+        world = BRANCH_WORLDS[name]
+        for count in range(len(world) + 1):
+            assert_same_planes(orca_halfplanes(world, count, OrcaConfig()),
+                               ref_world_planes(world, count, OrcaConfig()))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(crowds())
+    def test_matches_reference_bitwise(self, case):
+        world, count, cfg, dt = case
+        assert_same_planes(orca_halfplanes(world, count, cfg, dt=dt),
+                           ref_world_planes(world, count, cfg, dt=dt))
+
     def test_no_neighbors(self):
         a = agent(0, 0, 5, 0)
-        assert orca_halfplanes(a, [], OrcaConfig()) == []
+        assert orca_halfplanes([a], 1, OrcaConfig()) == [[]]
+        assert orca_halfplanes([a, a], 0, OrcaConfig()) == []
 
     def test_out_of_range_neighbor(self):
         a = agent(0, 0, 5, 0)
         b = agent(10, 0, 0, 0)
         cfg = OrcaConfig(neighbor_dist=5.0)
-        assert orca_halfplanes(a, [b], cfg) == []
+        assert orca_halfplanes([a, b], 1, cfg) == [[]]
 
     def test_one_plane_per_neighbor(self):
         a = agent(0, 0, 5, 0)
         others = [agent(2, 0, 0, 0), agent(0, 2, 0, 0), agent(-2, 0, 0, 0)]
-        planes = orca_halfplanes(a, others, OrcaConfig())
+        (planes,) = orca_halfplanes([a] + others, 1, OrcaConfig())
         assert len(planes) == 3
         for p in planes:
             assert abs(np.linalg.norm(p.normal) - 1.0) < 1e-9
@@ -87,8 +282,7 @@ class TestHalfPlanes:
         cfg = OrcaConfig()
         a = agent(-2, 0, 2, 0)
         b = agent(2, 0, -2, 0)
-        pa = orca_halfplanes(a, [b], cfg)[0]
-        pb = orca_halfplanes(b, [a], cfg)[0]
+        (pa,), (pb,) = orca_halfplanes([a, b], 2, cfg)
         np.testing.assert_allclose(pa.point, [-pb.point[0], pb.point[1]], atol=1e-12)
         np.testing.assert_allclose(pa.normal, [-pb.normal[0], pb.normal[1]], atol=1e-12)
 
@@ -99,15 +293,14 @@ class TestHalfPlanes:
         cfg = OrcaConfig()
         a = agent(-2, 0, 2, 0, vx=0.5)
         b = agent(2, 0, -2, 0, vx=-0.5)
-        pa = orca_halfplanes(a, [b], cfg)[0]
-        pb = orca_halfplanes(b, [a], cfg)[0]
+        (pa,), (pb,) = orca_halfplanes([a, b], 2, cfg)
         np.testing.assert_allclose(pb.point, -pa.point, atol=1e-12)
         np.testing.assert_allclose(pb.normal, -pa.normal, atol=1e-12)
 
     def test_overlapping_agents_fallback(self):
         a = agent(0, 0, 5, 0)
         b = agent(0.3, 0, 0, 0)   # center distance < combined radius
-        planes = orca_halfplanes(a, [b], OrcaConfig(), dt=0.25)
+        (planes,) = orca_halfplanes([a, b], 1, OrcaConfig(), dt=0.25)
         assert len(planes) == 1
         # constraint must push the agents apart (allowed side away from b)
         assert planes[0].normal[0] < 0
@@ -115,8 +308,8 @@ class TestHalfPlanes:
     def test_safety_space_inflates_own_radius(self):
         a = agent(0, 0, 5, 0)
         b = agent(1.0, 0, 0, 0)
-        slim = orca_halfplanes(a, [b], OrcaConfig(safety_space=0.0))[0]
-        fat = orca_halfplanes(a, [b], OrcaConfig(safety_space=0.2))[0]
+        slim = orca_halfplanes([a, b], 1, OrcaConfig(safety_space=0.0))[0][0]
+        fat = orca_halfplanes([a, b], 1, OrcaConfig(safety_space=0.2))[0][0]
         # a larger effective radius forbids more of velocity space
         assert fat.violation(np.array([1.0, 0.0])) > slim.violation(np.array([1.0, 0.0]))
 
@@ -197,7 +390,7 @@ class TestSolveVelocity:
 class TestOrcaAction:
     def test_lone_agent_heads_to_goal(self):
         world = [agent(0, 0, 5, 0)]
-        v = orca_action(0, world, OrcaConfig())
+        (v,) = orca_action(world, 1, OrcaConfig())
         np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
 
     def test_speed_bounded(self, rng):
@@ -205,8 +398,8 @@ class TestOrcaAction:
         for _ in range(50):
             world = [agent(*rng.uniform(-3, 3, 2), *rng.uniform(-3, 3, 2),
                            vx=rng.normal(), vy=rng.normal()) for _ in range(4)]
-            v = orca_action(0, world, cfg)
-            assert np.linalg.norm(v) <= cfg.max_speed + 1e-9
+            for v in orca_action(world, len(world), cfg):
+                assert np.linalg.norm(v) <= cfg.max_speed + 1e-9
 
     def test_label_swap_symmetry(self):
         # swapping the two agents of a mirror-symmetric scenario mirrors the
@@ -214,13 +407,12 @@ class TestOrcaAction:
         cfg = OrcaConfig(symmetry_bias=0.0)
         a = agent(-2, 0, 2, 0)
         b = agent(2, 0, -2, 0)
-        va = orca_action(0, [a, b], cfg)
-        vb = orca_action(1, [a, b], cfg)
+        va, vb = orca_action([a, b], 2, cfg)
         np.testing.assert_allclose(va, [-vb[0], vb[1]], atol=1e-12)
 
     def test_agent_at_goal_stays(self):
         world = [agent(1, 1, 1, 1)]
-        v = orca_action(0, world, OrcaConfig())
+        (v,) = orca_action(world, 1, OrcaConfig())
         np.testing.assert_allclose(v, [0.0, 0.0], atol=1e-12)
 
     def test_constraints_respected_in_traffic(self, rng):
@@ -229,13 +421,27 @@ class TestOrcaAction:
             world = [agent(*rng.uniform(-2, 2, 2), *rng.uniform(-2, 2, 2),
                            vx=rng.normal() * 0.3, vy=rng.normal() * 0.3)
                      for _ in range(4)]
-            me = world[0]
-            planes = orca_halfplanes(me, world[1:], cfg)
-            v = orca_action(0, world, cfg)
+            (planes,) = orca_halfplanes(world, 1, cfg)
+            (v,) = orca_action(world, 1, cfg)
             feas = all(p.normal @ (v - p.point) >= -1e-9 for p in planes)
             if feas:
                 for p in planes:
                     assert p.normal @ (v - p.point) >= -1e-9
+
+    def test_shape_and_empty(self):
+        world = [agent(0, 0, 5, 0), agent(2, 0, 0, 0)]
+        assert orca_action(world, 0, OrcaConfig()).shape == (0, 2)
+        assert orca_action(world, 2, OrcaConfig()).shape == (2, 2)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(crowds())
+    def test_matches_per_agent_reference_bitwise(self, case):
+        # row i is agent i's own controller: its planes, its preferred
+        # velocity rotated by i * symmetry_bias, then the LP
+        world, count, cfg, dt = case
+        got = orca_action(world, count, cfg, dt=dt)
+        for i in range(count):
+            assert got[i].tobytes() == ref_orca_action(i, world, cfg, dt=dt).tobytes()
 
 
 def min_ped_ped_gap(world_log, radius):
