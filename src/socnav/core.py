@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +51,13 @@ class AgentState:
     def dist_to_goal(self) -> float:
         return math.hypot(self.gx - self.px, self.gy - self.py)
 
-    def moved(self, dt: float) -> "AgentState":
-        """State after holding the current velocity for dt seconds."""
-        heading = self.heading
+    def advance(self, dt: float):
+        """Hold the current velocity for dt seconds, in place; the heading
+        follows the velocity while the agent moves."""
         if self.vx != 0.0 or self.vy != 0.0:
-            heading = math.atan2(self.vy, self.vx)
-        return replace(self, px=self.px + self.vx * dt, py=self.py + self.vy * dt,
-                       heading=heading)
+            self.heading = math.atan2(self.vy, self.vx)
+        self.px += self.vx * dt
+        self.py += self.vy * dt
 
 
 @dataclass

@@ -14,7 +14,6 @@ parallel instead.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -91,17 +90,19 @@ class CrowdEnv:
         ped_vels = self.ped_actions()
 
         # clearance to the nearest pedestrian over this step's motion segments
-        robot_new = replace(self.robot, vx=action[0], vy=action[1])
+        robot = self.robot
         ped_state = np.array([(p.px, p.py, p.radius) for p in self.peds]).reshape(-1, 3)
-        rel0 = ped_state[:, :2] - np.array([robot_new.px, robot_new.py])
+        rel0 = ped_state[:, :2] - np.array([robot.px, robot.py])
         rel1 = rel0 + (ped_vels - action) * cfg.dt
-        gaps = point_to_segment_dist(rel0, rel1) - ped_state[:, 2] - robot_new.radius
+        gaps = point_to_segment_dist(rel0, rel1) - ped_state[:, 2] - robot.radius
         d_min = float(gaps.min()) if len(gaps) else math.inf
 
-        # simultaneous holonomic update
-        self.robot = robot_new.moved(cfg.dt)
-        self.peds = [replace(ped, vx=float(vel[0]), vy=float(vel[1])).moved(cfg.dt)
-                     for ped, vel in zip(self.peds, ped_vels)]
+        # simultaneous holonomic update, in place
+        robot.vx, robot.vy = action[0], action[1]
+        robot.advance(cfg.dt)
+        for ped, (vx, vy) in zip(self.peds, ped_vels.tolist()):
+            ped.vx, ped.vy = vx, vy
+            ped.advance(cfg.dt)
         self.time += cfg.dt
         self._reassign_reached_goals()
 
@@ -119,7 +120,7 @@ class CrowdEnv:
     def _reassign_reached_goals(self):
         """Pedestrians at their goal get a fresh destination on the arena circle,
         rejected while closer than 2 m to their current position."""
-        for i, ped in enumerate(self.peds):
+        for ped in self.peds:
             if ped.dist_to_goal() > ped.radius:
                 continue
             while True:
@@ -127,4 +128,4 @@ class CrowdEnv:
                 g = self.cfg.arena_radius * np.array([math.cos(theta), math.sin(theta)])
                 if math.hypot(g[0] - ped.px, g[1] - ped.py) >= 2.0:
                     break
-            self.peds[i] = replace(ped, gx=float(g[0]), gy=float(g[1]))
+            ped.gx, ped.gy = float(g[0]), float(g[1])

@@ -67,6 +67,16 @@ class ParamStore:
         out.step = self.step
         return out
 
+    def grad_view(self) -> "ParamStore":
+        """A store over these same parameter blocks with its own zeroed
+        gradients and no optimizer moments: concurrent backward passes
+        over shards of one batch each accumulate into a view, and the
+        caller sums the views' gradients."""
+        out = ParamStore(dtype=self.dtype)
+        out.blocks = self.blocks
+        out.grads = {name: np.zeros_like(b) for name, b in self.blocks.items()}
+        return out
+
     def copy(self) -> "ParamStore":
         out = ParamStore(dtype=self.dtype)
         for name, b in self.blocks.items():
@@ -373,18 +383,23 @@ def encoder_block_bwd(store, cache, dy):
 # -- losses ---------------------------------------------------------------
 
 
-def mse_loss(pred, target, weights=None):
+def mse_loss(pred, target, weights=None, total=None):
     """Mean squared error and its gradient w.r.t. pred.
 
-    `weights` holds one weight per entry of the leading axis (one each by
-    default); the squared errors are summed with them and divided by the
-    total weight of all elements.
+    `target` is cast to pred's dtype. `weights` holds one weight per entry
+    of the leading axis (one each by default). Each entry's weighted
+    squared error is one term; the terms are summed exactly (math.fsum)
+    and divided by the total weight of all elements. `total` is the
+    weight sum that normalises (default: this batch's), so a shard of a
+    larger batch passes the whole batch's and its gradient is its share
+    of the batch's.
     """
-    diff = pred - target
+    diff = pred - np.asarray(target, dtype=pred.dtype)
     w = np.ones(len(diff)) if weights is None else np.asarray(weights)
     w = w.astype(diff.dtype).reshape(-1, *(1,) * (diff.ndim - 1))
-    n = w.sum() * (diff.size // len(diff))
-    return float((w * diff * diff).sum() / n), (2.0 / n) * w * diff
+    n = (w.sum() if total is None else diff.dtype.type(total)) * (diff.size // len(diff))
+    terms = (w * diff * diff).reshape(len(diff), -1).sum(axis=1)
+    return math.fsum(terms.tolist()) / float(n), (2.0 / n) * w * diff
 
 
 # -- optimizer -------------------------------------------------------------

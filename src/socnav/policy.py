@@ -64,6 +64,10 @@ class TokenSequence(NamedTuple):
     step_valid: np.ndarray    # (B, K) bool
     action_valid: np.ndarray  # (B, K) bool
 
+    def take(self, idx) -> "TokenSequence":
+        """Windows idx of the batch."""
+        return TokenSequence(*(x[idx] for x in self))
+
 
 class DtPolicy:
     """Fixed-architecture causal policy over token triples."""
@@ -164,16 +168,14 @@ class DtPolicy:
         nn.dense_bwd(store, c_s, ds)
         nn.dense_bwd(store, c_a, da)
 
-    def loss_and_grad(self, store, batch, target_actions, counts=None):
-        """Action regression over valid context positions.
-
-        Per position the squared Euclidean action error is taken; the loss
-        averages positions and batch, window i weighted by counts[i], the
-        number of times it was drawn (one each by default). The total is
-        accumulated with exact summation, so it does not depend on batch
-        order. Callers preparing logged actions as targets should radially
-        clip them to 0.999 * v_max first (see features.clip_action_norm):
-        the squashed head cannot reach the open boundary.
+    def loss_and_grad(self, store, batch, target_actions, counts=None, wsum=None):
+        """Action regression loss (see action_loss) of a batch; populates
+        the store's gradients. `wsum` is the weight that normalises
+        (default: this batch's); a shard of a larger batch passes the
+        whole batch's, so its gradients are its share of the batch's.
+        Callers preparing logged actions as targets should radially clip
+        them to 0.999 * v_max first (see features.clip_action_norm): the
+        squashed head cannot reach the open boundary.
         """
         rtg, states, actions, step_valid, action_valid = batch
         if len(rtg) == 0:
@@ -181,16 +183,33 @@ class DtPolicy:
         store.zero_grads()
         a_hat, cache = self.forward(store, rtg, states, actions,
                                     step_valid, action_valid)
-        targets = np.asarray(target_actions, dtype=a_hat.dtype)
-        diff = a_hat - targets
-        counts = np.ones(len(rtg)) if counts is None else np.asarray(counts)
-        w = (counts[:, None] * step_valid).astype(a_hat.dtype)
-        per_sample = (w[..., None] * diff * diff).sum(axis=(1, 2))
-        wsum = math.fsum(w.sum(axis=1).tolist())
-        loss = math.fsum(per_sample.tolist()) / wsum
-        da = (2.0 / wsum) * w[..., None] * diff
+        loss, da = action_loss(a_hat, target_actions, step_valid, counts, wsum)
         self.backward(store, cache, da)
-        return float(loss), a_hat
+        return loss, a_hat
+
+
+def valid_weight(step_valid, counts) -> float:
+    """The action loss's normaliser: valid positions, each weighted by its
+    window's draw count, summed exactly."""
+    return math.fsum((np.asarray(counts)[:, None] * step_valid).sum(axis=1).tolist())
+
+
+def action_loss(a_hat, target_actions, step_valid, counts=None, wsum=None):
+    """Weighted mean squared action error and its gradient w.r.t. a_hat.
+
+    Per valid position the squared Euclidean action error is taken, in
+    window i weighted by counts[i], the number of times it was drawn (one
+    each by default). The per-window terms are summed exactly and divided
+    by `wsum` (default: valid_weight of this batch), so the loss does not
+    depend on batch order or on how a batch is cut into shards.
+    """
+    targets = np.asarray(target_actions, dtype=a_hat.dtype)
+    diff = a_hat - targets
+    counts = np.ones(len(a_hat)) if counts is None else np.asarray(counts)
+    w = (counts[:, None] * step_valid).astype(a_hat.dtype)
+    per_sample = (w[..., None] * diff * diff).sum(axis=(1, 2))
+    wsum = valid_weight(step_valid, counts) if wsum is None else wsum
+    return math.fsum(per_sample.tolist()) / wsum, (2.0 / wsum) * w[..., None] * diff
 
 
 # -- tokenization ----------------------------------------------------------

@@ -40,6 +40,15 @@ class WindowBatch(NamedTuple):
     current: np.ndarray    # (B, joint_dim) canonical joint state at the window end
     rows: np.ndarray       # (B, W) row of `spatial` read by each slot
 
+    def take(self, idx) -> "WindowBatch":
+        """Windows idx of the batch, over only the step rows they read
+        (padding, when read, stays row 0)."""
+        rows = self.rows[idx]
+        read = np.unique(rows)
+        return WindowBatch(spatial=self.spatial[read], temporal=self.temporal[idx],
+                           valid=self.valid[idx], current=self.current[idx],
+                           rows=np.searchsorted(read, rows))
+
 
 class RtgPredictor:
     """Fixed-architecture return predictor over history windows."""
@@ -172,18 +181,19 @@ class RtgPredictor:
         df = nn.encoder_block_bwd(store, c_s1, dfs_rows)
         nn.dense_bwd(store, c_es, df)
 
-    def loss_and_grad(self, store, batch, targets, counts=None):
+    def loss_and_grad(self, store, batch, targets, counts=None, total=None):
         """Mean squared error against Monte-Carlo returns; populates grads.
 
         counts[i] is how many times window i was drawn (one each by
         default): the loss is sum(c_i * (rhat_i - y_i)^2) / sum(c), the
-        mean over the draws.
+        mean over the draws. `total` replaces sum(c) (see nn.mse_loss), so
+        a shard of a larger batch passes the whole batch's.
         """
         if len(batch.rows) == 0:
             raise ValueError("empty batch")
         store.zero_grads()
         rhat, cache = self.forward(store, *batch)
-        loss, drhat = nn.mse_loss(rhat, np.asarray(targets, dtype=rhat.dtype), counts)
+        loss, drhat = nn.mse_loss(rhat, targets, counts, total)
         self.backward(store, cache, drhat)
         return loss, rhat
 

@@ -12,6 +12,11 @@ sampled trajectory (fast timescale, transition minibatches), then update
 the policy once (slow timescale, context windows re-conditioned with
 fresh return predictions).
 
+Every update cuts its batch into shards (at most SHARDS) that run on at
+most two threads, each shard accumulating gradients into its own
+buffers. The shard plan depends only on the batch and the shard sums are
+added in shard order, so the bytes do not depend on how many threads ran.
+
 Evaluation runs greedy rollouts on a disjoint seed range and reports the
 standard metrics plus sampling efficiency: mean return divided by the
 number of environment transitions consumed during training.
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,13 +37,20 @@ from .config import Config
 from .dataset import Trajectory, atomic_write, dumps_lossless, rollout, stats_of
 from .env import CrowdEnv
 from .features import clip_action_norm
-from .nn import ParamStore, lamb_step, read_header
-from .policy import Actor, DtPolicy, tokenize
+from .nn import ParamStore, lamb_step, mse_loss, read_header
+from .policy import Actor, DtPolicy, action_loss, tokenize, valid_weight
 from .replay import HybridBuffer
 from .rtgp import RtgPredictor
 
 REPORT_SCHEMA = 1
 ITERS_PER_EPOCH = 50
+# every update is cut into SHARDS shards (fewer when the batch has under
+# MIN_SHARD_WINDOWS windows a shard, where a shard's per-call overhead
+# outweighs its arithmetic) run on at most MAX_WORKERS threads, whatever
+# the machine, so its bytes depend only on the batch
+SHARDS = 4
+MIN_SHARD_WINDOWS = 8
+MAX_WORKERS = 2
 
 # stage seed offsets (one global seed reproduces each stage independently)
 SEED_DATA = 1_000_000
@@ -115,6 +129,73 @@ def rtgp_batch_from(trajs_ends, rtgp: RtgPredictor):
     return rtgp.window_batch(episodes, [e for _, e in windows]), targets, counts
 
 
+# -- sharded updates ----------------------------------------------------------
+
+_pool: ThreadPoolExecutor | None = None
+
+
+def _training_pool() -> ThreadPoolExecutor:
+    """The process's training threads, made on first use: MAX_WORKERS or
+    the CPUs this process may run on, whichever is fewer. numpy releases
+    the interpreter lock in its GEMMs and large ufuncs, so shards of one
+    update overlap."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(min(MAX_WORKERS, len(os.sched_getaffinity(0))),
+                                   thread_name_prefix="socnav-train")
+    return _pool
+
+
+def pool_map(fn, items) -> list:
+    """[fn(item) for item in items] on the training threads. Waits for
+    every call, then returns the results in item order or raises the
+    first failure in item order."""
+    futures = [_training_pool().submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _sharded(store: ParamStore, order, shard_fn) -> np.ndarray:
+    """Cut the windows `order` into contiguous shards (see SHARDS) and run
+    shard_fn(view, idx) -> outputs on each, where view is a gradient view
+    of store (ParamStore.grad_view). store.grads become the views' sums,
+    added in shard order; returns the outputs concatenated in `order`."""
+    def run(idx):
+        view = store.grad_view()
+        return view.grads, shard_fn(view, idx)
+
+    shards = max(1, min(SHARDS, len(order) // MIN_SHARD_WINDOWS))
+    results = pool_map(run, np.array_split(order, shards))
+    store.zero_grads()
+    for grads, _ in results:
+        for name, g in grads.items():
+            store.grads[name] += g
+    return np.concatenate([out for _, out in results])
+
+
+def policy_update(policy: DtPolicy, store: ParamStore, batch, targets, counts) -> float:
+    """Loss of one policy update (see policy.action_loss); store.grads
+    get its gradients. Every shard is normalised by the whole batch's
+    weight, so the loss is the exact sum of per-window terms however the
+    batch is cut."""
+    wsum = valid_weight(batch.step_valid, counts)
+    a_hat = _sharded(store, np.arange(len(counts)), lambda view, idx: policy.loss_and_grad(
+        view, batch.take(idx), targets[idx], counts[idx], wsum=wsum)[1])
+    return action_loss(a_hat, targets, batch.step_valid, counts, wsum)[0]
+
+
+def rtgp_update(rtgp: RtgPredictor, store: ParamStore, batch, targets, counts) -> float:
+    """Loss of one return-predictor update (see nn.mse_loss); store.grads
+    get its gradients. Windows are cut in the order of their end step's
+    row (by episode, then step), so a shard's overlapping windows share
+    most of the step rows it encodes."""
+    order = np.argsort(batch.rows[:, -1], kind="stable")
+    total = counts.sum()
+    rhat = _sharded(store, order, lambda view, idx: rtgp.loss_and_grad(
+        view, batch.take(idx), targets[idx], counts[idx], total=total)[1])
+    return mse_loss(rhat, targets[order], counts[order], total)[0]
+
+
 # -- offline pre-training ---------------------------------------------------
 
 
@@ -155,12 +236,12 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
     for it in range(train.pretrain_iters):
         trajs_ends = [(trajectories[i], e) for i, e in
                       sample_windows(trajectories, train.policy_batch, rng)]
-        pol_loss, _ = policy.loss_and_grad(policy_store, *policy_batch_from(
+        pol_loss = policy_update(policy, policy_store, *policy_batch_from(
             trajs_ends, policy, [t.rtg for t, _ in trajs_ends]))
 
         trajs_ends = [(trajectories[i], e) for i, e in
                       sample_windows(trajectories, train.rtgp_fast_batch, rng)]
-        rtg_loss, _ = rtgp.loss_and_grad(rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
+        rtg_loss = rtgp_update(rtgp, rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
 
         if not (math.isfinite(pol_loss) and math.isfinite(rtg_loss)):
             ps, rs = last_good if last_good else (policy_store, rtgp_store)
@@ -259,8 +340,7 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
             for k, tau in enumerate(sampled):
                 ends = rng.integers(0, tau.num_steps, size=train.rtgp_fast_batch)
                 trajs_ends = [(tau, int(u)) for u in ends]
-                rtg_loss, _ = rtgp.loss_and_grad(rtgp_store,
-                                                 *rtgp_batch_from(trajs_ends, rtgp))
+                rtg_loss = rtgp_update(rtgp, rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
                 if not math.isfinite(rtg_loss):
                     raise TrainingAborted(f"non-finite predictor loss at episode {e}, "
                                           f"fast update {k}", policy_store, rtgp_store)
@@ -269,15 +349,16 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
             # the slow update conditions on fresh predictions (post fast updates),
             # made once per distinct trajectory: sampling draws with replacement
             distinct = {id(t): t for t in sampled}
-            fresh = {k: rtgp.predict_sequence(rtgp_store, t.states, t.actions, t.rewards)
-                     for k, t in distinct.items()}
+            fresh = dict(zip(distinct, pool_map(
+                lambda t: rtgp.predict_sequence(rtgp_store, t.states, t.actions, t.rewards),
+                distinct.values())))
             sequences = [fresh[id(t)] for t in sampled]
         else:
             sequences = [t.rtg for t in sampled]
 
         # slow timescale: one policy update on windows from the sampled trajectories
         windows = sample_windows(sampled, train.policy_batch, rng)
-        pol_loss, _ = policy.loss_and_grad(policy_store, *policy_batch_from(
+        pol_loss = policy_update(policy, policy_store, *policy_batch_from(
             [(sampled[i], u) for i, u in windows], policy, [sequences[i] for i, _ in windows]))
         if not math.isfinite(pol_loss):
             raise TrainingAborted(f"non-finite policy loss at episode {e}",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,34 @@ class TestPipeline:
                        "--eval-episodes", "4") == EXIT_OK
             files.append({p.relative_to(out): p.read_bytes()
                           for p in out.rglob("*")
+                          if p.is_file() and p.name != "manifest.json"})
+        assert len(files[0]) > 5
+        assert files[0] == files[1]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_pinned_to_one_cpu_matches_unpinned(self, tiny_cfg, tmp_path):
+        # one training thread instead of two runs the same shards in the
+        # same order: the bytes do not depend on how many CPUs there are;
+        # the batches are large enough to cut into every shard
+        cfg = json.loads(tiny_cfg.to_json())
+        cfg["train"]["policy_batch"] = cfg["train"]["rtgp_fast_batch"] = 48
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(cfg) + "\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        pin = "os.sched_setaffinity(0, {%d})\n" % min(os.sched_getaffinity(0))
+        files = []
+        for name, prelude in (("pinned", pin), ("unpinned", "")):
+            out = tmp_path / name
+            script = ("import os, sys\n" + prelude
+                      + "from socnav.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+            proc = subprocess.run([sys.executable, "-c", script, "--config", str(cfg_path),
+                                   "pipeline", "--out", str(out), "--eval-episodes", "2"],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            files.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                           if p.is_file() and p.name != "manifest.json"})
         assert len(files[0]) > 5
         assert files[0] == files[1]

@@ -202,11 +202,14 @@ class TestSegmentDistance:
 class TestAgentState:
     def test_heading_updates_with_motion(self):
         a = make_agent(0, 0, 1, 1, vx=0.0, vy=1.0)
-        assert a.moved(0.25).heading == pytest.approx(math.pi / 2)
+        a.advance(0.25)
+        assert a.heading == pytest.approx(math.pi / 2)
+        assert (a.px, a.py) == (0.0, 0.25)
 
     def test_heading_kept_when_stationary(self):
         a = make_agent(0, 0, 1, 1, vx=0.0, vy=0.0, heading=0.4)
-        assert a.moved(0.25).heading == 0.4
+        a.advance(0.25)
+        assert a.heading == 0.4
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,12 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,6 +94,155 @@ class TestDistinctWindows:
         assert max(max(c.values()) for c in grouped) > 1
 
 
+def draws(trajs, size, seed):
+    rng = np.random.default_rng(seed)
+    return [(trajs[i], e) for i, e in trainer.sample_windows(trajs, size, rng)]
+
+
+@pytest.fixture()
+def forced_pool(monkeypatch):
+    """Run the training threads on a pool of the given size."""
+    pools = []
+
+    def force(workers):
+        pools.append(ThreadPoolExecutor(workers))
+        monkeypatch.setattr(trainer, "_pool", pools[-1])
+
+    yield force
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+class TestShards:
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+    def test_sharded_update_matches_one_batch(self, tiny_cfg, tiny_dataset, dtype, tol):
+        # shards change the gradients' float summation order only; the
+        # policy loss is the exact sum of the same per-window terms
+        trajs, _, _ = tiny_dataset
+        policy, rtgp = trainer.build_models(tiny_cfg)
+        trajs_ends = draws(trajs, 48, seed=5)
+        pol_args = trainer.policy_batch_from(trajs_ends, policy, [t.rtg for t, _ in trajs_ends])
+        rtg_args = trainer.rtgp_batch_from(trajs_ends, rtgp)
+        for _, _, counts in (pol_args, rtg_args):   # enough windows for every shard
+            assert len(counts) >= trainer.SHARDS * trainer.MIN_SHARD_WINDOWS
+        head = np.random.default_rng(2).normal(size=(policy.hidden, 2)) * 0.1
+        for model, update, args in ((policy, trainer.policy_update, pol_args),
+                                    (rtgp, trainer.rtgp_update, rtg_args)):
+            sharded, whole = model.init_store(9, dtype=dtype), model.init_store(9, dtype=dtype)
+            if model is policy:   # a zero head has no gradient below it
+                sharded.blocks["head.W"][...] = whole.blocks["head.W"][...] = head
+            loss = update(model, sharded, *args)
+            want, _ = model.loss_and_grad(whole, *args)
+            if model is policy:
+                assert loss == want
+            else:
+                np.testing.assert_allclose(loss, want, rtol=tol, atol=tol)
+            assert sum(np.any(g != 0.0) for g in whole.grads.values()) > len(whole.grads) / 2
+            for name, g in whole.grads.items():
+                assert sharded.grads[name].dtype == dtype
+                np.testing.assert_allclose(sharded.grads[name], g, rtol=tol, atol=tol,
+                                           err_msg=name)
+
+    def test_predictor_shard_reads_only_its_rows(self, tiny_cfg, tiny_dataset):
+        trajs, _, _ = tiny_dataset
+        _, rtgp = trainer.build_models(tiny_cfg)
+        store = rtgp.init_store(3)
+        batch, _, _ = trainer.rtgp_batch_from(draws(trajs, 48, seed=6), rtgp)
+        whole, _ = rtgp.forward(store, *batch)
+        idx = np.arange(len(whole))[::5]
+        part = batch.take(idx)
+        assert len(part.spatial) == len(np.unique(batch.rows[idx])) < len(batch.spatial)
+        assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
+        rhat, _ = rtgp.forward(store, *part)
+        assert np.array_equal(rhat, whole[idx])
+
+    def test_worker_count_does_not_change_bytes(self, tiny_cfg, tiny_dataset, forced_pool,
+                                                monkeypatch):
+        trajs, _, _ = tiny_dataset
+        cfg = copy.deepcopy(tiny_cfg)
+        cfg.train.policy_batch = cfg.train.rtgp_fast_batch = 48
+        shards = []
+        pool_map = trainer.pool_map
+
+        def counted(fn, items):
+            items = list(items)
+            shards.append(len(items))
+            return pool_map(fn, items)
+
+        monkeypatch.setattr(trainer, "pool_map", counted)
+        runs = []
+        for workers in (1, 2):
+            forced_pool(workers)
+            pre = trainer.pretrain_offline(trajs, cfg, seed=1)
+            ft = trainer.finetune_online(pre.policy_store, pre.rtgp_store, trajs,
+                                         cfg, seed=1, episodes=1)
+            runs.append((pre.policy_losses, pre.rtgp_losses, ft.episodes,
+                         ft.policy_store.to_bytes(), ft.rtgp_store.to_bytes()))
+        assert max(shards) == trainer.SHARDS
+        assert runs[0] == runs[1]
+
+    def test_more_workers_than_cores_with_fast_switching(self, tiny_cfg, tiny_dataset,
+                                                         forced_pool):
+        # a lost or doubled gradient accumulation under heavy interleaving
+        # would change the summed gradients' bytes
+        trajs, _, _ = tiny_dataset
+        policy, rtgp = trainer.build_models(tiny_cfg)
+        trajs_ends = draws(trajs, 48, seed=7)
+        args = {policy: trainer.policy_batch_from(trajs_ends, policy,
+                                                  [t.rtg for t, _ in trajs_ends]),
+                rtgp: trainer.rtgp_batch_from(trajs_ends, rtgp)}
+        assert min(len(a[2]) for a in args.values()) >= (
+            trainer.SHARDS * trainer.MIN_SHARD_WINDOWS)
+        runs = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 8):
+            forced_pool(workers)
+            sys.setswitchinterval(1e-6)
+            try:
+                stores = [policy.init_store(1), rtgp.init_store(2)]
+                for _ in range(3):
+                    trainer.policy_update(policy, stores[0], *args[policy])
+                    trainer.rtgp_update(rtgp, stores[1], *args[rtgp])
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append([g.tobytes() for s in stores for g in s.grads.values()])
+        assert runs[0] == runs[1]
+
+    def test_pool_never_exceeds_two_threads(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_pool", None)
+        pool = trainer._training_pool()
+        try:
+            assert pool is trainer._training_pool()
+            assert pool._max_workers == min(2, len(os.sched_getaffinity(0)))
+            ran = set(trainer.pool_map(lambda _: threading.current_thread().name, range(16)))
+            assert 1 <= len(ran) <= pool._max_workers
+        finally:
+            pool.shutdown(wait=True)
+
+    def test_failing_shard_propagates_without_a_step(self, tiny_cfg, tiny_dataset,
+                                                     monkeypatch, forced_pool):
+        trajs, _, _ = tiny_dataset
+        forced_pool(2)
+        pol, rtgp = trainer.build_models(tiny_cfg)
+        raised_in = []
+        loss_and_grad = RtgPredictor.loss_and_grad
+
+        def failing(self, store, batch, *args, **kwargs):
+            if not raised_in:
+                raised_in.append(threading.current_thread())
+                raise FloatingPointError("shard failed")
+            return loss_and_grad(self, store, batch, *args, **kwargs)
+
+        monkeypatch.setattr(RtgPredictor, "loss_and_grad", failing)
+        ps, rs = pol.init_store(0), rtgp.init_store(1)
+        before = rs.to_bytes() + ps.to_bytes()
+        with pytest.raises(FloatingPointError, match="shard failed"):
+            trainer.finetune_online(ps, rs, trajs, tiny_cfg, seed=1, episodes=1)
+        assert raised_in[0] is not threading.main_thread()
+        assert rs.step == ps.step == 0
+        assert rs.to_bytes() + ps.to_bytes() == before
+
+
 class TestFinetune:
     def test_schedule_instrumentation(self, tiny_cfg, tiny_dataset):
         trajs, _, _ = tiny_dataset
@@ -152,14 +305,14 @@ class TestFinetune:
         trajs, _, _ = tiny_dataset
         pol, rtgp = trainer.build_models(tiny_cfg)
         losses = []
-        loss_and_grad = RtgPredictor.loss_and_grad
+        update = trainer.rtgp_update
 
-        def recorded(self, *args):
-            loss, rhat = loss_and_grad(self, *args)
+        def recorded(*args):
+            loss = update(*args)
             losses.append(loss)
-            return loss, rhat
+            return loss
 
-        monkeypatch.setattr(RtgPredictor, "loss_and_grad", recorded)
+        monkeypatch.setattr(trainer, "rtgp_update", recorded)
         ft = trainer.finetune_online(pol.init_store(0), rtgp.init_store(1), trajs,
                                      tiny_cfg, seed=1, episodes=2)
         n = tiny_cfg.train.sampled_trajs
@@ -176,14 +329,14 @@ class TestFinetune:
         trajs, _, _ = tiny_dataset
         pol, rtgp = trainer.build_models(tiny_cfg)
         calls = []
-        loss_and_grad = RtgPredictor.loss_and_grad
+        update = trainer.rtgp_update
 
-        def poisoned(self, *args):
-            loss, rhat = loss_and_grad(self, *args)
+        def poisoned(*args):
+            loss = update(*args)
             calls.append(1)
-            return (float("nan") if len(calls) == 3 else loss), rhat
+            return float("nan") if len(calls) == 3 else loss
 
-        monkeypatch.setattr(RtgPredictor, "loss_and_grad", poisoned)
+        monkeypatch.setattr(trainer, "rtgp_update", poisoned)
         rtgp_store = rtgp.init_store(1)
         with pytest.raises(trainer.TrainingAborted,
                            match="predictor loss at episode 1, fast update 0") as exc:
