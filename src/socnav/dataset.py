@@ -2,14 +2,15 @@
 
 Trajectories are stored as JSON Lines: a header line carrying the schema
 version, config hash and discount factor, then one trajectory per line.
-Floats are written with 17 significant digits so that load(save(T))
-reproduces every value bit for bit.
+Floats are written as the shortest repr that reads back to the same
+double, so load(save(T)) reproduces every value bit for bit, -0.0 with its
+sign. Files written before this encoder spelled floats with 17
+significant digits: their bytes differ, their values do not.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -143,37 +144,21 @@ def atomic_write(path, mode: str = "w"):
 # -- lossless JSON --------------------------------------------------------
 
 
-def dumps_lossless(x) -> str:
-    """Serialize to JSON with 17-significant-digit floats (round-trip exact)."""
-    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim:
-        if not np.isfinite(x).all():
-            raise ValueError("cannot serialize non-finite float")
-        return _dumps_floats(x.tolist())
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            raise ValueError("cannot serialize non-finite float")
-        return format(float(x), ".17g")
-    if isinstance(x, str):
-        return json.dumps(x)
-    if isinstance(x, dict):
-        items = (f"{json.dumps(k)}:{dumps_lossless(v)}" for k, v in x.items())
-        return "{" + ",".join(items) + "}"
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return "[" + ",".join(dumps_lossless(v) for v in x) + "]"
+def _plain(x):
+    # numpy arrays and scalars become the lists and Python numbers they hold
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
-def _dumps_floats(xs: list) -> str:
-    # nested lists of Python floats, as float64 ndarray.tolist() returns them
-    if xs and isinstance(xs[0], list):
-        return "[" + ",".join(map(_dumps_floats, xs)) + "]"
-    return "[" + ",".join([format(v, ".17g") for v in xs]) + "]"
+def dumps_lossless(x) -> str:
+    """Serialize to compact JSON whose floats read back bit for bit.
+
+    Each float is written as its shortest round-trip repr. NaN and
+    infinities raise ValueError; objects other than JSON types and
+    numpy arrays or scalars raise TypeError.
+    """
+    return json.dumps(x, allow_nan=False, separators=(",", ":"), default=_plain)
 
 
 def _traj_to_obj(t: Trajectory) -> dict:
@@ -218,6 +203,7 @@ def load_trajectories(path):
             raise DatasetFormatError(f"line 1: bad header ({exc})") from exc
         if header.get("schema") != SCHEMA_VERSION or header.get("kind") != "trajectories":
             raise DatasetFormatError("line 1: unsupported schema")
+        line_no = 1
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -226,6 +212,9 @@ def load_trajectories(path):
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {line_no}: bad JSON ({exc})") from exc
             trajectories.append(_traj_from_obj(obj, line_no))
+    if len(trajectories) != header.get("count"):
+        raise DatasetFormatError(f"line {line_no + 1}: header count {header.get('count')} "
+                                 f"but {len(trajectories)} trajectories read")
     return trajectories, header
 
 

