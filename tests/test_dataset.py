@@ -149,16 +149,24 @@ class TestSerialization:
         out = json.loads(dumps_lossless(vals))
         assert out == vals
 
+    @pytest.mark.parametrize("arr", [
+        np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, -1e300]),
+        np.array([[0.1, -0.0, 1 / 3], [1e-300, 5e-324, -2.5e300]]),
+        np.arange(24.0).reshape(2, 3, 4) / 7,
+        np.zeros(0), np.zeros((3, 0)), np.zeros((0, 2)),
+        np.array([[1.0, 2.0], [3.0, 4.0]])[:, ::-1],   # non-contiguous view
+    ])
+    def test_float64_array_bytes_match_element_path(self, arr):
+        # a float64 array and an object array of the same values
+        # write the same bytes, and every value reads back to its bits
+        text = dumps_lossless(arr)
+        assert text == dumps_lossless(arr.astype(object))
+        back = np.array(json.loads(text), dtype=np.float64)
+        assert back.tobytes() == arr.tobytes()
+
     @settings(deadline=None, database=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
                       elements=FINITE))
-    @example(np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, -1e300]))
-    @example(np.array([[0.1, -0.0, 1 / 3], [1e-300, 5e-324, -2.5e300]]))
-    @example(np.arange(24.0).reshape(2, 3, 4) / 7)
-    @example(np.zeros(0))
-    @example(np.zeros((3, 0)))
-    @example(np.zeros((0, 2)))
-    @example(np.array([[1.0, 2.0], [3.0, 4.0]])[:, ::-1])   # non-contiguous view
     @example(np.array(-0.0))
     def test_float64_array_round_trip_bit_for_bit(self, arr):
         back = np.array(json.loads(dumps_lossless(arr)), dtype=np.float64)
