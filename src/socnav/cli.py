@@ -18,6 +18,7 @@ import time
 
 from . import trainer as tr
 from .config import RTG_MODES, Config, ConfigError
+from .core import joint_dim
 from .dataset import (atomic_write, dataset_stats, dumps_lossless, generate_dataset,
                       load_trajectories)
 from .plotting import figure_paths, plot_trajectories, worlds_to_log, write_positions_log
@@ -25,6 +26,8 @@ from .plotting import figure_paths, plot_trajectories, worlds_to_log, write_posi
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+# training bytes depend on the BLAS thread count these variables set
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class CliError(Exception):
@@ -55,6 +58,36 @@ def _count(text) -> int:
     return value
 
 
+def _blas_threads() -> dict:
+    """Each BLAS thread variable's value, None when unset."""
+    return {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+
+
+def _warn_blas_threads():
+    """One stderr line when no BLAS thread count is set and more than one
+    CPU is usable: BLAS then runs a thread per CPU, which is slower beside
+    the training threads and writes other checkpoint bytes."""
+    if all(v is None for v in _blas_threads().values()) and len(os.sched_getaffinity(0)) > 1:
+        print("warning: OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are unset, so BLAS "
+              "runs one thread per CPU; set OPENBLAS_NUM_THREADS=1 for faster "
+              "training and reproducible checkpoints", file=sys.stderr)
+
+
+def _load_dataset(cfg: Config, path):
+    """Read a dataset written for the config's state width and discount;
+    another state width or `gamma` is a configuration error naming both."""
+    trajectories, header = load_trajectories(path)
+    want = joint_dim(cfg.sim.num_peds)
+    for t in trajectories:
+        if t.states.shape[-1] != want:
+            raise CliError(f"{path}: states are {t.states.shape[-1]} wide, the config's "
+                           f"{cfg.sim.num_peds} pedestrians need {want}", EXIT_CONFIG)
+    if header.get("gamma") != cfg.train.gamma:
+        raise CliError(f"{path}: return labels use gamma {header.get('gamma')}, the "
+                       f"config's train.gamma is {cfg.train.gamma}", EXIT_CONFIG)
+    return trajectories
+
+
 def _load_bundle(cfg: Config, path):
     """Read a bundle whose blocks match the config's models in name and shape;
     the first missing, extra or reshaped block is a configuration error."""
@@ -79,6 +112,7 @@ def _write_manifest(path, command, cfg: Config, artifacts, started,
         "command": command,
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
+        "blas_threads": _blas_threads(),
         "artifacts": sorted(a for a in artifacts if a),
         "stages": stages or {},
         "dry_run": dry_run,
@@ -105,7 +139,7 @@ def _pretrain(cfg: Config, trajs, out):
     """Pre-train and write the bundle; returns (result, bundle meta)."""
     result = tr.pretrain_offline(trajs, cfg, seed=cfg.seed)
     meta = {"config_hash": cfg.hash(), "phase": "pretrained",
-            "env_transitions": result.env_transitions}
+            "env_transitions": result.env_transitions, "blas_threads": _blas_threads()}
     tr.save_bundle(out, result.policy_store, result.rtgp_store, meta=meta)
     return result, meta
 
@@ -117,7 +151,8 @@ def _finetune(cfg: Config, policy_store, rtgp_store, meta, trajs, out, episodes,
                                 episodes=episodes, rtg_mode=rtg_mode)
     prev = int(meta.get("env_transitions", 0))
     meta = {"config_hash": cfg.hash(), "phase": "finetuned", "rtg_mode": result.rtg_mode,
-            "env_transitions": prev + result.env_transitions}
+            "env_transitions": prev + result.env_transitions,
+            "blas_threads": _blas_threads()}
     tr.save_bundle(out, result.policy_store, result.rtgp_store, meta=meta)
     return result, meta
 
@@ -153,7 +188,8 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args.config, args.seed)
     _guard_overwrite([args.out], args.force)
-    trajectories, _ = load_trajectories(args.data)
+    _warn_blas_threads()
+    trajectories = _load_dataset(cfg, args.data)
     result, _ = _pretrain(cfg, trajectories, args.out)
     print(f"wrote {args.out}: {result.iterations} iterations, final losses "
           f"policy {result.policy_losses[-1]:.5f} rtgp {result.rtgp_losses[-1]:.5f}")
@@ -163,8 +199,9 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _load_config(args.config, args.seed)
     _guard_overwrite([args.out], args.force)
+    _warn_blas_threads()
     policy_store, rtgp_store, meta = _load_bundle(cfg, args.ckpt)
-    trajectories, _ = load_trajectories(args.data)
+    trajectories = _load_dataset(cfg, args.data)
     result, _ = _finetune(cfg, policy_store, rtgp_store, meta, trajectories, args.out,
                           args.episodes, args.rtg_mode)
     n_succ = sum(1 for e in result.episodes if e.outcome == "success")
@@ -215,6 +252,7 @@ def cmd_pipeline(args) -> int:
     _guard_overwrite([paths["config"], paths["dataset"], paths["dataset"] + ".stats.json",
                       paths["pretrained"], paths["finetuned"], paths["report"],
                       paths["positions"], *figures], args.force)
+    _warn_blas_threads()
     episodes = cfg.train.offline_episodes if args.episodes is None else args.episodes
     trajectories, stats = _gen_data(cfg, episodes, paths["dataset"])
     with atomic_write(paths["config"]) as fh:

@@ -280,30 +280,38 @@ def _reduce_keys(ufunc, x):
 
 
 def attention_fwd(store, name, q_in, k_in, v_in, num_heads,
-                  causal=False, valid=None):
+                  causal=False, valid=None, rows=None):
     """Multi-head scaled dot-product attention over axis -2.
 
-    q_in/k_in/v_in: (B, T, D) already projected. Heads are split from D,
-    attended independently, concatenated and merged by the output layer.
-    With `causal`, position t attends only to positions <= t. `valid`
-    (B, T) boolean marks real (non-padded) positions; padded keys receive
-    exactly zero weight and fully padded query rows produce zero output.
+    k_in/v_in: (B, T, D) already projected; q_in is (B, T, D) too, or with
+    `rows` (a slice of the T positions) holds the queries at those
+    positions only, and the output has their rows only. Heads are split
+    from D, attended independently, concatenated and merged by the output
+    layer. With `causal`, position t attends only to positions <= t.
+    `valid` (B, T) boolean marks real (non-padded) positions; padded keys
+    receive exactly zero weight and fully padded query rows produce zero
+    output.
     """
-    B, T, D = q_in.shape
+    B, T, D = k_in.shape
     if D % num_heads != 0:
         raise ValueError(f"{name}: dim {D} not divisible by {num_heads} heads")
     dk = D // num_heads
     q, k, v = (_heads(x, num_heads) for x in (q_in, k_in, v_in))
-    scores = q @ k.transpose(0, 1, 3, 2)
+    k_t = k.transpose(0, 1, 3, 2)
+    if rows is not None:
+        # a contiguous k^T gives the selected rows the full product's bytes
+        k_t = np.ascontiguousarray(k_t)
+    scores = q @ k_t
     scores /= np.sqrt(np.asarray(dk, dtype=q.dtype))
 
     # softmax in place on the score buffer; without a mask every row has a
     # finite maximum and a denominator of at least 1
     masked = causal or valid is not None
     if masked:
-        allowed = np.tri(T, dtype=bool) if causal else np.ones((T, T), dtype=bool)
+        queries = slice(None) if rows is None else rows
+        allowed = (np.tri(T, dtype=bool) if causal else np.ones((T, T), dtype=bool))[queries]
         if valid is not None:
-            allowed = allowed & valid[:, None, None, :] & valid[:, None, :, None]
+            allowed = allowed & valid[:, None, None, :] & valid[:, queries, None][:, None]
         np.copyto(scores, -np.inf, where=~allowed)
     row_max = _reduce_keys(np.maximum, scores)
     if masked:
@@ -349,33 +357,49 @@ def add_encoder_block(store, name, dim, ffn_dim, rng):
     add_dense(store, f"{name}.f2", ffn_dim, dim, rng)
 
 
-def encoder_block_fwd(store, name, x, num_heads, causal=False, valid=None):
-    """x + MSA(q(x), k(x), v(x)), then x' + FFN(LN(x'))."""
-    q, cq = dense_fwd(store, f"{name}.q", x, relu=True)
+def encoder_block_fwd(store, name, x, num_heads, causal=False, valid=None,
+                      rows=None):
+    """x + MSA(q(x), k(x), v(x)), then x' + FFN(LN(x')).
+
+    With `rows`, a slice of the sequence axis, the output holds those
+    positions only: k and v still run at every position, while q, the
+    attention rows, the residual, the layer norm and the FFN run at the
+    selected ones, which get the bytes the full block gives them.
+    """
+    xq = x if rows is None else np.ascontiguousarray(x[:, rows])
+    q, cq = dense_fwd(store, f"{name}.q", xq, relu=True)
     k, ck = dense_fwd(store, f"{name}.k", x, relu=True)
     v, cv = dense_fwd(store, f"{name}.v", x, relu=True)
     # the attention and f2 outputs are linear outputs that no cache holds,
     # so the residual sums reuse their buffers
     x1, ca = attention_fwd(store, f"{name}.att", q, k, v, num_heads,
-                           causal=causal, valid=valid)
-    x1 += x
+                           causal=causal, valid=valid, rows=rows)
+    x1 += xq
     h, cn = layer_norm_fwd(store, f"{name}.ln", x1)
     f1, c1 = dense_fwd(store, f"{name}.f1", h, relu=True)
     y, c2 = dense_fwd(store, f"{name}.f2", f1)
     y += x1
-    return y, (name, cq, ck, cv, ca, cn, c1, c2)
+    return y, (name, rows, cq, ck, cv, ca, cn, c1, c2)
 
 
 def encoder_block_bwd(store, cache, dy):
-    name, cq, ck, cv, ca, cn, c1, c2 = cache
+    """dx at every position of the block's input; dy covers the rows the
+    forward pass selected (all of them by default)."""
+    name, rows, cq, ck, cv, ca, cn, c1, c2 = cache
     df1 = dense_bwd(store, c2, dy)
     dh = dense_bwd(store, c1, df1)
     dx1 = layer_norm_bwd(store, cn, dh)
     dx1 += dy
     dq, dk, dv = attention_bwd(store, ca, dx1)
-    dx = dense_bwd(store, cq, dq)
-    dx += dx1
-    dx += dense_bwd(store, ck, dk)
+    dxq = dense_bwd(store, cq, dq)
+    dxq += dx1
+    if rows is None:
+        dx = dxq
+        dx += dense_bwd(store, ck, dk)
+    else:
+        # (a + b) == (b + a) in IEEE arithmetic: the same sums as above
+        dx = dense_bwd(store, ck, dk)
+        dx[:, rows] += dxq
     dx += dense_bwd(store, cv, dv)
     return dx
 

@@ -138,26 +138,25 @@ class DtPolicy:
         token_valid[:, 1::3] = step_valid
         token_valid[:, 2::3] = action_valid
 
+        # actions are decoded at the state tokens (1::3) only, so the last
+        # block runs its queries there (keys and values still cover every token)
         caches = []
         x = seq
         for i in range(self.num_blocks):
+            rows = slice(1, None, 3) if i == self.num_blocks - 1 else None
             x, cb = nn.encoder_block_fwd(store, f"block{i}", x, self.heads,
-                                         causal=True, valid=token_valid)
+                                         causal=True, valid=token_valid, rows=rows)
             caches.append(cb)
 
-        h_s = np.ascontiguousarray(x[:, 1::3, :])
-        z, c_head = nn.dense_fwd(store, "head", h_s)
+        z, c_head = nn.dense_fwd(store, "head", x)
         a_hat, c_sq = squash_fwd(z, self.v_max)
-        cache = (B, K, c_r, c_s, c_a, caches, c_head, c_sq)
+        cache = (c_r, c_s, c_a, caches, c_head, c_sq)
         return a_hat, cache
 
     def backward(self, store, cache, da_hat):
-        B, K, c_r, c_s, c_a, caches, c_head, c_sq = cache
-        D = self.hidden
+        c_r, c_s, c_a, caches, c_head, c_sq = cache
         dz = squash_bwd(c_sq, da_hat.astype(store.dtype), self.v_max)
-        dh_s = nn.dense_bwd(store, c_head, dz)
-        dx = np.zeros((B, 3 * K, D), dtype=store.dtype)
-        dx[:, 1::3] = dh_s
+        dx = nn.dense_bwd(store, c_head, dz)
         for cb in reversed(caches):
             dx = nn.encoder_block_bwd(store, cb, dx)
         dr = dx[:, 0::3]

@@ -7,6 +7,9 @@ temporal transformer attends over the step sequence. Their features are
 merged by a dense layer, refined by a second spatial and a second causal
 temporal block, averaged over valid steps, concatenated with the embedded
 current state and mapped to a scalar return estimate by a two-layer head.
+The second spatial block runs on the real slots of each window only:
+padded slots get zero weight in the second temporal block and are masked
+out of the average, so they read zeros there and pass back no gradient.
 
 Trained by regression onto Monte-Carlo returns (mean squared error).
 
@@ -31,7 +34,9 @@ class WindowBatch(NamedTuple):
 
     A step's spatial tokens depend only on that step and its previous
     transition, so windows that hold the same step read one row of
-    `spatial`; row 0 is the all-zero token set of every padded slot.
+    `spatial`; row 0 is the all-zero token set of every padded slot. Only
+    the first spatial block reads padded slots (through row 0); the second
+    runs on the `valid` slots alone.
     """
 
     spatial: np.ndarray    # (S, m+1, SPATIAL_TOKEN_DIM) distinct steps, row 0 padding
@@ -48,6 +53,28 @@ class WindowBatch(NamedTuple):
         return WindowBatch(spatial=self.spatial[read], temporal=self.temporal[idx],
                            valid=self.valid[idx], current=self.current[idx],
                            rows=np.searchsorted(read, rows))
+
+
+def scatter_rows(index, values, n: int) -> np.ndarray:
+    """out[i] = the sum of values[j] over j with index[j] == i, for an
+    (n, ...) out and indices in [0, n): np.add.at(zeros, index, values)
+    byte for byte.
+
+    A stable sort by row ranks each row's reads in slot order; pass k adds
+    every row's k-th read with one fancy-index add, so each row sums its
+    reads in np.add.at's order, in as many passes as the most-read row has
+    reads.
+    """
+    out = np.zeros((n, *values.shape[1:]), dtype=values.dtype)
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    pos = np.arange(len(index))
+    first = np.maximum.accumulate(np.where(np.diff(ranked, prepend=-1) != 0, pos, 0))
+    rank = pos - first
+    for k in range(rank.max(initial=-1) + 1):
+        take = order[rank == k]
+        out[index[take]] += values[take]
+    return out
 
 
 class RtgPredictor:
@@ -125,14 +152,18 @@ class RtgPredictor:
         cat = np.concatenate([summary, ft], axis=-1)
         merged, c_m = nn.dense_fwd(store, "merge", cat, relu=True)
 
-        tok2 = fs_rows[rows]
-        tok2 += merged[:, :, None, :]
-        s2_flat, c_s2 = nn.encoder_block_fwd(store, "spatial2",
-                                             tok2.reshape(B * W, M1, D), self.heads)
-        s2 = s2_flat.reshape(B, W, M1, D).mean(axis=2)
+        # only real slots run spatial2: temporal2 gives padded slots zero
+        # weight and the average masks them out, so they read zeros
+        real = np.flatnonzero(valid)
+        slot_rows = rows.reshape(-1)[real]
+        tok2 = fs_rows[slot_rows]
+        tok2 += merged.reshape(B * W, D)[real][:, None, :]
+        s2_real, c_s2 = nn.encoder_block_fwd(store, "spatial2", tok2, self.heads)
+        s2 = np.zeros((B * W, D), dtype=dt)
+        s2[real] = s2_real.mean(axis=1)
 
-        fst, c_t2 = nn.encoder_block_fwd(store, "temporal2", s2, self.heads,
-                                         causal=True, valid=valid)
+        fst, c_t2 = nn.encoder_block_fwd(store, "temporal2", s2.reshape(B, W, D),
+                                         self.heads, causal=True, valid=valid)
 
         nvalid = valid.sum(axis=1, keepdims=True).astype(dt)
         avg = (fst * valid[..., None]).sum(axis=1) / nvalid
@@ -141,14 +172,14 @@ class RtgPredictor:
         h1, c_h1 = nn.dense_fwd(store, "head1", hin, relu=True)
         out, c_h2 = nn.dense_fwd(store, "head2", h1)
         rhat = out[:, 0]
-        cache = (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
-                 c_t2, c_ec, c_h1, c_h2)
+        cache = (S, M1, real, slot_rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m,
+                 c_s2, c_t2, c_ec, c_h1, c_h2)
         return rhat, cache
 
     def backward(self, store, cache, drhat):
-        (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
-         c_t2, c_ec, c_h1, c_h2) = cache
-        B, W = rows.shape
+        (S, M1, real, slot_rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m,
+         c_s2, c_t2, c_ec, c_h1, c_h2) = cache
+        B, W = valid.shape
         D = self.hidden
         dt = store.dtype
 
@@ -159,14 +190,13 @@ class RtgPredictor:
         nn.dense_bwd(store, c_ec, dcur)
         dfst = valid[..., None] * (davg[:, None, :] / nvalid[:, :, None])
 
-        ds2 = nn.encoder_block_bwd(store, c_t2, dfst)
-        ds2_tok = np.broadcast_to(ds2[:, :, None, :] / M1,
-                                  (B, W, M1, D)).reshape(B * W, M1, D)
-        dfs = nn.encoder_block_bwd(store, c_s2,
-                                   np.ascontiguousarray(ds2_tok)).reshape(B, W, M1, D)
-        dmerged = dfs.sum(axis=2)
+        ds2 = nn.encoder_block_bwd(store, c_t2, dfst).reshape(B * W, D)
+        ds2_tok = np.broadcast_to((ds2[real] / M1)[:, None, :], (len(real), M1, D))
+        dfs = nn.encoder_block_bwd(store, c_s2, np.ascontiguousarray(ds2_tok))
+        dmerged = np.zeros((B * W, D), dtype=dt)
+        dmerged[real] = dfs.sum(axis=1)
 
-        dcat = nn.dense_bwd(store, c_m, dmerged)
+        dcat = nn.dense_bwd(store, c_m, dmerged.reshape(B, W, D))
         dsummary, dft = dcat[..., :D], dcat[..., D:]
 
         dx_t = nn.encoder_block_bwd(store, c_t1, np.ascontiguousarray(dft))
@@ -174,11 +204,10 @@ class RtgPredictor:
         store.accumulate("pad", (dx_t * (~valid[..., None])).sum(axis=(0, 1)))
         nn.dense_bwd(store, c_et, dx_t * valid[..., None])
 
-        dfs += dsummary[:, :, None, :] / M1
-        # adjoint of the gather: each step row sums the slots that read it
-        dfs_rows = np.zeros((S, M1, D), dtype=dfs.dtype)
-        np.add.at(dfs_rows, rows.reshape(-1), dfs.reshape(B * W, M1, D))
-        df = nn.encoder_block_bwd(store, c_s1, dfs_rows)
+        dfs += (dsummary.reshape(B * W, D)[real] / M1)[:, None, :]
+        # adjoint of the gather: each step row sums the real slots that read
+        # it (padded slots carry exact-zero gradients)
+        df = nn.encoder_block_bwd(store, c_s1, scatter_rows(slot_rows, dfs, S))
         nn.dense_bwd(store, c_es, df)
 
     def loss_and_grad(self, store, batch, targets, counts=None, total=None):

@@ -9,6 +9,7 @@ import pytest
 from socnav import trainer
 from socnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from socnav.config import Config
+from socnav.core import joint_dim
 from socnav.dataset import load_trajectories
 
 
@@ -128,10 +129,10 @@ class TestFinetuneCapacity:
         assert not (tmp_path / "f.ckpt").exists()
 
 
-def with_net(cfg_file, path, **net) -> str:
-    """A copy of the config file with `net` overrides; returns its path."""
+def with_overrides(cfg_file, path, section, **values) -> str:
+    """A copy of the config file with `values` set in `section`; returns its path."""
     cfg = json.loads(open(cfg_file).read())
-    cfg["net"].update(net)
+    cfg[section].update(values)
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -158,8 +159,9 @@ class TestBundleShapes:
     def test_mismatch_is_2_naming_the_block(self, tiny_config_file, tmp_path, capsys,
                                             bundle_net, run_net, message, command):
         ckpt = str(tmp_path / "c.ckpt")
-        write_bundle(ckpt, with_net(tiny_config_file, tmp_path / "b.json", **bundle_net))
-        cfg = with_net(tiny_config_file, tmp_path / "r.json", **run_net)
+        write_bundle(ckpt, with_overrides(tiny_config_file, tmp_path / "b.json", "net",
+                                          **bundle_net))
+        cfg = with_overrides(tiny_config_file, tmp_path / "r.json", "net", **run_net)
         argv = {"finetune": ["finetune", "--ckpt", ckpt, "--data", str(tmp_path / "d.jsonl"),
                              "--out", str(tmp_path / "f.ckpt")],
                 "eval": ["eval", "--ckpt", ckpt, "--episodes", "1",
@@ -174,6 +176,89 @@ class TestBundleShapes:
         write_bundle(ckpt, tiny_config_file)
         assert run("--config", tiny_config_file, "eval", "--ckpt", ckpt, "--episodes", "1",
                    "--report", str(tmp_path / "r.json")) == EXIT_OK
+
+
+class TestDatasetMismatch:
+    @pytest.mark.parametrize("section, values, message", [
+        ("sim", {"num_peds": 3},
+         f"states are {joint_dim(3)} wide, the config's 2 pedestrians need {joint_dim(2)}"),
+        ("train", {"gamma": 0.9},
+         "return labels use gamma 0.9, the config's train.gamma is 0.99")],
+        ids=["num_peds", "gamma"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_mismatch_is_2_naming_both_values(self, tiny_config_file, tmp_path, capsys,
+                                              section, values, message, command):
+        # a dataset written under another config
+        other = with_overrides(tiny_config_file, tmp_path / "other.json", section, **values)
+        data, ckpt, out = (str(tmp_path / n) for n in ("d.jsonl", "c.ckpt", "o.ckpt"))
+        assert run("--config", other, "gen-data", "--episodes", "2",
+                   "--out", data) == EXIT_OK
+        argv = ["--data", data, "--out", out]
+        if command == "finetune":
+            write_bundle(ckpt, tiny_config_file)
+            argv += ["--ckpt", ckpt]
+        capsys.readouterr()
+        assert run("--config", tiny_config_file, command, *argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+BLAS_WARNING = "warning: OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are unset"
+
+
+class TestBlasThreads:
+    @pytest.fixture()
+    def stages(self, tiny_config_file, tmp_path):
+        """argv of pipeline, pretrain and finetune on one tiny dataset."""
+        data, ckpt = str(tmp_path / "d.jsonl"), str(tmp_path / "c.ckpt")
+        assert run("--config", tiny_config_file, "gen-data", "--episodes", "2",
+                   "--out", data) == EXIT_OK
+        write_bundle(ckpt, tiny_config_file)
+        return {"pipeline": ["pipeline", "--out", str(tmp_path / "run"),
+                             "--eval-episodes", "1"],
+                "pretrain": ["pretrain", "--data", data, "--out", str(tmp_path / "p.ckpt")],
+                "finetune": ["finetune", "--ckpt", ckpt, "--data", data,
+                             "--out", str(tmp_path / "f.ckpt")]}
+
+    @staticmethod
+    def warnings(monkeypatch, capsys, argv, env, cpus) -> int:
+        """How often one command warns under these variables and usable CPUs."""
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        trainer._training_pool()   # sized by the real CPUs before they are faked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_OK
+        return capsys.readouterr().err.count(BLAS_WARNING)
+
+    @pytest.mark.parametrize("command", ["pipeline", "pretrain", "finetune"])
+    def test_one_warning_when_unset_on_two_cpus(self, tiny_config_file, stages,
+                                                monkeypatch, capsys, command):
+        assert self.warnings(monkeypatch, capsys, ["--config", tiny_config_file,
+                                                   *stages[command]], {}, {0, 1}) == 1
+
+    @pytest.mark.parametrize("env, cpus", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}),
+        ({"OMP_NUM_THREADS": "1"}, {0, 1}),
+        ({}, {0})], ids=["openblas-set", "omp-set", "one-cpu"])
+    def test_no_warning_when_set_or_on_one_cpu(self, tiny_config_file, stages,
+                                               monkeypatch, capsys, env, cpus):
+        assert self.warnings(monkeypatch, capsys, ["--config", tiny_config_file,
+                                                   *stages["pretrain"]], env, cpus) == 0
+
+    def test_manifest_and_bundles_record_the_setting(self, tiny_config_file, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert run("--config", tiny_config_file, "pipeline", "--out", str(out),
+                   "--eval-episodes", "1") == EXIT_OK
+        want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == want
+        for name in ("pretrained.ckpt", "finetuned.ckpt"):
+            assert trainer.load_bundle(out / name)[2]["blas_threads"] == want
 
 
 class TestOverwriteGuard:

@@ -196,6 +196,67 @@ class TestEncoderBlock:
         assert grad_check(loss, store, max_coords=300,
                           rng=np.random.default_rng(0)).max_rel_err < 1e-4
 
+    def test_gradcheck_with_query_rows(self, rng):
+        # the input is a parameter block too, so the check covers dx at
+        # every position: selected rows and key/value-only rows alike
+        store = f64_store()
+        nn.add_encoder_block(store, "blk", 8, 12, rng)
+        store.add("x", rng.normal(size=(2, 9, 8)))
+        t = rng.normal(size=(2, 3, 8))
+        valid = np.array([[False, False, False, True, True, True, True, True, False],
+                          [True] * 9])
+
+        def loss(s):
+            s.zero_grads()
+            y, c = nn.encoder_block_fwd(s, "blk", s["x"], 2, causal=True, valid=valid,
+                                        rows=slice(1, None, 3))
+            L, dy = nn.mse_loss(y, t)
+            s.accumulate("x", nn.encoder_block_bwd(s, c, dy))
+            return L
+
+        report = grad_check(loss, store, max_coords=400, rng=np.random.default_rng(0))
+        assert report.max_rel_err < 1e-4
+        assert report.per_block["x"] < 1e-4
+
+    @pytest.mark.parametrize("batch", [1, 64], ids=["act", "train-shard"])
+    def test_query_rows_give_the_full_blocks_bytes(self, rng, batch):
+        # the policy's last block at published shapes (K = 20 triples, D = 128,
+        # 4 heads): one window as Actor.act runs it, and a training shard;
+        # front padding and a masked last action token as at decision time
+        store = nn.ParamStore()
+        nn.add_encoder_block(store, "blk", 128, 128, rng)
+        x = f32(rng, (batch, 60, 128))
+        valid = np.ones((batch, 60), dtype=bool)
+        valid[:, :3 * (batch % 7)] = False
+        valid[:, -1] = False
+        rows = slice(1, None, 3)
+        full, _ = nn.encoder_block_fwd(store, "blk", x, 4, causal=True, valid=valid)
+        part, _ = nn.encoder_block_fwd(store, "blk", x, 4, causal=True, valid=valid,
+                                       rows=rows)
+        assert part.shape == (batch, 20, 128)
+        assert part.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
+
+    def test_query_rows_backward_matches_full_block(self, rng):
+        # float64: the selected block's gradients equal the full block's
+        # with zeros at the unselected rows, up to summation order
+        store = f64_store()
+        nn.add_encoder_block(store, "blk", 8, 12, rng)
+        x = rng.normal(size=(3, 12, 8))
+        valid = np.array([[False] * 3 + [True] * 9, [True] * 12, [True] * 11 + [False]])
+        rows = slice(1, None, 3)
+        dy = rng.normal(size=(3, 4, 8))
+        dy_full = np.zeros_like(x)
+        dy_full[:, rows] = dy
+        runs = []
+        for sel, d in ((rows, dy), (None, dy_full)):
+            store.zero_grads()
+            _, c = nn.encoder_block_fwd(store, "blk", x, 2, causal=True, valid=valid,
+                                        rows=sel)
+            runs.append([nn.encoder_block_bwd(store, c, d),
+                         *(g.copy() for g in store.grads.values())])
+        for got, want in zip(*runs):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_linear_path_gradcheck_is_tight(self, rng):
         # a plain dense layer is exactly linear in its weights: finite
         # differences agree to near machine precision

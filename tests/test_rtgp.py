@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from socnav import nn
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
 from socnav.dataset import Trajectory, compute_rtg
 from socnav.features import canonicalize_joint
 from socnav.gradcheck import grad_check
-from socnav.rtgp import RtgPredictor, WindowBatch
+from socnav.rtgp import RtgPredictor, WindowBatch, scatter_rows
 from socnav.trainer import rtgp_batch_from
 
 
@@ -265,3 +269,135 @@ class TestPredictSequence:
             one = net.predict(store, states[:t + 1], actions[:t + 1],
                               rewards[:t + 1], end=t)
             assert seq[t] == pytest.approx(one, abs=2e-6)
+
+
+class AllSlotsPredictor(RtgPredictor):
+    """Reference: spatial2 runs on every slot, padded ones included, and the
+    slot gradients reach the step rows through np.add.at."""
+
+    def forward(self, store, spatial, temporal, valid, current, rows):
+        dt = store.dtype
+        spatial = np.ascontiguousarray(spatial, dtype=dt)
+        temporal = np.ascontiguousarray(temporal, dtype=dt)
+        current = np.ascontiguousarray(current, dtype=dt)
+        S, M1, _ = spatial.shape
+        B, W = rows.shape
+        D = self.hidden
+        f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
+        fs_rows, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
+        summary = fs_rows.mean(axis=1)[rows]
+        te_raw, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
+        te = np.where(valid[..., None], te_raw, store["pad"])
+        ft, c_t1 = nn.encoder_block_fwd(store, "temporal1", te + store["pos"], self.heads,
+                                        causal=True, valid=valid)
+        merged, c_m = nn.dense_fwd(store, "merge", np.concatenate([summary, ft], axis=-1),
+                                   relu=True)
+        tok2 = fs_rows[rows]
+        tok2 += merged[:, :, None, :]
+        s2_flat, c_s2 = nn.encoder_block_fwd(store, "spatial2",
+                                             tok2.reshape(B * W, M1, D), self.heads)
+        s2 = s2_flat.reshape(B, W, M1, D).mean(axis=2)
+        fst, c_t2 = nn.encoder_block_fwd(store, "temporal2", s2, self.heads,
+                                         causal=True, valid=valid)
+        nvalid = valid.sum(axis=1, keepdims=True).astype(dt)
+        avg = (fst * valid[..., None]).sum(axis=1) / nvalid
+        cur_emb, c_ec = nn.dense_fwd(store, "embed_cur", current, relu=True)
+        h1, c_h1 = nn.dense_fwd(store, "head1", np.concatenate([avg, cur_emb], axis=-1),
+                                relu=True)
+        out, c_h2 = nn.dense_fwd(store, "head2", h1)
+        return out[:, 0], (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m,
+                           c_s2, c_t2, c_ec, c_h1, c_h2)
+
+    def backward(self, store, cache, drhat):
+        (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
+         c_t2, c_ec, c_h1, c_h2) = cache
+        B, W = rows.shape
+        D = self.hidden
+        dh1 = nn.dense_bwd(store, c_h2, drhat[:, None].astype(store.dtype))
+        dhin = nn.dense_bwd(store, c_h1, dh1)
+        nn.dense_bwd(store, c_ec, dhin[:, D:])
+        dfst = valid[..., None] * (dhin[:, None, :D] / nvalid[:, :, None])
+        ds2 = nn.encoder_block_bwd(store, c_t2, dfst)
+        ds2_tok = np.broadcast_to(ds2[:, :, None, :] / M1, (B, W, M1, D))
+        dfs = nn.encoder_block_bwd(store, c_s2, np.ascontiguousarray(
+            ds2_tok.reshape(B * W, M1, D))).reshape(B, W, M1, D)
+        dcat = nn.dense_bwd(store, c_m, dfs.sum(axis=2))
+        dx_t = nn.encoder_block_bwd(store, c_t1, np.ascontiguousarray(dcat[..., D:]))
+        store.accumulate("pos", dx_t.sum(axis=0))
+        store.accumulate("pad", (dx_t * (~valid[..., None])).sum(axis=(0, 1)))
+        nn.dense_bwd(store, c_et, dx_t * valid[..., None])
+        dfs += dcat[:, :, None, :D] / M1
+        dfs_rows = np.zeros((S, M1, D), dtype=dfs.dtype)
+        np.add.at(dfs_rows, rows.reshape(-1), dfs.reshape(B * W, M1, D))
+        nn.dense_bwd(store, c_es, nn.encoder_block_bwd(store, c_s1, dfs_rows))
+
+
+# (net, episode lengths, windows drawn): the tests' shapes and the published
+# ones (5 pedestrians, W = 20, D = 128), where about a quarter of the slots
+# are front padding
+REAL_SLOT_SHAPES = {
+    "small": (dict(num_peds=2, window=4, hidden_dim=16, num_heads=2, ffn_dim=16,
+                   head_hidden=8), (9, 3, 6), 24),
+    "published": (dict(num_peds=5, window=20), (52, 25, 31), 64),
+}
+
+
+class TestRealSlotsOnly:
+    @pytest.fixture(params=list(REAL_SLOT_SHAPES))
+    def setup(self, request, rng):
+        kwargs, lengths, draws = REAL_SLOT_SHAPES[request.param]
+        net, ref = RtgPredictor(**kwargs), AllSlotsPredictor(**kwargs)
+        episodes = [fake_episode(rng, net, steps=n) for n in lengths]
+        picks = rng.integers(0, len(episodes), size=draws)
+        ends = [int(rng.integers(0, lengths[i])) for i in picks]
+        batch = net.window_batch([episodes[i] for i in picks], ends)
+        assert not batch.valid.all()
+        return net, ref, net.init_store(11), episodes, batch, rng.normal(size=draws)
+
+    def test_forward_bytes_match_all_slots(self, setup):
+        net, ref, store, episodes, batch, _ = setup
+        assert net.forward(store, *batch)[0].tobytes() == \
+            ref.forward(store, *batch)[0].tobytes()
+        for episode in episodes:
+            assert net.predict_sequence(store, *episode).tobytes() == \
+                ref.predict_sequence(store, *episode).tobytes()
+
+    def test_gradients_close_to_all_slots(self, setup):
+        # the GEMMs sum over fewer rows: float32 rounding differs, nothing more
+        net, ref, store, _, batch, targets = setup
+        grads = []
+        for model in (net, ref):
+            loss, rhat = model.loss_and_grad(store, batch, targets)
+            grads.append((loss, {k: g.copy() for k, g in store.grads.items()}))
+        (loss, got), (loss_ref, want) = grads
+        assert loss == loss_ref
+        for name, g in want.items():
+            np.testing.assert_allclose(got[name], g, rtol=1e-5,
+                                       atol=1e-5 * np.abs(g).max(), err_msg=name)
+
+
+SCATTER_VALUES = st.floats(-2.0 ** 100, 2.0 ** 100, width=32)
+
+
+@st.composite
+def scatter_inputs(draw):
+    n = draw(st.integers(1, 6))
+    index = draw(hnp.arrays(np.intp, st.integers(0, 30), elements=st.integers(0, n - 1)))
+    values = draw(hnp.arrays(np.float32, (len(index), 2, 3), elements=SCATTER_VALUES))
+    return index, values, n
+
+
+class TestScatterRows:
+    @settings(deadline=None, database=None)
+    @given(scatter_inputs())
+    @example((np.zeros(0, np.intp), np.zeros((0, 2, 3), np.float32), 3))
+    @example((np.array([2, 0, 2, 2]), np.full((4, 2, 3), -0.0, np.float32), 4))
+    @example((np.array([1, 1, 1]), np.array([1e8, 1.0, -1e8], np.float32)
+              .repeat(6).reshape(3, 2, 3), 2))
+    def test_matches_add_at_bytes(self, args):
+        index, values, n = args
+        want = np.zeros((n, *values.shape[1:]), np.float32)
+        np.add.at(want, index, values)
+        got = scatter_rows(index, values, n)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
