@@ -393,13 +393,8 @@ def encoder_block_bwd(store, cache, dy):
     dq, dk, dv = attention_bwd(store, ca, dx1)
     dxq = dense_bwd(store, cq, dq)
     dxq += dx1
-    if rows is None:
-        dx = dxq
-        dx += dense_bwd(store, ck, dk)
-    else:
-        # (a + b) == (b + a) in IEEE arithmetic: the same sums as above
-        dx = dense_bwd(store, ck, dk)
-        dx[:, rows] += dxq
+    dx = dense_bwd(store, ck, dk)
+    dx[:, slice(None) if rows is None else rows] += dxq
     dx += dense_bwd(store, cv, dv)
     return dx
 

@@ -55,28 +55,6 @@ class WindowBatch(NamedTuple):
                            rows=np.searchsorted(read, rows))
 
 
-def scatter_rows(index, values, n: int) -> np.ndarray:
-    """out[i] = the sum of values[j] over j with index[j] == i, for an
-    (n, ...) out and indices in [0, n): np.add.at(zeros, index, values)
-    byte for byte.
-
-    A stable sort by row ranks each row's reads in slot order; pass k adds
-    every row's k-th read with one fancy-index add, so each row sums its
-    reads in np.add.at's order, in as many passes as the most-read row has
-    reads.
-    """
-    out = np.zeros((n, *values.shape[1:]), dtype=values.dtype)
-    order = np.argsort(index, kind="stable")
-    ranked = index[order]
-    pos = np.arange(len(index))
-    first = np.maximum.accumulate(np.where(np.diff(ranked, prepend=-1) != 0, pos, 0))
-    rank = pos - first
-    for k in range(rank.max(initial=-1) + 1):
-        take = order[rank == k]
-        out[index[take]] += values[take]
-    return out
-
-
 class RtgPredictor:
     """Fixed-architecture return predictor over history windows."""
 
@@ -207,7 +185,9 @@ class RtgPredictor:
         dfs += (dsummary.reshape(B * W, D)[real] / M1)[:, None, :]
         # adjoint of the gather: each step row sums the real slots that read
         # it (padded slots carry exact-zero gradients)
-        df = nn.encoder_block_bwd(store, c_s1, scatter_rows(slot_rows, dfs, S))
+        dfs_rows = np.zeros((S, M1, D), dtype=dt)
+        np.add.at(dfs_rows, slot_rows, dfs)
+        df = nn.encoder_block_bwd(store, c_s1, dfs_rows)
         nn.dense_bwd(store, c_es, df)
 
     def loss_and_grad(self, store, batch, targets, counts=None, total=None):

@@ -218,22 +218,27 @@ class TestEncoderBlock:
         assert report.max_rel_err < 1e-4
         assert report.per_block["x"] < 1e-4
 
-    @pytest.mark.parametrize("batch", [1, 64], ids=["act", "train-shard"])
-    def test_query_rows_give_the_full_blocks_bytes(self, rng, batch):
+    @pytest.mark.parametrize("dim,heads,triples,batch", [
+        (128, 4, 20, 1), (128, 4, 20, 64), (16, 2, 5, 1), (16, 2, 5, 8)],
+        ids=["act", "train-shard", "tiny-act", "tiny-train"])
+    def test_query_rows_give_the_full_blocks_bytes(self, rng, dim, heads, triples,
+                                                   batch):
         # the policy's last block at published shapes (K = 20 triples, D = 128,
-        # 4 heads): one window as Actor.act runs it, and a training shard;
-        # front padding and a masked last action token as at decision time
+        # 4 heads) and at the tests' tiny config (K = 5, D = 16, 2 heads): one
+        # window as Actor.act runs it, and a training batch; front padding
+        # and a masked last action token as at decision time
         store = nn.ParamStore()
-        nn.add_encoder_block(store, "blk", 128, 128, rng)
-        x = f32(rng, (batch, 60, 128))
-        valid = np.ones((batch, 60), dtype=bool)
+        nn.add_encoder_block(store, "blk", dim, dim, rng)
+        T = 3 * triples
+        x = f32(rng, (batch, T, dim))
+        valid = np.ones((batch, T), dtype=bool)
         valid[:, :3 * (batch % 7)] = False
         valid[:, -1] = False
         rows = slice(1, None, 3)
-        full, _ = nn.encoder_block_fwd(store, "blk", x, 4, causal=True, valid=valid)
-        part, _ = nn.encoder_block_fwd(store, "blk", x, 4, causal=True, valid=valid,
+        full, _ = nn.encoder_block_fwd(store, "blk", x, heads, causal=True, valid=valid)
+        part, _ = nn.encoder_block_fwd(store, "blk", x, heads, causal=True, valid=valid,
                                        rows=rows)
-        assert part.shape == (batch, 20, 128)
+        assert part.shape == (batch, triples, dim)
         assert part.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
 
     def test_query_rows_backward_matches_full_block(self, rng):

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from socnav import nn
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
 from socnav.dataset import Trajectory, compute_rtg
 from socnav.features import canonicalize_joint
 from socnav.gradcheck import grad_check
-from socnav.rtgp import RtgPredictor, WindowBatch, scatter_rows
+from socnav.rtgp import RtgPredictor, WindowBatch
 from socnav.trainer import rtgp_batch_from
 
 
@@ -375,29 +372,3 @@ class TestRealSlotsOnly:
             np.testing.assert_allclose(got[name], g, rtol=1e-5,
                                        atol=1e-5 * np.abs(g).max(), err_msg=name)
 
-
-SCATTER_VALUES = st.floats(-2.0 ** 100, 2.0 ** 100, width=32)
-
-
-@st.composite
-def scatter_inputs(draw):
-    n = draw(st.integers(1, 6))
-    index = draw(hnp.arrays(np.intp, st.integers(0, 30), elements=st.integers(0, n - 1)))
-    values = draw(hnp.arrays(np.float32, (len(index), 2, 3), elements=SCATTER_VALUES))
-    return index, values, n
-
-
-class TestScatterRows:
-    @settings(deadline=None, database=None)
-    @given(scatter_inputs())
-    @example((np.zeros(0, np.intp), np.zeros((0, 2, 3), np.float32), 3))
-    @example((np.array([2, 0, 2, 2]), np.full((4, 2, 3), -0.0, np.float32), 4))
-    @example((np.array([1, 1, 1]), np.array([1e8, 1.0, -1e8], np.float32)
-              .repeat(6).reshape(3, 2, 3), 2))
-    def test_matches_add_at_bytes(self, args):
-        index, values, n = args
-        want = np.zeros((n, *values.shape[1:]), np.float32)
-        np.add.at(want, index, values)
-        got = scatter_rows(index, values, n)
-        assert got.dtype == np.float32
-        assert got.tobytes() == want.tobytes()
