@@ -55,7 +55,7 @@ cfg = Config.from_dict({
     "sim": {"num_peds": 5},
     "net": {"hidden_dim": 16, "num_heads": 2, "ffn_dim": 16, "rtgp_window": 4,
             "policy_context": 4, "policy_blocks": 1, "head_hidden": 8},
-    "train": {"sampled_trajs": 4, "policy_batch": 8, "rtgp_fast_batch": 8},
+    "train": {"sampled_trajs": 4, "batch_size": 8},
 })
 small_policy, small_rtgp = trainer.build_models(cfg)
 ft = trainer.finetune_online(small_policy.init_store(0), small_rtgp.init_store(1),

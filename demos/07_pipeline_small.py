@@ -12,7 +12,7 @@ cfg = {
     "sim": {"num_peds": 3},
     "net": {"hidden_dim": 32, "num_heads": 2, "ffn_dim": 32, "rtgp_window": 6,
             "policy_context": 6, "policy_blocks": 1, "head_hidden": 16},
-    "train": {"pretrain_iters": 60, "policy_batch": 16, "rtgp_fast_batch": 16,
+    "train": {"pretrain_iters": 60, "batch_size": 16,
               "sampled_trajs": 2, "offline_episodes": 20,
               "finetune_episodes": 6},
     "seed": 11,

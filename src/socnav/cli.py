@@ -243,6 +243,7 @@ def cmd_pipeline(args) -> int:
     }
     started = time.time()
     if args.dry_run:
+        _guard_overwrite([paths["manifest"]], args.force)
         _write_manifest(paths["manifest"], "pipeline", cfg, [], started,
                         dry_run=True)
         print(f"dry run: wrote {paths['manifest']} only")

@@ -118,10 +118,9 @@ class TrainConfig:
     the desk-scale fields bound what the test suite actually runs."""
 
     learning_rate: float = 5e-4
-    batch_size: int = 256              # reference minibatch size
+    batch_size: int = 256              # windows per update, either network, both phases
     gamma: float = 0.99
     buffer_capacity: int = 100_000     # transitions, online portion bounded by the remainder
-    max_episodes: int = 10_000         # online budget ceiling
     # Desk-scale knobs
     offline_episodes: int = 2000       # dataset size used for pre-training
     finetune_episodes: int = 500
@@ -129,25 +128,16 @@ class TrainConfig:
     pretrain_patience: int = 10        # epochs without improvement before early stop
     plateau_delta: float = 1e-4
     sampled_trajs: int = 4             # trajectories sampled per online episode
-    rtgp_fast_batch: int = 0           # transitions per fast update; 0 = batch_size
-    policy_batch: int = 0              # windows per slow update; 0 = batch_size
     rtg_mode: str = "rtgp"             # rollout conditioning: rtgp | fixed
     fixed_rtg_target: float = 2.0
-
-    def __post_init__(self):
-        if self.rtgp_fast_batch == 0:
-            self.rtgp_fast_batch = self.batch_size
-        if self.policy_batch == 0:
-            self.policy_batch = self.batch_size
 
     def validate(self):
         if not (0 < self.gamma <= 1):
             raise ConfigError("train.gamma must be in (0, 1]")
         if self.learning_rate <= 0:
             raise ConfigError("train.learning_rate must be > 0")
-        for name in ("batch_size", "buffer_capacity", "max_episodes", "offline_episodes",
-                     "finetune_episodes", "pretrain_iters", "sampled_trajs",
-                     "rtgp_fast_batch", "policy_batch"):
+        for name in ("batch_size", "buffer_capacity", "offline_episodes",
+                     "finetune_episodes", "pretrain_iters", "sampled_trajs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"train.{name} must be >= 1")
         if self.rtg_mode not in RTG_MODES:
@@ -164,6 +154,8 @@ class Config:
     seed: int = 0
 
     def validate(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         self.sim.validate()
         self.net.validate()
         self.train.validate()
@@ -197,10 +189,14 @@ class Config:
             sim=_build(SimConfig, raw.get("sim", {}), "sim", source),
             net=_build(NetConfig, raw.get("net", {}), "net", source),
             train=_build(TrainConfig, raw.get("train", {}), "train", source),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
         )
         cfg.validate()
         return cfg
+
+
+# JSON value types each annotated field type accepts; an int is a valid float
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _build(cls, raw, section, source):
@@ -212,11 +208,12 @@ def _build(cls, raw, section, source):
         raise ConfigError(f"{source}: unknown keys in '{section}': {sorted(unknown)}")
     kwargs = {}
     for name, value in raw.items():
-        if name in ("ped_orca", "robot_orca"):
-            kwargs[name] = _build(OrcaConfig, value, f"{section}.{name}", source)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{source}: bad '{section}' section ({exc})") from exc
+        kind = known[name].type
+        if kind == "OrcaConfig":
+            value = _build(OrcaConfig, value, f"{section}.{name}", source)
+        elif isinstance(value, bool) != (kind == "bool") or not isinstance(
+                value, FIELD_TYPES[kind]):
+            raise ConfigError(f"{source}: {section}.{name} must be {kind}, "
+                              f"got {type(value).__name__} {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)

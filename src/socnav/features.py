@@ -108,11 +108,11 @@ def history_window(states, actions, rewards, lo: int, hi: int, num_peds: int):
     return spatial, temporal
 
 
-def clip_action_norm(actions: np.ndarray, v_max: float, frac: float = 0.999):
-    """Radially clip actions to frac * v_max (regression targets must stay
+def clip_action_norm(actions: np.ndarray, v_max: float):
+    """Radially clip actions to 0.999 * v_max (regression targets must stay
     strictly inside the squashed policy's range)."""
     actions = np.asarray(actions, dtype=np.float64)
     norm = np.linalg.norm(actions, axis=-1, keepdims=True)
-    limit = frac * v_max
+    limit = 0.999 * v_max
     scale = np.where(norm > limit, limit / np.maximum(norm, 1e-12), 1.0)
     return actions * scale

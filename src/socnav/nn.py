@@ -424,12 +424,16 @@ def mse_loss(pred, target, weights=None, total=None):
 # -- optimizer -------------------------------------------------------------
 
 
-def lamb_step(store: ParamStore, lr: float, betas=(0.9, 0.999), eps=1e-6,
-              weight_decay=0.0, trust_clip=10.0):
-    """Layer-wise adaptive update: Adam moments with bias correction, a
-    per-block trust ratio |w| / |update| clipped to [0, trust_clip], and
-    decoupled weight decay."""
-    b1, b2 = betas
+LAMB_BETAS = (0.9, 0.999)     # Adam moment decay rates
+LAMB_EPS = 1e-6
+LAMB_TRUST_CLIP = 10.0        # upper bound of the per-block trust ratio
+
+
+def lamb_step(store: ParamStore, lr: float):
+    """Layer-wise adaptive update (You et al. 2020) without weight decay:
+    Adam moments with bias correction and a per-block trust ratio
+    |w| / |update| clipped to [0, LAMB_TRUST_CLIP]."""
+    b1, b2 = LAMB_BETAS
     store.step += 1
     bc1 = 1.0 - b1 ** store.step
     bc2 = 1.0 - b2 ** store.step
@@ -443,11 +447,9 @@ def lamb_step(store: ParamStore, lr: float, betas=(0.9, 0.999), eps=1e-6,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if weight_decay:
-            update = update + weight_decay * w
+        update = (m / bc1) / (np.sqrt(v / bc2) + LAMB_EPS)
         w_norm = float(np.linalg.norm(w))
         u_norm = float(np.linalg.norm(update))
         trust = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
-        trust = min(trust, trust_clip)
+        trust = min(trust, LAMB_TRUST_CLIP)
         w -= (lr * trust) * update

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 
+from .core import ROBOT_GOAL
 from .dataset import atomic_write, dumps_lossless
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",
@@ -70,7 +71,7 @@ def _svg_point(x, y, scale=40.0, half=5.6):
     return (x + half) * scale, (half - y) * scale
 
 
-def episode_svg(record: dict, goal=(0.0, 4.0)) -> str:
+def episode_svg(record: dict) -> str:
     """Render one episode: robot path with timestamps, pedestrian paths,
     goal marker."""
     robot = record.get("robot")
@@ -117,7 +118,7 @@ def episode_svg(record: dict, goal=(0.0, 4.0)) -> str:
             parts.append(f'<text x="{_f(x + 5)}" y="{_f(y - 5)}" '
                          f'font-size="11" fill="#333333">{_f(t * dt)}s</text>')
 
-    gx, gy = _svg_point(*goal)
+    gx, gy = _svg_point(*ROBOT_GOAL)
     parts.append(f'<circle cx="{_f(gx)}" cy="{_f(gy)}" r="8" fill="none" '
                  'stroke="#ff8c00" stroke-width="2.5"/>')
     parts.append(f'<text x="{_f(gx + 10)}" y="{_f(gy + 4)}" font-size="12" '

@@ -24,12 +24,10 @@ SUCCESS_MULTIPLIER = 2.0
 class HybridBuffer:
     """Union of the offline dataset and a capacity-bounded online store."""
 
-    def __init__(self, offline: list[Trajectory], capacity: int = 100_000,
-                 epsilon: float = PRIORITY_EPSILON):
+    def __init__(self, offline: list[Trajectory], capacity: int = 100_000):
         # offline entries first, then the online store oldest first
         self.trajectories: list[Trajectory] = list(offline)
         self.num_offline = len(self.trajectories)
-        self.epsilon = epsilon
 
         self._online_budget = capacity - check_capacity(self.trajectories, capacity)
         self._online_transitions = 0
@@ -58,9 +56,9 @@ class HybridBuffer:
         g = np.array([t.episode_return for t in self.trajectories])
         g_min, g_max = g.min(), g.max()
         if g_max > g_min:
-            w = (g - g_min) / (g_max - g_min) + self.epsilon
+            w = (g - g_min) / (g_max - g_min) + PRIORITY_EPSILON
         else:
-            w = np.full(len(g), self.epsilon)
+            w = np.full(len(g), PRIORITY_EPSILON)
         w = np.where([t.success for t in self.trajectories], SUCCESS_MULTIPLIER * w, w)
         return w
 

@@ -234,12 +234,12 @@ def pretrain_offline(trajectories: list[Trajectory], cfg: Config,
     iters = 0
     for it in range(train.pretrain_iters):
         trajs_ends = [(trajectories[i], e) for i, e in
-                      sample_windows(trajectories, train.policy_batch, rng)]
+                      sample_windows(trajectories, train.batch_size, rng)]
         pol_loss = policy_update(policy, policy_store, *policy_batch_from(
             trajs_ends, policy, [t.rtg for t, _ in trajs_ends]))
 
         trajs_ends = [(trajectories[i], e) for i, e in
-                      sample_windows(trajectories, train.rtgp_fast_batch, rng)]
+                      sample_windows(trajectories, train.batch_size, rng)]
         rtg_loss = rtgp_update(rtgp, rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
 
         if not (math.isfinite(pol_loss) and math.isfinite(rtg_loss)):
@@ -313,7 +313,6 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
     train, sim = cfg.train, cfg.sim
     seed = cfg.seed if seed is None else seed
     episodes = train.finetune_episodes if episodes is None else episodes
-    episodes = min(episodes, train.max_episodes)
     rtg_mode = train.rtg_mode if rtg_mode is None else rtg_mode
 
     policy, rtgp = build_models(cfg)
@@ -336,7 +335,7 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
         if rtg_mode == "rtgp":
             # fast timescale: one predictor update per sampled trajectory
             for k, tau in enumerate(sampled):
-                ends = rng.integers(0, tau.num_steps, size=train.rtgp_fast_batch)
+                ends = rng.integers(0, tau.num_steps, size=train.batch_size)
                 trajs_ends = [(tau, int(u)) for u in ends]
                 rtg_loss = rtgp_update(rtgp, rtgp_store, *rtgp_batch_from(trajs_ends, rtgp))
                 if not math.isfinite(rtg_loss):
@@ -355,7 +354,7 @@ def finetune_online(policy_store: ParamStore, rtgp_store: ParamStore,
             sequences = [t.rtg for t in sampled]
 
         # slow timescale: one policy update on windows from the sampled trajectories
-        windows = sample_windows(sampled, train.policy_batch, rng)
+        windows = sample_windows(sampled, train.batch_size, rng)
         pol_loss = policy_update(policy, policy_store, *policy_batch_from(
             [(sampled[i], u) for i, u in windows], policy, [sequences[i] for i, _ in windows]))
         if not math.isfinite(pol_loss):

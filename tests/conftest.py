@@ -12,7 +12,7 @@ def tiny_config(num_peds=2, seed=3) -> Config:
         "net": {"hidden_dim": 16, "num_heads": 2, "ffn_dim": 16,
                 "rtgp_window": 5, "policy_context": 5, "policy_blocks": 1,
                 "head_hidden": 8},
-        "train": {"pretrain_iters": 12, "policy_batch": 8, "rtgp_fast_batch": 8,
+        "train": {"pretrain_iters": 12, "batch_size": 8,
                   "sampled_trajs": 2, "offline_episodes": 8,
                   "finetune_episodes": 4},
         "seed": seed,

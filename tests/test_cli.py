@@ -20,7 +20,7 @@ def tiny_config_file(tmp_path):
         "net": {"hidden_dim": 16, "num_heads": 2, "ffn_dim": 16,
                 "rtgp_window": 4, "policy_context": 4, "policy_blocks": 1,
                 "head_hidden": 8},
-        "train": {"pretrain_iters": 8, "policy_batch": 4, "rtgp_fast_batch": 4,
+        "train": {"pretrain_iters": 8, "batch_size": 4,
                   "sampled_trajs": 2, "offline_episodes": 4,
                   "finetune_episodes": 2},
         "seed": 3,
@@ -70,6 +70,22 @@ class TestExitCodes:
                  "--out", str(tmp_path / "d.jsonl"))
         assert rc == EXIT_CONFIG
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("config, argv, field", [
+        ('{"seed": "abc"}', [], "seed"),
+        ('{"train": {"batch_size": "8"}}', [], "train.batch_size"),
+        ('{"sim": {"num_peds": 2.5}}', [], "sim.num_peds"),
+        ("{}", ["--seed", "-5000000"], "seed")],
+        ids=["seed-str", "batch-str", "peds-float", "negative-seed-flag"])
+    def test_wrong_type_or_negative_seed_is_2_naming_the_field(
+            self, tmp_path, capsys, config, argv, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        rc = run("--config", str(path), *argv, "gen-data", "--episodes", "1",
+                 "--out", str(tmp_path / "d.jsonl"))
+        assert rc == EXIT_CONFIG
+        assert f"error: {field}" in capsys.readouterr().err.replace(f"{path}: ", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_safety_space_flag_removed(self, tmp_path):
         # the robot controller's safety space is set in the config only
@@ -342,6 +358,36 @@ class TestPipeline:
         import os
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
+    def test_dry_run_keeps_a_finished_runs_manifest(self, tiny_config_file, tmp_path):
+        out = str(tmp_path / "run")
+        manifest = tmp_path / "run" / "manifest.json"
+        assert run("--config", tiny_config_file, "pipeline", "--out", out,
+                   "--dry-run") == EXIT_OK
+        # the real run after a dry run writes over the dry run's manifest
+        assert run("--config", tiny_config_file, "pipeline", "--out", out,
+                   "--eval-episodes", "2") == EXIT_OK
+        finished = manifest.read_bytes()
+        assert json.loads(finished)["dry_run"] is False
+        assert run("--config", tiny_config_file, "pipeline", "--out", out,
+                   "--dry-run") == EXIT_CONFIG
+        assert manifest.read_bytes() == finished
+        assert run("--config", tiny_config_file, "--force", "pipeline", "--out", out,
+                   "--dry-run") == EXIT_OK
+        assert json.loads(manifest.read_text())["dry_run"] is True
+
+    @pytest.mark.parametrize("key", ["policy_batch", "rtgp_fast_batch", "max_episodes"])
+    def test_removed_train_key_is_2_before_any_file(self, tiny_config_file, tmp_path,
+                                                    capsys, key):
+        cfg = json.loads(open(tiny_config_file).read())
+        cfg["train"][key] = 4
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run("--config", str(path), "pipeline", "--out", str(out),
+                   "--eval-episodes", "2") == EXIT_CONFIG
+        assert f"unknown keys in 'train': ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pipeline_produces_manifest_with_artifacts(self, tiny_config_file,
                                                        tmp_path):
         out = str(tmp_path / "run")
@@ -387,7 +433,7 @@ class TestPipeline:
         # same order: the bytes do not depend on how many CPUs there are;
         # the batches are large enough to cut into every shard
         cfg = json.loads(tiny_cfg.to_json())
-        cfg["train"]["policy_batch"] = cfg["train"]["rtgp_fast_batch"] = 48
+        cfg["train"]["batch_size"] = 48
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(cfg) + "\n")
         src = Path(__file__).resolve().parents[1] / "src"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
+from socnav import replay
 from socnav.dataset import Trajectory, compute_rtg
 from socnav.replay import PRIORITY_EPSILON, SUCCESS_MULTIPLIER, HybridBuffer
 
@@ -124,9 +125,10 @@ class TestSampling:
         with pytest.raises(ValueError, match="empty"):
             buf.sample_trajectories(1, np.random.default_rng(0))
 
-    def test_three_to_one_ratio(self):
+    def test_three_to_one_ratio(self, monkeypatch):
         # returns chosen so normalized priorities are 3 : 1
-        buf = HybridBuffer([], capacity=10_000, epsilon=0.5)
+        monkeypatch.setattr(replay, "PRIORITY_EPSILON", 0.5)
+        buf = HybridBuffer([], capacity=10_000)
         buf.insert(traj(1.0, outcome="collision", seed=0))   # weight 1.5
         buf.insert(traj(0.0, outcome="collision", seed=1))   # weight 0.5
         rng = np.random.default_rng(42)

@@ -87,7 +87,7 @@ class TestDistinctWindows:
         trajs, _, _ = tiny_dataset
         cfg = copy.deepcopy(tiny_cfg)
         cfg.train.pretrain_iters = 2
-        cfg.train.policy_batch = cfg.train.rtgp_fast_batch = 48
+        cfg.train.batch_size = 48
         drawn, grouped = [], []
         for name in ("policy_batch_from", "rtgp_batch_from"):
             def recorded(trajs_ends, *args, _fn=getattr(trainer, name), _name=name):
@@ -179,7 +179,7 @@ class TestShards:
                                                 monkeypatch):
         trajs, _, _ = tiny_dataset
         cfg = copy.deepcopy(tiny_cfg)
-        cfg.train.policy_batch = cfg.train.rtgp_fast_batch = 48
+        cfg.train.batch_size = 48
         shards = []
         pool_map = trainer.pool_map
 
