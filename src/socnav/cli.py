@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-data, pretrain, finetune, eval, plot, pipeline. One
+Subcommands: gen-data, stats, pretrain, finetune, eval, plot, pipeline. One
 global --seed is propagated to each stage with a fixed offset, so stages
 are independently reproducible. Existing output files are never
 overwritten without --force.

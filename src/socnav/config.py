@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -64,11 +65,6 @@ class SimConfig:
         time_horizon=2.5, safety_space=0.05))
     robot_orca: OrcaConfig = field(default_factory=lambda: OrcaConfig(
         time_horizon=8.0, safety_space=0.02))
-
-    @property
-    def max_steps(self) -> int:
-        import math
-        return math.ceil(self.timeout / self.dt)
 
     def validate(self):
         if self.num_peds < 0:
@@ -215,5 +211,7 @@ def _build(cls, raw, section, source):
                 value, FIELD_TYPES[kind]):
             raise ConfigError(f"{source}: {section}.{name} must be {kind}, "
                               f"got {type(value).__name__} {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{source}: {section}.{name} must be finite, got {value!r}")
         kwargs[name] = value
     return cls(**kwargs)

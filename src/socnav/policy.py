@@ -101,13 +101,6 @@ class DtPolicy:
         store.blocks["head.W"][...] = 0.0
         return store
 
-    def expected_param_count(self) -> int:
-        D, F = self.hidden, self.ffn
-        dense = lambda i, o: i * o + o
-        block = 3 * dense(D, D) + dense(D, D) + 2 * D + dense(D, F) + dense(F, D)
-        return (dense(1, D) + dense(self.joint_dim, D) + dense(2, D)
-                + self.context * D + self.num_blocks * block + dense(D, 2))
-
     # -- forward / backward --------------------------------------------------
 
     def forward(self, store, rtg, states, actions, step_valid, action_valid):

@@ -7,9 +7,11 @@ temporal transformer attends over the step sequence. Their features are
 merged by a dense layer, refined by a second spatial and a second causal
 temporal block, averaged over valid steps, concatenated with the embedded
 current state and mapped to a scalar return estimate by a two-layer head.
-The second spatial block runs on the real slots of each window only:
-padded slots get zero weight in the second temporal block and are masked
-out of the average, so they read zeros there and pass back no gradient.
+
+One padding rule: front padding is row 0 of the step tables (all-zero
+tokens) and only the first stage sees it. From `merge` on only real slots
+run: both temporal blocks give padded keys zero weight and the average
+masks padded slots out, so nothing reads a padded slot's state.
 
 Trained by regression onto Monte-Carlo returns (mean squared error).
 
@@ -34,24 +36,19 @@ class WindowBatch(NamedTuple):
 
     A step's spatial tokens depend only on that step and its previous
     transition, so windows that hold the same step read one row of
-    `spatial`; row 0 is the all-zero token set of every padded slot. Only
-    the first spatial block reads padded slots (through row 0); the second
-    runs on the `valid` slots alone.
+    `spatial`. Row 0 is padding: a slot is real where its row is above 0.
     """
 
     spatial: np.ndarray    # (S, m+1, SPATIAL_TOKEN_DIM) distinct steps, row 0 padding
     temporal: np.ndarray   # (B, W, temporal_dim) flat step tokens
-    valid: np.ndarray      # (B, W) bool, False at front padding
-    current: np.ndarray    # (B, joint_dim) canonical joint state at the window end
-    rows: np.ndarray       # (B, W) row of `spatial` read by each slot
+    rows: np.ndarray       # (B, W) row of `spatial` read by each slot, 0 at padding
 
     def take(self, idx) -> "WindowBatch":
-        """Windows idx of the batch, over only the step rows they read
-        (padding, when read, stays row 0)."""
+        """Windows idx of the batch, over only the step rows they read and
+        the padding row, which stays row 0."""
         rows = self.rows[idx]
-        read = np.unique(rows)
+        read = np.union1d(0, rows)
         return WindowBatch(spatial=self.spatial[read], temporal=self.temporal[idx],
-                           valid=self.valid[idx], current=self.current[idx],
                            rows=np.searchsorted(read, rows))
 
 
@@ -77,7 +74,6 @@ class RtgPredictor:
         D, F = self.hidden, self.ffn
         nn.add_dense(store, "embed_s", SPATIAL_TOKEN_DIM, D, rng)
         nn.add_dense(store, "embed_t", self.temporal_dim, D, rng)
-        store.add("pad", np.zeros(D))
         store.add("pos", nn.xavier_uniform(rng, self.window, D))
         nn.add_encoder_block(store, "spatial1", D, F, rng)
         nn.add_encoder_block(store, "temporal1", D, F, rng)
@@ -89,53 +85,45 @@ class RtgPredictor:
         nn.add_dense(store, "head2", self.head_hidden, 1, rng)
         return store
 
-    def expected_param_count(self) -> int:
-        D, F = self.hidden, self.ffn
-        dense = lambda i, o: i * o + o
-        block = 3 * dense(D, D) + dense(D, D) + 2 * D + dense(D, F) + dense(F, D)
-        return (dense(SPATIAL_TOKEN_DIM, D) + dense(self.temporal_dim, D)
-                + D + self.window * D
-                + 4 * block + dense(2 * D, D) + dense(self.joint_dim, D)
-                + dense(2 * D, self.head_hidden) + dense(self.head_hidden, 1))
-
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, store, spatial, temporal, valid, current, rows):
+    def forward(self, store, spatial, temporal, rows):
         """Return estimates for a batch of windows (see WindowBatch).
 
-        spatial: (S, m+1, 9) step token sets; temporal: (B, W, temporal_dim);
-        valid: (B, W) bool; current: (B, joint_dim); rows: (B, W) index of
-        each slot's step in spatial. Returns (rhat, cache).
+        spatial: (S, m+1, 9) step token sets, row 0 padding; temporal:
+        (B, W, temporal_dim), whose last slot holds the current state;
+        rows: (B, W) index of each slot's step in spatial. Returns (rhat, cache).
         """
         dt = store.dtype
         spatial = np.ascontiguousarray(spatial, dtype=dt)
         temporal = np.ascontiguousarray(temporal, dtype=dt)
-        current = np.ascontiguousarray(current, dtype=dt)
+        current = np.ascontiguousarray(temporal[:, -1, :self.joint_dim])
+        valid = rows > 0
         S, M1, _ = spatial.shape
         B, W = rows.shape
         D = self.hidden
 
         # a step's spatial encoding does not depend on the window holding it:
-        # encode each step once, then gather into the (B, W, m+1, D) layout
+        # encode each step once, then gather it into the real slots
         f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
         fs_rows, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
-        summary = fs_rows.mean(axis=1)[rows]
 
-        te_raw, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
-        te = np.where(valid[..., None], te_raw, store["pad"])
-        x_t = te + store["pos"]
-        ft, c_t1 = nn.encoder_block_fwd(store, "temporal1", x_t, self.heads,
+        te, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
+        ft, c_t1 = nn.encoder_block_fwd(store, "temporal1", te + store["pos"], self.heads,
                                         causal=True, valid=valid)
 
-        cat = np.concatenate([summary, ft], axis=-1)
-        merged, c_m = nn.dense_fwd(store, "merge", cat, relu=True)
-
-        # only real slots run spatial2: temporal2 gives padded slots zero
+        # from merge on only real slots run: temporal2 gives padded slots zero
         # weight and the average masks them out, so they read zeros
         real = np.flatnonzero(valid)
         slot_rows = rows.reshape(-1)[real]
+        # merge also runs a zero row 0: numpy hands a one-row product (a lone
+        # window at its episode's first step) to GEMV, which rounds unlike GEMM
+        cat = np.zeros((len(real) + 1, 2 * D), dtype=dt)
+        cat[1:, :D] = fs_rows.mean(axis=1)[slot_rows]
+        cat[1:, D:] = ft.reshape(B * W, D)[real]
+        merged, c_m = nn.dense_fwd(store, "merge", cat, relu=True)
         tok2 = fs_rows[slot_rows]
-        tok2 += merged.reshape(B * W, D)[real][:, None, :]
+        tok2 += merged[1:, None, :]
         s2_real, c_s2 = nn.encoder_block_fwd(store, "spatial2", tok2, self.heads)
         s2 = np.zeros((B * W, D), dtype=dt)
         s2[real] = s2_real.mean(axis=1)
@@ -171,18 +159,17 @@ class RtgPredictor:
         ds2 = nn.encoder_block_bwd(store, c_t2, dfst).reshape(B * W, D)
         ds2_tok = np.broadcast_to((ds2[real] / M1)[:, None, :], (len(real), M1, D))
         dfs = nn.encoder_block_bwd(store, c_s2, np.ascontiguousarray(ds2_tok))
-        dmerged = np.zeros((B * W, D), dtype=dt)
-        dmerged[real] = dfs.sum(axis=1)
+        dmerged = np.zeros((len(real) + 1, D), dtype=dt)
+        dmerged[1:] = dfs.sum(axis=1)
+        dcat = nn.dense_bwd(store, c_m, dmerged)[1:]
 
-        dcat = nn.dense_bwd(store, c_m, dmerged.reshape(B, W, D))
-        dsummary, dft = dcat[..., :D], dcat[..., D:]
-
-        dx_t = nn.encoder_block_bwd(store, c_t1, np.ascontiguousarray(dft))
+        dft = np.zeros((B * W, D), dtype=dt)
+        dft[real] = dcat[:, D:]
+        dx_t = nn.encoder_block_bwd(store, c_t1, dft.reshape(B, W, D))
         store.accumulate("pos", dx_t.sum(axis=0))
-        store.accumulate("pad", (dx_t * (~valid[..., None])).sum(axis=(0, 1)))
-        nn.dense_bwd(store, c_et, dx_t * valid[..., None])
+        nn.dense_bwd(store, c_et, dx_t)
 
-        dfs += (dsummary.reshape(B * W, D)[real] / M1)[:, None, :]
+        dfs += (dcat[:, :D] / M1)[:, None, :]
         # adjoint of the gather: each step row sums the real slots that read
         # it (padded slots carry exact-zero gradients)
         dfs_rows = np.zeros((S, M1, D), dtype=dt)
@@ -227,7 +214,6 @@ class RtgPredictor:
             temporal.append(te[read])
         temporal = np.concatenate(temporal)
         return WindowBatch(spatial=np.concatenate(spatial), temporal=temporal[rows],
-                           valid=rows > 0, current=temporal[rows[:, -1], :self.joint_dim],
                            rows=rows)
 
     def predict(self, store, states, actions, rewards, end: int) -> float:

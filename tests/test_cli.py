@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from socnav import trainer
@@ -11,6 +12,7 @@ from socnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from socnav.config import Config
 from socnav.core import joint_dim
 from socnav.dataset import load_trajectories
+from socnav.nn import ParamStore
 
 
 @pytest.fixture()
@@ -153,30 +155,43 @@ def with_overrides(cfg_file, path, section, **values) -> str:
     return str(path)
 
 
-def write_bundle(path, cfg_file):
-    """Freshly initialized stores of the config's models."""
+def write_bundle(path, cfg_file, pad_block=False):
+    """Freshly initialized stores of the config's models; `pad_block` writes
+    the predictor in its earlier layout, with a zero `pad` vector after
+    `embed_t`."""
     policy, rtgp = trainer.build_models(Config.load(cfg_file).validate())
-    trainer.save_bundle(path, policy.init_store(0), rtgp.init_store(1))
+    rtgp_store = rtgp.init_store(1)
+    if pad_block:
+        blocks, rtgp_store = rtgp_store.blocks, ParamStore(dtype=rtgp_store.dtype)
+        for name, block in blocks.items():
+            rtgp_store.add(name, block)
+            if name == "embed_t.b":
+                rtgp_store.add("pad", np.zeros_like(block))
+    trainer.save_bundle(path, policy.init_store(0), rtgp_store)
 
 
 class TestBundleShapes:
-    @pytest.mark.parametrize("bundle_net, run_net, message", [
-        ({"policy_blocks": 2}, {},
+    @pytest.mark.parametrize("bundle_net, pad_block, run_net, message", [
+        ({"policy_blocks": 2}, False, {},
          "policy block 'block1.q.W' is shape (16, 16) in the checkpoint and missing "
          "in the config's model"),
-        ({}, {"policy_blocks": 2},
+        ({}, False, {"policy_blocks": 2},
          "policy block 'block1.q.W' is missing in the checkpoint and shape (16, 16) "
          "in the config's model"),
-        ({"head_hidden": 4}, {},
+        ({"head_hidden": 4}, False, {},
          "rtgp block 'head1.W' is shape (32, 4) in the checkpoint and shape (32, 8) "
-         "in the config's model")],
-        ids=["extra", "missing", "reshaped"])
+         "in the config's model"),
+        ({}, True, {},
+         "rtgp block 'pad' is shape (16,) in the checkpoint and missing in the "
+         "config's model")],
+        ids=["extra", "missing", "reshaped", "pad-layout"])
     @pytest.mark.parametrize("command", ["finetune", "eval"])
     def test_mismatch_is_2_naming_the_block(self, tiny_config_file, tmp_path, capsys,
-                                            bundle_net, run_net, message, command):
+                                            bundle_net, pad_block, run_net, message,
+                                            command):
         ckpt = str(tmp_path / "c.ckpt")
         write_bundle(ckpt, with_overrides(tiny_config_file, tmp_path / "b.json", "net",
-                                          **bundle_net))
+                                          **bundle_net), pad_block)
         cfg = with_overrides(tiny_config_file, tmp_path / "r.json", "net", **run_net)
         argv = {"finetune": ["finetune", "--ckpt", ckpt, "--data", str(tmp_path / "d.jsonl"),
                              "--out", str(tmp_path / "f.ckpt")],
@@ -374,6 +389,16 @@ class TestPipeline:
         assert run("--config", tiny_config_file, "--force", "pipeline", "--out", out,
                    "--dry-run") == EXIT_OK
         assert json.loads(manifest.read_text())["dry_run"] is True
+
+    def test_non_finite_config_is_2_before_any_file(self, tmp_path, capsys):
+        # json accepts NaN; a NaN step length once made gen-data run forever
+        path = tmp_path / "nan.json"
+        path.write_text('{"sim": {"dt": NaN}}')
+        out = tmp_path / "run"
+        assert run("--config", str(path), "pipeline", "--out", str(out),
+                   "--dry-run") == EXIT_CONFIG
+        assert "sim.dt must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("key", ["policy_batch", "rtgp_fast_batch", "max_episodes"])
     def test_removed_train_key_is_2_before_any_file(self, tiny_config_file, tmp_path,

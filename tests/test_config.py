@@ -75,6 +75,10 @@ class TestValidation:
         ({"sim": {"dt": None}}, "sim.dt"),
         ({"sim": {"robot_orca": {"max_speed": [1.0]}}}, "sim.robot_orca.max_speed"),
         ({"net": {"hidden_dim": False}}, "net.hidden_dim"),
+        ({"sim": {"dt": float("nan")}}, "sim.dt"),
+        ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
+        ({"sim": {"robot_orca": {"time_horizon": -float("inf")}}},
+         "sim.robot_orca.time_horizon"),
     ])
     def test_wrong_type_or_negative_seed_names_the_field(self, raw, field):
         with pytest.raises(ConfigError, match=re.escape(field)):

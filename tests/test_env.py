@@ -64,7 +64,7 @@ class TestTermination:
             out = env.step(np.zeros(2))
             steps += 1
         assert out.status is Status.TIMEOUT
-        assert steps == cfg.max_steps == 100
+        assert steps == math.ceil(cfg.timeout / cfg.dt) == 100
         assert env.time == pytest.approx(25.0)
 
     def test_collision_terminal_with_penalty(self):
@@ -110,7 +110,7 @@ class TestDeterminism:
         for seed in range(5):
             traj, _ = rollout(env, lambda e, o: e.robot_orca_action(), seed=seed,
                               gamma=0.99)
-            assert traj.num_steps <= cfg.max_steps
+            assert traj.num_steps <= math.ceil(cfg.timeout / cfg.dt)
 
     def test_regoal_on_arena_circle_and_apart(self):
         cfg = SimConfig(num_peds=1, perturbation=0.0)

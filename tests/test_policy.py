@@ -92,8 +92,12 @@ class TestForward:
 
     def test_param_count_matches_shape_audit(self):
         pol = DtPolicy(num_peds=5, context=20)
-        store = pol.init_store(0)
-        assert store.num_params() == pol.expected_param_count()
+        D, F = pol.hidden, pol.ffn
+        dense = lambda i, o: i * o + o
+        block = 3 * dense(D, D) + dense(D, D) + 2 * D + dense(D, F) + dense(F, D)
+        expected = (dense(1, D) + dense(pol.joint_dim, D) + dense(2, D)
+                    + pol.context * D + pol.num_blocks * block + dense(D, 2))
+        assert pol.init_store(0).num_params() == expected
 
     def test_action_token_not_visible_to_own_step(self, rng):
         # prediction at step u reads the state token, which precedes the
@@ -109,6 +113,17 @@ class TestForward:
 
 
 class TestLoss:
+    def test_every_block_gets_a_gradient_on_a_padded_batch(self, rng):
+        # a parameter block whose gradient is exactly zero changes no output;
+        # the zero-initialised head would zero every gradient behind it
+        pol = small_policy()
+        store = pol.init_store(3)
+        store.blocks["head.W"][...] = rng.normal(size=store["head.W"].shape)
+        batch = random_batch(rng, pol)
+        assert not batch[3].all()
+        pol.loss_and_grad(store, batch, rng.normal(size=(3, pol.context, 2)) * 0.5)
+        assert [name for name, g in store.grads.items() if not g.any()] == []
+
     def test_zero_when_targets_equal_output(self, rng):
         pol = small_policy()
         store = pol.init_store(3, dtype=np.float64)

@@ -4,7 +4,7 @@ import pytest
 from socnav import nn
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
 from socnav.dataset import Trajectory, compute_rtg
-from socnav.features import canonicalize_joint
+from socnav.features import SPATIAL_TOKEN_DIM, canonicalize_joint
 from socnav.gradcheck import grad_check
 from socnav.rtgp import RtgPredictor, WindowBatch
 from socnav.trainer import rtgp_batch_from
@@ -45,8 +45,8 @@ class TestFeatures:
         net = small_net()
         states, actions, rewards = fake_episode(rng, net, steps=3)
         batch = net.window_batch([(states, actions, rewards)], [1])
-        spatial, valid, current = (batch.spatial[batch.rows[0]], batch.valid[0],
-                                   batch.current[0])
+        spatial, valid, current = (batch.spatial[batch.rows[0]], batch.rows[0] > 0,
+                                   batch.temporal[0, -1, :net.joint_dim])
         assert valid.tolist() == [False, False, True, True]
         assert np.all(spatial[:2] == 0.0)
         # first real step is the episode start: zero previous action/reward
@@ -82,8 +82,14 @@ class TestForward:
     def test_param_count_matches_shape_audit(self):
         for peds, window in [(2, 4), (5, 10)]:
             net = RtgPredictor(num_peds=peds, window=window)
-            store = net.init_store(0)
-            assert store.num_params() == net.expected_param_count()
+            D, F = net.hidden, net.ffn
+            dense = lambda i, o: i * o + o
+            block = 3 * dense(D, D) + dense(D, D) + 2 * D + dense(D, F) + dense(F, D)
+            expected = (dense(SPATIAL_TOKEN_DIM, D) + dense(net.temporal_dim, D)
+                        + net.window * D
+                        + 4 * block + dense(2 * D, D) + dense(net.joint_dim, D)
+                        + dense(2 * D, net.head_hidden) + dense(net.head_hidden, 1))
+            assert net.init_store(0).num_params() == expected
 
     def test_deterministic(self, rng):
         net = small_net()
@@ -161,7 +167,6 @@ class TestLoss:
         with pytest.raises(ValueError, match="empty"):
             net.loss_and_grad(store, WindowBatch(
                 spatial=np.zeros((1, 3, 9)), temporal=np.zeros((0, 4, 23)),
-                valid=np.zeros((0, 4), bool), current=np.zeros((0, 20)),
                 rows=np.zeros((0, 4), np.intp)), [])
 
     def test_full_gradcheck(self, rng):
@@ -178,6 +183,14 @@ class TestLoss:
         rep = grad_check(loss, store, max_coords=250, rng=np.random.default_rng(5))
         assert rep.max_rel_err < 1e-4
 
+    def test_every_block_gets_a_gradient_on_a_padded_batch(self, rng):
+        # a parameter block whose gradient is exactly zero changes no output
+        net = small_net()
+        store = net.init_store(3)
+        batch = net.window_batch([fake_episode(rng, net) for _ in range(3)], [5, 2, 0])
+        assert (batch.rows == 0).any()
+        net.loss_and_grad(store, batch, rng.normal(size=3))
+        assert [name for name, g in store.grads.items() if not g.any()] == []
 
     def test_gradcheck_through_shared_step_rows(self, rng):
         # overlapping windows of one episode read the same step rows, padded
@@ -214,11 +227,12 @@ class TestLoss:
 
 
 def per_slot_layout(batch):
-    """The same windows with one spatial row per slot, as if no two slots
-    shared a step (padded slots keep their all-zero token sets)."""
+    """The same windows with one spatial row per real slot, as if no two
+    slots shared a step (padded slots read the padding row 0)."""
     B, W = batch.rows.shape
     spatial = batch.spatial[batch.rows].reshape(B * W, *batch.spatial.shape[1:])
-    return batch._replace(spatial=spatial, rows=np.arange(B * W).reshape(B, W))
+    rows = np.where(batch.rows > 0, np.arange(1, B * W + 1).reshape(B, W), 0)
+    return batch._replace(spatial=np.concatenate([batch.spatial[:1], spatial]), rows=rows)
 
 
 class TestDistinctWindows:
@@ -269,22 +283,22 @@ class TestPredictSequence:
 
 
 class AllSlotsPredictor(RtgPredictor):
-    """Reference: spatial2 runs on every slot, padded ones included, and the
-    slot gradients reach the step rows through np.add.at."""
+    """Reference: merge and spatial2 run on every slot, padded ones included,
+    and the slot gradients reach the step rows through np.add.at."""
 
-    def forward(self, store, spatial, temporal, valid, current, rows):
+    def forward(self, store, spatial, temporal, rows):
         dt = store.dtype
         spatial = np.ascontiguousarray(spatial, dtype=dt)
         temporal = np.ascontiguousarray(temporal, dtype=dt)
-        current = np.ascontiguousarray(current, dtype=dt)
+        current = np.ascontiguousarray(temporal[:, -1, :self.joint_dim])
+        valid = rows > 0
         S, M1, _ = spatial.shape
         B, W = rows.shape
         D = self.hidden
         f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
         fs_rows, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
         summary = fs_rows.mean(axis=1)[rows]
-        te_raw, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
-        te = np.where(valid[..., None], te_raw, store["pad"])
+        te, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
         ft, c_t1 = nn.encoder_block_fwd(store, "temporal1", te + store["pos"], self.heads,
                                         causal=True, valid=valid)
         merged, c_m = nn.dense_fwd(store, "merge", np.concatenate([summary, ft], axis=-1),
@@ -321,7 +335,6 @@ class AllSlotsPredictor(RtgPredictor):
         dcat = nn.dense_bwd(store, c_m, dfs.sum(axis=2))
         dx_t = nn.encoder_block_bwd(store, c_t1, np.ascontiguousarray(dcat[..., D:]))
         store.accumulate("pos", dx_t.sum(axis=0))
-        store.accumulate("pad", (dx_t * (~valid[..., None])).sum(axis=(0, 1)))
         nn.dense_bwd(store, c_et, dx_t * valid[..., None])
         dfs += dcat[:, :, None, :D] / M1
         dfs_rows = np.zeros((S, M1, D), dtype=dfs.dtype)
@@ -348,7 +361,7 @@ class TestRealSlotsOnly:
         picks = rng.integers(0, len(episodes), size=draws)
         ends = [int(rng.integers(0, lengths[i])) for i in picks]
         batch = net.window_batch([episodes[i] for i in picks], ends)
-        assert not batch.valid.all()
+        assert not (batch.rows > 0).all()
         return net, ref, net.init_store(11), episodes, batch, rng.normal(size=draws)
 
     def test_forward_bytes_match_all_slots(self, setup):
@@ -358,6 +371,10 @@ class TestRealSlotsOnly:
         for episode in episodes:
             assert net.predict_sequence(store, *episode).tobytes() == \
                 ref.predict_sequence(store, *episode).tobytes()
+            # a window alone, as acting predicts it, down to one real slot
+            for end in range(3):
+                assert net.predict(store, *episode, end=end) == \
+                    ref.predict(store, *episode, end=end)
 
     def test_gradients_close_to_all_slots(self, setup):
         # the GEMMs sum over fewer rows: float32 rounding differs, nothing more

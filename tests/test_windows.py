@@ -74,6 +74,13 @@ def ref_window_batch(net, episodes, ends):
     return spatial, temporal, valid, current
 
 
+def window_fields(net, batch):
+    """A window batch in the reference's per-slot layout: tokens, the valid
+    mask its rows imply and the current state its last temporal token holds."""
+    return (batch.spatial[batch.rows], batch.temporal, batch.rows > 0,
+            batch.temporal[:, -1, :net.joint_dim])
+
+
 def assert_same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -156,7 +163,7 @@ def test_episode_start_with_empty_action_list(rng):
                 ref_history_window(list(states), [], [], 0, 1, 2)[:2])
     net = RtgPredictor(num_peds=2, window=4)
     batch = net.window_batch([(list(states), [], [])], [0])
-    assert_same((batch.spatial[batch.rows], *batch[1:4]),
+    assert_same(window_fields(net, batch),
                 ref_window_batch(net, [(list(states), [], [])], [0]))
 
 
@@ -170,13 +177,13 @@ def test_window_batch_matches_reference(rng, num_peds):
     batch = net.window_batch(episodes, ends)
     # gathered back to one token set per slot, the shared step rows give the
     # per-window layout byte for byte
-    assert_same((batch.spatial[batch.rows], *batch[1:4]),
-                ref_window_batch(net, episodes, ends))
+    want = ref_window_batch(net, episodes, ends)
+    assert_same(window_fields(net, batch), want)
     # one all-zero padding row plus each episode's steps from its earliest
     # window's first slot to its latest end, each built once
     assert len(batch.spatial) == 1 + 1 + 3 + 7
     assert not batch.spatial[0].any()
-    assert np.array_equal(batch.rows == 0, ~batch.valid)
+    assert np.array_equal(batch.rows == 0, ~want[2])
 
 
 @pytest.mark.parametrize("num_peds", [0, 2])
@@ -197,7 +204,7 @@ def test_tokenize_and_window_batch_read_the_same_rows(rng, num_peds):
     row_ids = batch.spatial[:, 0, 0]
     assert len(np.unique(row_ids)) == len(row_ids)
     assert np.array_equal(seq.states[..., 0], row_ids[batch.rows])
-    assert np.array_equal(seq.step_valid, batch.valid)
+    assert np.array_equal(seq.step_valid, batch.rows > 0)
 
 
 @pytest.mark.parametrize("end", [-1, STEPS])
