@@ -249,10 +249,10 @@ def cmd_pipeline(args) -> int:
         print(f"dry run: wrote {paths['manifest']} only")
         return EXIT_OK
 
+    outputs = [paths["config"], paths["dataset"], paths["dataset"] + ".stats.json",
+               paths["pretrained"], paths["finetuned"], paths["report"], paths["positions"]]
     figures = [p for i in range(args.eval_episodes) for p in figure_paths(paths["plots"], i)]
-    _guard_overwrite([paths["config"], paths["dataset"], paths["dataset"] + ".stats.json",
-                      paths["pretrained"], paths["finetuned"], paths["report"],
-                      paths["positions"], *figures], args.force)
+    _guard_overwrite(outputs + figures, args.force)
     _warn_blas_threads()
     episodes = cfg.train.offline_episodes if args.episodes is None else args.episodes
     trajectories, stats = _gen_data(cfg, episodes, paths["dataset"])
@@ -274,10 +274,7 @@ def cmd_pipeline(args) -> int:
                        "mean_return": report.mean_return},
               "plot": {"files": len(written)}}
 
-    artifacts = [paths[k] for k in ("config", "dataset", "pretrained",
-                                    "finetuned", "report", "positions")]
-    artifacts += [paths["dataset"] + ".stats.json"] + written
-    _write_manifest(paths["manifest"], "pipeline", cfg, artifacts, started,
+    _write_manifest(paths["manifest"], "pipeline", cfg, outputs + written, started,
                     stages=stages)
     print(f"pipeline complete: success {report.success_rate:.3f}, "
           f"manifest {paths['manifest']}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -211,7 +211,9 @@ def _build(cls, raw, section, source):
                 value, FIELD_TYPES[kind]):
             raise ConfigError(f"{source}: {section}.{name} must be {kind}, "
                               f"got {type(value).__name__} {value!r}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{source}: {section}.{name} must be finite, got {value!r}")
+        elif kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+            # also an int beyond float range, which is kept as given, not converted
+            got = "an int beyond float range" if isinstance(value, int) else repr(value)
+            raise ConfigError(f"{source}: {section}.{name} must be finite, got {got}")
         kwargs[name] = value
     return cls(**kwargs)

@@ -58,8 +58,10 @@ class Trajectory:
 
     def __post_init__(self):
         T = len(self.states)
-        if not (len(self.actions) == len(self.rewards) == len(self.rtg) == T):
-            raise ValueError("trajectory arrays must share one length")
+        shapes = [np.shape(x) for x in (self.states, self.actions, self.rewards, self.rtg)]
+        if len(shapes[0]) != 2 or shapes[1:] != [(T, 2), (T,), (T,)]:
+            raise ValueError(f"trajectory shapes (states, actions, rewards, rtg) {shapes}, "
+                             "need (T, d), (T, 2), (T,), (T,)")
         if self.outcome not in OUTCOMES.values():
             raise ValueError(f"unknown outcome {self.outcome!r}")
 

@@ -7,10 +7,11 @@ to pedestrian labelling while the spatial attention still treats the
 blocks as a set.
 
 Both networks read fixed-width windows of episode steps, front-padded
-before the episode start. `window_rows` is the one place that decides
-which steps a batch of windows reads: each read step becomes one row,
-built once however many windows hold it, and row 0 is the shared
-padding. The predictor's step token at time u carries the previous
+before the episode start. `window_tables` is the one builder of those
+windows: it decides which steps a batch reads, builds each episode's
+steps once however many windows hold them, keeps the read ones as rows
+and writes the shared all-zero padding row 0; the networks only say how
+to build a step. The predictor's step token at time u carries the previous
 transition's action and reward (zeros at the episode start), which keeps
 training and rollout inputs identically distributed: the current step's
 action does not exist yet when the return estimate is needed.
@@ -44,16 +45,16 @@ def canonicalize_joint(joint: np.ndarray, num_peds: int) -> np.ndarray:
                                               num_peds * PED_PART_DIM)], axis=-1)
 
 
-def window_rows(episodes, ends, width: int):
-    """Which episode steps a batch of `width`-slot windows reads.
+def window_tables(episodes, ends, width: int, build):
+    """The step tables a batch of `width`-slot windows reads.
 
     Window i ends at step ends[i] (inclusive) of episodes[i], a tuple of
     per-step sequences whose first is the states. Windows of one episode
-    (the same objects) share its steps. Returns (reads, rows): per distinct
-    episode (episode, lo, read), where read[k] says whether some window
-    holds step lo + k; and rows (B, width), the row each slot reads when
-    the read steps of all episodes are stacked in order after one shared
-    front-padding row 0.
+    (the same objects) share its steps: `build(episode, lo, hi)` returns
+    per-step arrays of steps lo..hi, from its earliest window's first slot
+    to its latest end. Returns (tables, rows): each table stacks the read
+    steps of all episodes in order after one all-zero padding row 0 of its
+    dtype, and rows (B, width) is the row each slot reads.
     """
     if len(episodes) != len(ends):
         raise ValueError(f"{len(episodes)} episodes for {len(ends)} window ends")
@@ -65,7 +66,7 @@ def window_rows(episodes, ends, width: int):
     ends = np.asarray(ends)
     rows = np.empty((len(ends), width), dtype=np.intp)
     slot_steps = np.arange(1 - width, 1)
-    reads = []
+    parts = []
     first = 1
     for episode, members in groups.values():
         e = ends[members]
@@ -79,9 +80,11 @@ def window_rows(episodes, ends, width: int):
         read[steps[real] - lo] = True
         row_of = np.cumsum(read) - 1 + first
         rows[members] = np.where(real, row_of[np.maximum(steps - lo, 0)], 0)
-        reads.append((episode, lo, read))
+        parts.append([table[read] for table in build(episode, lo, hi)])
         first = int(row_of[-1]) + 1   # step hi is read: it ends a window
-    return reads, rows
+    tables = tuple(np.concatenate([np.zeros((1, *t[0].shape[1:]), dtype=t[0].dtype), *t])
+                   for t in zip(*parts))
+    return tables, rows
 
 
 def history_window(states, actions, rewards, lo: int, hi: int, num_peds: int):

@@ -24,7 +24,7 @@ import numpy as np
 from . import nn
 from .config import RTG_MODES
 from .core import joint_dim
-from .features import canonicalize_joint, window_rows
+from .features import canonicalize_joint, window_tables
 
 
 def squash_fwd(z, v_max):
@@ -212,28 +212,23 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
     ends[i] the inclusive end step of window i.
 
     The conditioning slots copy `rtg`, the per-step return-to-go values
-    aligned with `states`. Windows of one episode (the same three objects)
-    share their step rows (see features.window_rows): each read step is
-    canonicalized once. An action list that stops before a window's end
-    (as Actor's does) leaves its later slots zeroed and masked.
+    aligned with `states`. features.window_tables builds the windows, so
+    windows of one episode (the same three objects) share its canonical
+    step rows. An action list that stops before a window's end (as
+    Actor's does) leaves its later slots zeroed and masked.
     """
-    reads, rows = window_rows(episodes, ends, context)
-    rtg, states = [np.zeros(1)], [np.zeros((1, joint_dim(num_peds)))]
-    actions, known = [np.zeros((1, 2))], [np.zeros(1, dtype=bool)]
-    for (s, a, g), lo, read in reads:
-        stop = lo + len(read)
-        logged = np.arange(lo, stop) < len(a)
-        acts = np.zeros((len(read), 2))
-        acts[logged] = np.reshape(a[lo:stop], (-1, 2))
-        rtg.append(np.asarray(g[lo:stop], dtype=np.float64)[read])
-        states.append(canonicalize_joint(np.asarray(s[lo:stop], dtype=np.float64)[read],
-                                         num_peds))
-        actions.append(acts[read])
-        known.append(logged[read])
-    rtg, states, actions, known = (np.concatenate(x)[rows]
-                                   for x in (rtg, states, actions, known))
-    return TokenSequence(rtg=rtg, states=states, actions=actions, step_valid=rows > 0,
-                         action_valid=known)
+    def build(episode, lo, hi):
+        states, actions, rtg = episode
+        span = slice(lo, hi + 1)
+        logged = np.arange(lo, hi + 1) < len(actions)
+        acts = np.zeros((len(logged), 2))
+        acts[logged] = np.reshape(actions[span], (-1, 2))
+        states = canonicalize_joint(np.asarray(states[span], dtype=np.float64), num_peds)
+        return np.asarray(rtg[span], dtype=np.float64), states, acts, logged
+
+    (rtg, states, actions, known), rows = window_tables(episodes, ends, context, build)
+    return TokenSequence(rtg=rtg[rows], states=states[rows], actions=actions[rows],
+                         step_valid=rows > 0, action_valid=known[rows])
 
 
 # -- acting ----------------------------------------------------------------

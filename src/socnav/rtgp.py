@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nn
 from .features import (SPATIAL_TOKEN_DIM, history_window, temporal_token_dim,
-                       window_rows)
+                       window_tables)
 from .core import joint_dim
 
 
@@ -36,7 +36,8 @@ class WindowBatch(NamedTuple):
 
     A step's spatial tokens depend only on that step and its previous
     transition, so windows that hold the same step read one row of
-    `spatial`. Row 0 is padding: a slot is real where its row is above 0.
+    `spatial`, a table built by features.window_tables, the one window
+    builder. Row 0 is padding: a slot is real where its row is above 0.
     """
 
     spatial: np.ndarray    # (S, m+1, SPATIAL_TOKEN_DIM) distinct steps, row 0 padding
@@ -199,22 +200,14 @@ class RtgPredictor:
         """Batch of history windows: episodes[i] is (states, actions, rewards),
         ends[i] the inclusive end step of window i.
 
-        Windows of one episode (the same three objects) share their step
-        rows (see features.window_rows): one history_window call builds the
-        tokens of the steps from the first slot of its earliest window to
-        its latest end, and only the steps some window reads become rows.
+        features.window_tables builds the windows: one history_window call
+        per distinct episode (the same three objects) builds its steps'
+        tokens, and only the steps some window reads become rows.
         """
-        reads, rows = window_rows(episodes, ends, self.window)
-        spatial = [np.zeros((1, self.num_peds + 1, SPATIAL_TOKEN_DIM))]
-        temporal = [np.zeros((1, self.temporal_dim))]
-        for (states, actions, rewards), lo, read in reads:
-            sp, te = history_window(states, actions, rewards, lo, lo + len(read) - 1,
-                                    self.num_peds)
-            spatial.append(sp[read])
-            temporal.append(te[read])
-        temporal = np.concatenate(temporal)
-        return WindowBatch(spatial=np.concatenate(spatial), temporal=temporal[rows],
-                           rows=rows)
+        (spatial, temporal), rows = window_tables(
+            episodes, ends, self.window,
+            lambda episode, lo, hi: history_window(*episode, lo, hi, self.num_peds))
+        return WindowBatch(spatial=spatial, temporal=temporal[rows], rows=rows)
 
     def predict(self, store, states, actions, rewards, end: int) -> float:
         batch = self.window_batch([(states, actions, rewards)], [end])

@@ -400,6 +400,17 @@ class TestPipeline:
         assert "sim.dt must be finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_int_beyond_float_range_is_2_before_any_file(self, tmp_path, capsys):
+        # an int is accepted for a float field; one too large for a float
+        # once made gen-data exit 3 with OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text('{"sim": {"dt": 1%s}}' % ("0" * 400))
+        out = tmp_path / "data.jsonl"
+        assert run("--config", str(path), "gen-data", "--episodes", "1",
+                   "--out", str(out)) == EXIT_CONFIG
+        assert "sim.dt must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["policy_batch", "rtgp_fast_batch", "max_episodes"])
     def test_removed_train_key_is_2_before_any_file(self, tiny_config_file, tmp_path,
                                                     capsys, key):

@@ -79,6 +79,8 @@ class TestValidation:
         ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
         ({"sim": {"robot_orca": {"time_horizon": -float("inf")}}},
          "sim.robot_orca.time_horizon"),
+        ({"sim": {"dt": 10**400}}, "sim.dt"),
+        ({"train": {"learning_rate": 10**400}}, "train.learning_rate"),
     ])
     def test_wrong_type_or_negative_seed_names_the_field(self, raw, field):
         with pytest.raises(ConfigError, match=re.escape(field)):

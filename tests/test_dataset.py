@@ -136,6 +136,29 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="line 3"):
             load_trajectories(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("states", [0.5, 0.5, 0.5]),
+        ("states", [[[0.5]], [[0.5]], [[0.5]]]),
+        ("actions", [[0.1, 0.2, 0.3]] * 3),
+        ("actions", [0.1, 0.2, 0.3]),
+        ("rewards", [[0.0], [0.0], [1.0]]),
+        ("rtg", [[0.5], [0.5], [1.0]]),
+    ], ids=["states-1d", "states-3d", "actions-3-wide", "actions-1d",
+            "rewards-2d", "rtg-2d"])
+    def test_malformed_shape_names_line(self, tmp_path, rng, field, value):
+        # each record loads as arrays of the right length; only the shape is wrong
+        path = tmp_path / "s.jsonl"
+        save_trajectories(path, [make_traj(rng, steps=3), make_traj(rng, steps=3)],
+                          gamma=0.99)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=r"line 3: bad trajectory record \(trajectory shapes"):
+            load_trajectories(path)
+
     def test_bad_json_names_line(self, tmp_path, rng):
         path = tmp_path / "b.jsonl"
         save_trajectories(path, [make_traj(rng)], gamma=0.99)

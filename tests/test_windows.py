@@ -3,17 +3,21 @@
 The reference functions below fill one slot at a time from the whole
 canonicalized episode, the way window assembly was first written. The
 batched `tokenize`, `history_window`, `window_batch` and
-`policy_batch_from`, which share one `features.window_rows`, must
-reproduce them array for array, bit for bit.
+`policy_batch_from` must reproduce them array for array, bit for bit.
+`features.window_tables` is the one builder behind `tokenize` and
+`window_batch`: it alone groups windows, picks the read steps, writes the
+padding row and stacks the step tables.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM, joint_dim
 from socnav.dataset import Trajectory, compute_rtg
 from socnav.features import (SPATIAL_TOKEN_DIM, canonicalize_joint, clip_action_norm,
-                             history_window, temporal_token_dim)
+                             history_window, temporal_token_dim, window_tables)
 from socnav.policy import DtPolicy, TokenSequence, tokenize
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import policy_batch_from
@@ -230,6 +234,75 @@ def test_window_batch_empty_raises():
     net = RtgPredictor(num_peds=2, window=4)
     with pytest.raises(ValueError, match="empty"):
         net.window_batch([], [])
+    with pytest.raises(ValueError, match="empty"):
+        tokenize([], [], context=4, num_peds=2)
+
+
+@st.composite
+def window_specs(draw):
+    """(num_peds, width, seed, episodes, picks): per episode its step count
+    and, for an Actor-style history, the step being decided (its action
+    and reward lists stop there), else None; picks are (episode, end)."""
+    num_peds = draw(st.sampled_from([0, 2]))
+    width = draw(st.integers(1, 6))
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        steps = draw(st.integers(1, 14))
+        shapes.append((steps, draw(st.none() | st.integers(0, steps - 1))))
+    picks = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, len(shapes) - 1))
+        steps, stop = shapes[k]
+        picks.append((k, draw(st.integers(0, steps - 1 if stop is None else stop))))
+    picks += draw(st.lists(st.sampled_from(picks), max_size=3))   # duplicate windows
+    return num_peds, width, draw(st.integers(0, 2**32 - 1)), shapes, picks
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(window_specs())
+@example((2, 4, 0, [(10, None)], [(0, 1), (0, 9), (0, 9)]))   # a gap: steps 2-5 unread
+@example((0, 3, 1, [(12, 9), (4, None)], [(0, 9), (1, 0), (0, 2), (0, 9)]))
+def test_builders_match_reference_on_drawn_batches(spec):
+    num_peds, width, seed, shapes, picks = spec
+    rng = np.random.default_rng(seed)
+    eps = []
+    for steps, stop in shapes:
+        ep = episode(rng, num_peds, steps)
+        eps.append(ep if stop is None else as_actor_history(*ep, stop))
+    ends = [end for _, end in picks]
+    # the distinct (episode, step) pairs some window reads
+    read = {(k, u) for k, end in picks for u in range(max(0, end + 1 - width), end + 1)}
+
+    seq = tokenize([(eps[k][0], eps[k][1], eps[k][3]) for k, _ in picks], ends,
+                   context=width, num_peds=num_peds)
+    for i, (k, end) in enumerate(picks):
+        s, a, _, g = eps[k]
+        assert_same([field[i] for field in seq],
+                    ref_tokenize(s, a, g, end, width, num_peds))
+
+    net = RtgPredictor(num_peds=num_peds, window=width)
+    episodes = [eps[k][:3] for k, _ in picks]
+    batch = net.window_batch(episodes, ends)
+    assert_same(window_fields(net, batch), ref_window_batch(net, episodes, ends))
+    assert len(batch.spatial) == 1 + len(read)
+
+    # the builder itself: tables naming each row's (episode, step) hold
+    # exactly the read steps, by first-drawn episode, after the zero row
+    index = {id(ep[0]): k for k, ep in enumerate(eps)}
+
+    def build(ep, lo, hi):
+        return np.full(hi + 1 - lo, index[id(ep[0])]), np.arange(lo, hi + 1)
+
+    (ks, us), rows = window_tables(episodes, ends, width, build)
+    order = list(dict.fromkeys(k for k, _ in picks))
+    assert ks[0] == us[0] == 0
+    assert list(zip(ks[1:].tolist(), us[1:].tolist())) == sorted(
+        read, key=lambda r: (order.index(r[0]), r[1]))
+    for (k, end), slots in zip(picks, rows):
+        steps = np.arange(end + 1 - width, end + 1)
+        real = steps >= 0
+        assert np.array_equal(slots == 0, ~real)
+        assert (ks[slots[real]] == k).all() and np.array_equal(us[slots[real]], steps[real])
 
 
 def test_policy_targets_match_reference(rng):
