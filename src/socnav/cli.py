@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: gen-data, stats, pretrain, finetune, eval, plot, pipeline. One
-global --seed is propagated to each stage with a fixed offset, so stages
-are independently reproducible. Existing output files are never
-overwritten without --force.
+Subcommands: gen-data, stats, pretrain, finetune, eval, plot, pipeline. The
+config file plus --seed describes a run: no flag overrides a config field,
+and only the evaluation episode count is a flag. The seed is propagated to
+each stage with a fixed offset, so stages are independently reproducible.
+Existing output files are never overwritten without --force.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """
@@ -17,7 +18,7 @@ import sys
 import time
 
 from . import trainer as tr
-from .config import RTG_MODES, Config, ConfigError
+from .config import Config, ConfigError
 from .core import joint_dim
 from .dataset import (atomic_write, dataset_stats, dumps_lossless, generate_dataset,
                       load_trajectories)
@@ -89,9 +90,14 @@ def _load_dataset(cfg: Config, path):
 
 
 def _load_bundle(cfg: Config, path):
-    """Read a bundle whose blocks match the config's models in name and shape;
-    the first missing, extra or reshaped block is a configuration error."""
+    """Read a bundle whose blocks match the config's models in name and shape
+    and whose recorded `rtg_mode`, if any, is the config's; the first missing,
+    extra or reshaped block, or another mode, is a configuration error."""
     policy_store, rtgp_store, meta = tr.load_bundle(path)
+    mode = meta.get("rtg_mode", cfg.train.rtg_mode)
+    if mode != cfg.train.rtg_mode:
+        raise CliError(f"{path}: fine-tuned in rtg_mode {mode!r}, the config's "
+                       f"train.rtg_mode is {cfg.train.rtg_mode!r}", EXIT_CONFIG)
     for role, store, model in zip(("policy", "rtgp"), (policy_store, rtgp_store),
                                   tr.build_models(cfg)):
         want = {n: b.shape for n, b in model.init_store(0).blocks.items()}
@@ -128,11 +134,11 @@ def _write_manifest(path, command, cfg: Config, artifacts, started,
 # -- stages: each writes its artifact; `pipeline` chains the same code ------
 
 
-def _gen_data(cfg: Config, episodes: int, out):
+def _gen_data(cfg: Config, out):
     """Generate and write the offline dataset; returns (trajectories, stats)."""
-    return generate_dataset(episodes, seed=cfg.seed + tr.SEED_DATA, sim_cfg=cfg.sim,
-                            gamma=cfg.train.gamma, out_path=out, config_hash=cfg.hash(),
-                            max_capacity=cfg.train.buffer_capacity)
+    return generate_dataset(cfg.train.offline_episodes, seed=cfg.seed + tr.SEED_DATA,
+                            sim_cfg=cfg.sim, gamma=cfg.train.gamma, out_path=out,
+                            config_hash=cfg.hash(), max_capacity=cfg.train.buffer_capacity)
 
 
 def _pretrain(cfg: Config, trajs, out):
@@ -144,11 +150,9 @@ def _pretrain(cfg: Config, trajs, out):
     return result, meta
 
 
-def _finetune(cfg: Config, policy_store, rtgp_store, meta, trajs, out, episodes,
-              rtg_mode):
+def _finetune(cfg: Config, policy_store, rtgp_store, meta, trajs, out):
     """Fine-tune the stores in place and write the bundle; returns (result, meta)."""
-    result = tr.finetune_online(policy_store, rtgp_store, trajs, cfg, seed=cfg.seed,
-                                episodes=episodes, rtg_mode=rtg_mode)
+    result = tr.finetune_online(policy_store, rtgp_store, trajs, cfg, seed=cfg.seed)
     prev = int(meta.get("env_transitions", 0))
     meta = {"config_hash": cfg.hash(), "phase": "finetuned", "rtg_mode": result.rtg_mode,
             "env_transitions": prev + result.env_transitions,
@@ -158,13 +162,11 @@ def _finetune(cfg: Config, policy_store, rtgp_store, meta, trajs, out, episodes,
 
 
 def _eval(cfg: Config, policy_store, rtgp_store, meta, episodes, report_path,
-          positions_log, rtg_mode):
+          positions_log):
     """Evaluate and write the report, plus the positions log if a path is given."""
-    rtg_mode = rtg_mode or meta.get("rtg_mode", cfg.train.rtg_mode)
     report, worlds = tr.evaluate(policy_store, rtgp_store, cfg, num_episodes=episodes,
-                                 seed=cfg.seed, rtg_mode=rtg_mode,
-                                 train_transitions=int(meta.get("env_transitions", 0)),
-                                 record_world=bool(positions_log))
+                                 seed=cfg.seed, record_world=bool(positions_log),
+                                 train_transitions=int(meta.get("env_transitions", 0)))
     with atomic_write(report_path) as fh:
         fh.write(report.to_json())
     if positions_log:
@@ -179,8 +181,8 @@ def _eval(cfg: Config, policy_store, rtgp_store, meta, episodes, report_path,
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, args.seed)
     _guard_overwrite([args.out, args.out + ".stats.json"], args.force)
-    _, stats = _gen_data(cfg, args.episodes, args.out)
-    print(f"wrote {args.out}: {args.episodes} episodes, "
+    _, stats = _gen_data(cfg, args.out)
+    print(f"wrote {args.out}: {cfg.train.offline_episodes} episodes, "
           f"success {stats.success_rate:.3f}, collision {stats.collision_rate:.3f}")
     return EXIT_OK
 
@@ -202,8 +204,7 @@ def cmd_finetune(args) -> int:
     _warn_blas_threads()
     policy_store, rtgp_store, meta = _load_bundle(cfg, args.ckpt)
     trajectories = _load_dataset(cfg, args.data)
-    result, _ = _finetune(cfg, policy_store, rtgp_store, meta, trajectories, args.out,
-                          args.episodes, args.rtg_mode)
+    result, _ = _finetune(cfg, policy_store, rtgp_store, meta, trajectories, args.out)
     n_succ = sum(1 for e in result.episodes if e.outcome == "success")
     print(f"wrote {args.out}: {len(result.episodes)} episodes "
           f"({n_succ} successes), {result.env_transitions} transitions")
@@ -215,7 +216,7 @@ def cmd_eval(args) -> int:
     _guard_overwrite([args.report, args.positions_log], args.force)
     policy_store, rtgp_store, meta = _load_bundle(cfg, args.ckpt)
     report = _eval(cfg, policy_store, rtgp_store, meta, args.episodes, args.report,
-                   args.positions_log, args.rtg_mode)
+                   args.positions_log)
     print(f"wrote {args.report}: success {report.success_rate:.3f}, "
           f"reward {report.mean_return:.4f}")
     return EXIT_OK
@@ -254,17 +255,16 @@ def cmd_pipeline(args) -> int:
     figures = [p for i in range(args.eval_episodes) for p in figure_paths(paths["plots"], i)]
     _guard_overwrite(outputs + figures, args.force)
     _warn_blas_threads()
-    episodes = cfg.train.offline_episodes if args.episodes is None else args.episodes
-    trajectories, stats = _gen_data(cfg, episodes, paths["dataset"])
+    trajectories, stats = _gen_data(cfg, paths["dataset"])
     with atomic_write(paths["config"]) as fh:
         fh.write(cfg.to_json() + "\n")
     pre, meta = _pretrain(cfg, trajectories, paths["pretrained"])
     ft, meta = _finetune(cfg, pre.policy_store, pre.rtgp_store, meta, trajectories,
-                         paths["finetuned"], args.finetune_episodes, rtg_mode=None)
+                         paths["finetuned"])
     report = _eval(cfg, ft.policy_store, ft.rtgp_store, meta, args.eval_episodes,
-                   paths["report"], paths["positions"], rtg_mode=None)
+                   paths["report"], paths["positions"])
     written = plot_trajectories(paths["positions"], paths["plots"], force=args.force)
-    stages = {"gen-data": {"episodes": episodes, "success_rate": stats.success_rate},
+    stages = {"gen-data": {"episodes": len(trajectories), "success_rate": stats.success_rate},
               "pretrain": {"iterations": pre.iterations,
                            "policy_loss": pre.policy_losses[-1],
                            "rtgp_loss": pre.rtgp_losses[-1]},
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="collect the offline dataset")
-    g.add_argument("--episodes", type=_count, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_data)
 
@@ -311,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("finetune", help="online fine-tuning")
     g.add_argument("--ckpt", required=True)
     g.add_argument("--data", required=True, help="offline dataset for the hybrid buffer")
-    g.add_argument("--episodes", type=_count, default=None)
-    g.add_argument("--rtg-mode", choices=RTG_MODES, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_finetune)
 
@@ -320,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ckpt", required=True)
     g.add_argument("--episodes", type=_count, default=500)
     g.add_argument("--report", required=True)
-    g.add_argument("--rtg-mode", choices=RTG_MODES, default=None)
     g.add_argument("--positions-log", default=None,
                    help="also write per-step world positions for plotting")
     g.set_defaults(fn=cmd_eval)
@@ -336,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("pipeline", help="gen-data > pretrain > finetune > eval > plot")
     g.add_argument("--out", required=True)
-    g.add_argument("--episodes", type=_count, default=None,
-                   help="offline dataset episodes (default from config)")
-    g.add_argument("--finetune-episodes", type=_count, default=None)
     g.add_argument("--eval-episodes", type=_count, default=100)
     g.add_argument("--dry-run", action="store_true")
     g.set_defaults(fn=cmd_pipeline)

@@ -1,8 +1,9 @@
 """Configuration objects for the simulator, networks and training loops.
 
 All configs are plain dataclasses serializable to/from a single JSON
-document, so a run is fully described by one file plus a seed. The
-canonical JSON form (sorted keys) is hashed to tag artifacts.
+document, so a run is fully described by one file plus a seed (no CLI
+flag overrides a field; only the evaluation episode count lies outside
+it). The canonical JSON form (sorted keys) is hashed to tag artifacts.
 """
 
 from __future__ import annotations

@@ -62,6 +62,9 @@ class Trajectory:
         if len(shapes[0]) != 2 or shapes[1:] != [(T, 2), (T,), (T,)]:
             raise ValueError(f"trajectory shapes (states, actions, rewards, rtg) {shapes}, "
                              "need (T, d), (T, 2), (T,), (T,)")
+        for name in ("states", "actions", "rewards", "rtg"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite value in trajectory {name}")
         if self.outcome not in OUTCOMES.values():
             raise ValueError(f"unknown outcome {self.outcome!r}")
 

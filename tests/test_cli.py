@@ -40,15 +40,13 @@ class TestExitCodes:
     def test_bad_config_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"train": {"gamma": 7}}')
-        rc = run("--config", str(bad), "gen-data", "--episodes", "1",
-                 "--out", str(tmp_path / "d.jsonl"))
+        rc = run("--config", str(bad), "gen-data", "--out", str(tmp_path / "d.jsonl"))
         assert rc == EXIT_CONFIG
 
     def test_unknown_key_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"simulation": {}}')
-        rc = run("--config", str(bad), "gen-data", "--episodes", "1",
-                 "--out", str(tmp_path / "d.jsonl"))
+        rc = run("--config", str(bad), "gen-data", "--out", str(tmp_path / "d.jsonl"))
         assert rc == EXIT_CONFIG
 
     def test_missing_input_is_3(self, tmp_path):
@@ -56,20 +54,33 @@ class TestExitCodes:
                  "--out", str(tmp_path / "c.ckpt"))
         assert rc == EXIT_RUNTIME
 
-    @pytest.mark.parametrize("command", [
-        ["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt"],
-        ["eval", "--ckpt", "c.ckpt", "--report", "r.json"]],
-        ids=["finetune", "eval"])
-    def test_labels_rtg_mode_is_2(self, command):
+    @pytest.mark.parametrize("command, flag", [
+        (["gen-data", "--out", "d.jsonl"], ["--episodes", "2"]),
+        (["pipeline", "--out", "run"], ["--episodes", "2"]),
+        (["pipeline", "--out", "run"], ["--finetune-episodes", "2"]),
+        (["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt"],
+         ["--episodes", "2"]),
+        (["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt"],
+         ["--rtg-mode", "fixed"]),
+        (["eval", "--ckpt", "c.ckpt", "--report", "r.json"], ["--rtg-mode", "fixed"])],
+        ids=["gen-data-episodes", "pipeline-episodes", "pipeline-finetune-episodes",
+             "finetune-episodes", "finetune-rtg-mode", "eval-rtg-mode"])
+    def test_override_flag_removed(self, tiny_config_file, tmp_path, monkeypatch, capsys,
+                                   command, flag):
+        # the return conditioning and every episode count except the
+        # evaluation count are set in the config only
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
-            run(*command, "--rtg-mode", "labels")
+            run("--config", tiny_config_file, *command, *flag)
         assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_reference_faster_than_v_max_is_2_before_any_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"sim": {"v_max": 0.8}}')
-        rc = run("--config", str(bad), "gen-data", "--episodes", "5",
-                 "--out", str(tmp_path / "d.jsonl"))
+        rc = run("--config", str(bad), "gen-data", "--out", str(tmp_path / "d.jsonl"))
         assert rc == EXIT_CONFIG
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
@@ -83,8 +94,7 @@ class TestExitCodes:
             self, tmp_path, capsys, config, argv, field):
         path = tmp_path / "cfg.json"
         path.write_text(config)
-        rc = run("--config", str(path), *argv, "gen-data", "--episodes", "1",
-                 "--out", str(tmp_path / "d.jsonl"))
+        rc = run("--config", str(path), *argv, "gen-data", "--out", str(tmp_path / "d.jsonl"))
         assert rc == EXIT_CONFIG
         assert f"error: {field}" in capsys.readouterr().err.replace(f"{path}: ", "")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
@@ -92,36 +102,44 @@ class TestExitCodes:
     def test_safety_space_flag_removed(self, tmp_path):
         # the robot controller's safety space is set in the config only
         with pytest.raises(SystemExit) as exc:
-            run("gen-data", "--episodes", "1", "--safety-space", "0.02",
-                "--out", str(tmp_path / "d.jsonl"))
+            run("gen-data", "--safety-space", "0.02", "--out", str(tmp_path / "d.jsonl"))
         assert exc.value.code == EXIT_CONFIG
 
     def test_gen_data_ok(self, tiny_config_file, tmp_path):
-        rc = run("--config", tiny_config_file, "gen-data", "--episodes", "2",
-                 "--out", str(tmp_path / "d.jsonl"))
+        rc = run("--config", tiny_config_file, "gen-data", "--out", str(tmp_path / "d.jsonl"))
         assert rc == EXIT_OK
-        assert (tmp_path / "d.jsonl").exists()
+        assert len(load_trajectories(tmp_path / "d.jsonl")[0]) == 4   # train.offline_episodes
         assert (tmp_path / "d.jsonl.stats.json").exists()
 
 
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    @pytest.mark.parametrize("command", [
-        ["gen-data", "--out", "d.jsonl", "--episodes"],
-        ["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt",
-         "--episodes"],
-        ["eval", "--ckpt", "c.ckpt", "--report", "r.json", "--episodes"],
-        ["pipeline", "--out", "run", "--episodes"],
-        ["pipeline", "--out", "run", "--finetune-episodes"],
-        ["pipeline", "--out", "run", "--eval-episodes"]],
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("command, field", [
+        (["gen-data", "--out", "d.jsonl"], "offline_episodes"),
+        (["finetune", "--ckpt", "c.ckpt", "--data", "d.jsonl", "--out", "f.ckpt"],
+         "finetune_episodes"),
+        (["eval", "--ckpt", "c.ckpt", "--report", "r.json", "--episodes"], None),
+        (["pipeline", "--out", "run"], "offline_episodes"),
+        (["pipeline", "--out", "run"], "finetune_episodes"),
+        (["pipeline", "--out", "run", "--eval-episodes"], None)],
         ids=["gen-data", "finetune", "eval", "pipeline", "pipeline-finetune",
              "pipeline-eval"])
-    def test_count_below_one_is_2_before_any_file(self, command, count, tiny_config_file,
-                                                  tmp_path, monkeypatch):
+    def test_count_below_one_is_2_before_any_file(self, command, field, count,
+                                                  tiny_config_file, tmp_path, monkeypatch,
+                                                  capsys):
+        # every count is a config field except the evaluation count, a flag
         monkeypatch.chdir(tmp_path)
-        before = sorted(tmp_path.iterdir())
-        with pytest.raises(SystemExit) as exc:
-            run("--config", tiny_config_file, *command, count)
-        assert exc.value.code == EXIT_CONFIG
+        if field is None:
+            before = sorted(tmp_path.iterdir())
+            with pytest.raises(SystemExit) as exc:
+                run("--config", tiny_config_file, *command, str(count))
+            assert exc.value.code == EXIT_CONFIG
+            assert "must be at least 1" in capsys.readouterr().err
+        else:
+            cfg = with_overrides(tiny_config_file, tmp_path / "count.json", "train",
+                                 **{field: count})
+            before = sorted(tmp_path.iterdir())
+            assert run("--config", cfg, *command) == EXIT_CONFIG
+            assert f"train.{field} must be >= 1" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
 
@@ -130,8 +148,7 @@ class TestFinetuneCapacity:
             self, tiny_config_file, tmp_path, capsys):
         # a dataset written under a larger capacity than the fine-tuning config's
         data, ckpt, out = (str(tmp_path / n) for n in ("d.jsonl", "c.ckpt", "f.ckpt"))
-        assert run("--config", tiny_config_file, "gen-data", "--episodes", "4",
-                   "--out", data) == EXIT_OK
+        assert run("--config", tiny_config_file, "gen-data", "--out", data) == EXIT_OK
         write_bundle(ckpt, tiny_config_file)
         transitions = sum(t.num_steps for t in load_trajectories(data)[0])
         assert transitions > 100
@@ -155,10 +172,10 @@ def with_overrides(cfg_file, path, section, **values) -> str:
     return str(path)
 
 
-def write_bundle(path, cfg_file, pad_block=False):
-    """Freshly initialized stores of the config's models; `pad_block` writes
-    the predictor in its earlier layout, with a zero `pad` vector after
-    `embed_t`."""
+def write_bundle(path, cfg_file, pad_block=False, meta=None):
+    """Freshly initialized stores of the config's models, with `meta`;
+    `pad_block` writes the predictor in its earlier layout, with a zero
+    `pad` vector after `embed_t`."""
     policy, rtgp = trainer.build_models(Config.load(cfg_file).validate())
     rtgp_store = rtgp.init_store(1)
     if pad_block:
@@ -167,7 +184,7 @@ def write_bundle(path, cfg_file, pad_block=False):
             rtgp_store.add(name, block)
             if name == "embed_t.b":
                 rtgp_store.add("pad", np.zeros_like(block))
-    trainer.save_bundle(path, policy.init_store(0), rtgp_store)
+    trainer.save_bundle(path, policy.init_store(0), rtgp_store, meta=meta)
 
 
 class TestBundleShapes:
@@ -209,6 +226,51 @@ class TestBundleShapes:
                    "--report", str(tmp_path / "r.json")) == EXIT_OK
 
 
+class TestRtgMode:
+    @pytest.mark.parametrize("bundle_mode, run_mode", [("fixed", "rtgp"), ("rtgp", "fixed")])
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_mismatch_is_2_naming_both_modes(self, tiny_config_file, tmp_path, capsys,
+                                             bundle_mode, run_mode, command):
+        ckpt = str(tmp_path / "c.ckpt")
+        write_bundle(ckpt, tiny_config_file, meta={"rtg_mode": bundle_mode})
+        cfg = with_overrides(tiny_config_file, tmp_path / "r.json", "train",
+                             rtg_mode=run_mode)
+        argv = {"finetune": ["finetune", "--ckpt", ckpt, "--data", str(tmp_path / "d.jsonl"),
+                             "--out", str(tmp_path / "f.ckpt")],
+                "eval": ["eval", "--ckpt", ckpt, "--episodes", "1",
+                         "--report", str(tmp_path / "report.json")]}[command]
+        before = sorted(tmp_path.iterdir())
+        assert run("--config", cfg, *argv) == EXIT_CONFIG
+        assert (f"fine-tuned in rtg_mode '{bundle_mode}', the config's train.rtg_mode "
+                f"is '{run_mode}'") in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_each_mode_is_its_own_config(self, tiny_config_file, tmp_path):
+        # the fixed-target ablation fine-tunes one pretrained bundle under a
+        # config that differs only in train.rtg_mode; the hashes tell the
+        # bundles apart, and each evaluates under its own config only
+        data, pre = str(tmp_path / "d.jsonl"), str(tmp_path / "pre.ckpt")
+        assert run("--config", tiny_config_file, "gen-data", "--out", data) == EXIT_OK
+        assert run("--config", tiny_config_file, "pretrain", "--data", data,
+                   "--out", pre) == EXIT_OK
+        cfgs = {"rtgp": tiny_config_file,
+                "fixed": with_overrides(tiny_config_file, tmp_path / "fixed.json", "train",
+                                        rtg_mode="fixed")}
+        metas = {}
+        for mode, cfg in cfgs.items():
+            ckpt = str(tmp_path / f"{mode}.ckpt")
+            assert run("--config", cfg, "finetune", "--ckpt", pre, "--data", data,
+                       "--out", ckpt) == EXIT_OK
+            metas[mode] = trainer.load_bundle(ckpt)[2]
+            assert metas[mode]["rtg_mode"] == mode
+            assert metas[mode]["config_hash"] == Config.load(cfg).hash()
+            for other, other_cfg in cfgs.items():
+                assert run("--config", other_cfg, "eval", "--ckpt", ckpt, "--episodes", "1",
+                           "--report", str(tmp_path / f"{mode}-{other}.json")) == (
+                    EXIT_OK if other == mode else EXIT_CONFIG)
+        assert metas["rtgp"]["config_hash"] != metas["fixed"]["config_hash"]
+
+
 class TestDatasetMismatch:
     @pytest.mark.parametrize("section, values, message", [
         ("sim", {"num_peds": 3},
@@ -222,8 +284,7 @@ class TestDatasetMismatch:
         # a dataset written under another config
         other = with_overrides(tiny_config_file, tmp_path / "other.json", section, **values)
         data, ckpt, out = (str(tmp_path / n) for n in ("d.jsonl", "c.ckpt", "o.ckpt"))
-        assert run("--config", other, "gen-data", "--episodes", "2",
-                   "--out", data) == EXIT_OK
+        assert run("--config", other, "gen-data", "--out", data) == EXIT_OK
         argv = ["--data", data, "--out", out]
         if command == "finetune":
             write_bundle(ckpt, tiny_config_file)
@@ -242,8 +303,7 @@ class TestBlasThreads:
     def stages(self, tiny_config_file, tmp_path):
         """argv of pipeline, pretrain and finetune on one tiny dataset."""
         data, ckpt = str(tmp_path / "d.jsonl"), str(tmp_path / "c.ckpt")
-        assert run("--config", tiny_config_file, "gen-data", "--episodes", "2",
-                   "--out", data) == EXIT_OK
+        assert run("--config", tiny_config_file, "gen-data", "--out", data) == EXIT_OK
         write_bundle(ckpt, tiny_config_file)
         return {"pipeline": ["pipeline", "--out", str(tmp_path / "run"),
                              "--eval-episodes", "1"],
@@ -295,12 +355,10 @@ class TestBlasThreads:
 class TestOverwriteGuard:
     def test_refuses_then_force(self, tiny_config_file, tmp_path):
         out = str(tmp_path / "d.jsonl")
-        assert run("--config", tiny_config_file, "gen-data", "--episodes", "2",
-                   "--out", out) == EXIT_OK
-        assert run("--config", tiny_config_file, "gen-data", "--episodes", "2",
-                   "--out", out) == EXIT_CONFIG
+        assert run("--config", tiny_config_file, "gen-data", "--out", out) == EXIT_OK
+        assert run("--config", tiny_config_file, "gen-data", "--out", out) == EXIT_CONFIG
         assert run("--config", tiny_config_file, "--force", "gen-data",
-                   "--episodes", "2", "--out", out) == EXIT_OK
+                   "--out", out) == EXIT_OK
 
 
 class TestStages:
@@ -312,12 +370,11 @@ class TestStages:
         poslog = str(tmp_path / "pos.jsonl")
         plots = str(tmp_path / "plots")
 
-        assert run("--config", tiny_config_file, "gen-data", "--episodes", "4",
-                   "--out", data) == EXIT_OK
+        assert run("--config", tiny_config_file, "gen-data", "--out", data) == EXIT_OK
         assert run("--config", tiny_config_file, "pretrain", "--data", data,
                    "--out", ckpt) == EXIT_OK
         assert run("--config", tiny_config_file, "finetune", "--ckpt", ckpt,
-                   "--data", data, "--episodes", "2", "--out", ft) == EXIT_OK
+                   "--data", data, "--out", ft) == EXIT_OK
         assert run("--config", tiny_config_file, "eval", "--ckpt", ft,
                    "--episodes", "2", "--report", report,
                    "--positions-log", poslog) == EXIT_OK
@@ -330,22 +387,23 @@ class TestStages:
             rep["mean_return"] / rep["train_transitions"], abs=1e-12)
 
     def test_chained_stages_match_pipeline_bytes(self, tiny_config_file, tmp_path):
-        # the subcommands and `pipeline` run the same stage code
+        # the subcommands and `pipeline` run the same stage code, and the
+        # config `pipeline` writes describes its run
         pipe = tmp_path / "run"
         assert run("--config", tiny_config_file, "pipeline", "--out", str(pipe),
                    "--eval-episodes", "2") == EXIT_OK
         st = tmp_path / "stages"
         st.mkdir()
         chain = [
-            ["gen-data", "--episodes", "4", "--out", f"{st}/dataset.jsonl"],
+            ["gen-data", "--out", f"{st}/dataset.jsonl"],
             ["pretrain", "--data", f"{st}/dataset.jsonl", "--out", f"{st}/pretrained.ckpt"],
             ["finetune", "--ckpt", f"{st}/pretrained.ckpt", "--data",
-             f"{st}/dataset.jsonl", "--episodes", "2", "--out", f"{st}/finetuned.ckpt"],
+             f"{st}/dataset.jsonl", "--out", f"{st}/finetuned.ckpt"],
             ["eval", "--ckpt", f"{st}/finetuned.ckpt", "--episodes", "2", "--report",
              f"{st}/eval_report.json", "--positions-log", f"{st}/eval_positions.jsonl"],
         ]
         for argv in chain:
-            assert run("--config", tiny_config_file, *argv) == EXIT_OK
+            assert run("--config", str(pipe / "config.json"), *argv) == EXIT_OK
         names = sorted(p.name for p in st.iterdir())
         assert names == ["dataset.jsonl", "dataset.jsonl.stats.json", "eval_positions.jsonl",
                          "eval_report.json", "finetuned.ckpt", "pretrained.ckpt"]
@@ -354,8 +412,8 @@ class TestStages:
 
     def test_stats_command(self, tiny_config_file, tmp_path, capsys):
         data = str(tmp_path / "d.jsonl")
-        run("--config", tiny_config_file, "gen-data", "--episodes", "3",
-            "--out", data)
+        run("--config", with_overrides(tiny_config_file, tmp_path / "three.json", "train",
+                                       offline_episodes=3), "gen-data", "--out", data)
         assert run("stats", "--data", data) == EXIT_OK
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert out["capacity"] == 3
@@ -406,8 +464,7 @@ class TestPipeline:
         path = tmp_path / "huge.json"
         path.write_text('{"sim": {"dt": 1%s}}' % ("0" * 400))
         out = tmp_path / "data.jsonl"
-        assert run("--config", str(path), "gen-data", "--episodes", "1",
-                   "--out", str(out)) == EXIT_CONFIG
+        assert run("--config", str(path), "gen-data", "--out", str(out)) == EXIT_CONFIG
         assert "sim.dt must be finite" in capsys.readouterr().err
         assert not out.exists()
 

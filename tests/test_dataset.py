@@ -159,6 +159,25 @@ class TestSerialization:
                            match=r"line 3: bad trajectory record \(trajectory shapes"):
             load_trajectories(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["states", "actions", "rewards", "rtg"])
+    def test_non_finite_value_names_line(self, tmp_path, rng, field, value):
+        # json reads NaN and infinities; a dataset holding one is refused at load
+        path = tmp_path / "n.jsonl"
+        save_trajectories(path, [make_traj(rng, steps=3), make_traj(rng, steps=3)],
+                          gamma=0.99)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        values = np.array(record[field])
+        values.flat[values.size // 2] = float(value)
+        record[field] = values.tolist()
+        lines[2] = json.dumps(record)
+        assert value in lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"line 3: bad trajectory record "
+                           rf"\(non-finite value in trajectory {field}\)"):
+            load_trajectories(path)
+
     def test_bad_json_names_line(self, tmp_path, rng):
         path = tmp_path / "b.jsonl"
         save_trajectories(path, [make_traj(rng)], gamma=0.99)
