@@ -11,6 +11,15 @@ one more input sequence: the caller hands tokenize the per-step values
 (stored Monte-Carlo labels or predictor outputs when training). Online,
 Actor is the one place that computes them, from the return predictor
 (fine-tuning and deployment) or from a fixed target (ablation).
+
+Acting featurizes each step once. A decision adds its one new step to
+the episode's step store (EpisodeContext): the canonical joint row, the
+predictor's step tokens and, with a predictor, the step's per-step
+encoding. features.window_tables then gathers both networks' windows
+from the store, and the decision runs the same forwards as a whole-window
+build, byte for byte. That identity rests on every product being a GEMM
+over at least two rows (checked with the bundled OpenBLAS at the
+published and tiny shapes); see Actor for the one place it needs care.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import nn
+from . import features, nn
 from .config import RTG_MODES
 from .core import joint_dim
 from .features import canonicalize_joint, window_tables
@@ -217,14 +226,20 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
     step rows. An action list that stops before a window's end (as
     Actor's does) leaves its later slots zeroed and masked.
     """
+    return _token_windows(episodes, ends, context, lambda states: canonicalize_joint(
+        np.asarray(states, dtype=np.float64), num_peds))
+
+
+def _token_windows(episodes, ends, context: int, canonical) -> TokenSequence:
+    """tokenize, with `canonical` turning a slice of an episode's states
+    into its canonical joint rows."""
     def build(episode, lo, hi):
         states, actions, rtg = episode
         span = slice(lo, hi + 1)
         logged = np.arange(lo, hi + 1) < len(actions)
         acts = np.zeros((len(logged), 2))
         acts[logged] = np.reshape(actions[span], (-1, 2))
-        states = canonicalize_joint(np.asarray(states[span], dtype=np.float64), num_peds)
-        return np.asarray(rtg[span], dtype=np.float64), states, acts, logged
+        return np.asarray(rtg[span], dtype=np.float64), canonical(states[span]), acts, logged
 
     (rtg, states, actions, known), rows = window_tables(episodes, ends, context, build)
     return TokenSequence(rtg=rtg[rows], states=states[rows], actions=actions[rows],
@@ -236,17 +251,36 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
 
 @dataclass
 class EpisodeContext:
-    """Rolling per-episode history consumed by Actor.act."""
+    """One episode's history and its step store, consumed by Actor.act.
+
+    The store holds what each step featurizes to, built once, when the
+    step's decision arrives: `joint`, its canonical joint row, and with a
+    return predictor `tokens`, its temporal step token, and `encoded`, its
+    per-step encoding (RtgPredictor.encode) under the actor's predictor
+    store. The encodings hold for one episode under fixed parameters:
+    Actor.begin_episode starts a new context, so an update between
+    episodes is never read through encodings made before it.
+    """
 
     states: list = field(default_factory=list)
     actions: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     rtg: list = field(default_factory=list)
+    joint: list = field(default_factory=list)
+    tokens: list = field(default_factory=list)
+    encoded: list = field(default_factory=list)
 
 
 class Actor:
     """Greedy deterministic acting; the only code that computes return
-    conditioning online."""
+    conditioning online.
+
+    Each decision featurizes only its new step into the episode's step
+    store (EpisodeContext): one canonical joint row and, in rtgp mode, one
+    step through the predictor's per-step encoder. Its actions and return
+    estimates are those of whole-window decisions (tokenize,
+    RtgPredictor.predict), byte for byte.
+    """
 
     def __init__(self, policy: DtPolicy, policy_store, rtg_source: str = "rtgp",
                  rtgp=None, rtgp_store=None, fixed_target: float = 2.0):
@@ -265,22 +299,42 @@ class Actor:
     def begin_episode(self):
         self.ctx = EpisodeContext()
 
+    def _featurize(self, t: int):
+        """Add step t, the newest observation, to the step store."""
+        ctx = self.ctx
+        spatial, tokens = features.history_window(ctx.states, ctx.actions, ctx.rewards,
+                                                  t, t, self.policy.num_peds)
+        ctx.joint.append(tokens[0, :self.policy.joint_dim])
+        if self.rtg_source == "rtgp":
+            # the step is encoded behind an all-zero step, as a batch's padding
+            # row 0 is: with no pedestrians a lone step is one token, and numpy
+            # hands a one-row product to GEMV, which rounds unlike GEMM
+            encoded, _ = self.rtgp.encode(self.rtgp_store,
+                                          np.concatenate([np.zeros_like(spatial), spatial]))
+            ctx.tokens.append(tokens[0])
+            ctx.encoded.append(encoded[1].copy())   # a view would keep both steps
+
     def conditioning(self, t: int) -> float:
         """Return-to-go for step t: the fixed target minus the rewards so
-        far, or the predictor's estimate from the history up to step t."""
+        far, or the predictor's estimate over the stored steps up to t."""
+        ctx = self.ctx
         if self.rtg_source == "fixed":
-            return self.fixed_target - math.fsum(self.ctx.rewards)
-        return self.rtgp.predict(self.rtgp_store, self.ctx.states,
-                                 self.ctx.actions, self.ctx.rewards, t)
+            return self.fixed_target - math.fsum(ctx.rewards)
+        (steps, tokens), rows = window_tables(
+            [(ctx.encoded, ctx.tokens)], [t], self.rtgp.window,
+            lambda episode, lo, hi: [np.asarray(steps[lo:hi + 1]) for steps in episode])
+        rhat, _ = self.rtgp.forward(self.rtgp_store, steps, tokens[rows], rows)
+        return float(rhat[0])
 
     def act(self, obs_joint: np.ndarray) -> np.ndarray:
         """Action for the current observation; call observe() afterwards."""
         ctx = self.ctx
         t = len(ctx.actions)
         ctx.states.append(np.asarray(obs_joint, dtype=np.float64))
+        self._featurize(t)
         ctx.rtg.append(self.conditioning(t))
-        batch = tokenize([(ctx.states, ctx.actions, ctx.rtg)], [t],
-                         self.policy.context, self.policy.num_peds)
+        batch = _token_windows([(ctx.joint, ctx.actions, ctx.rtg)], [t],
+                               self.policy.context, np.asarray)
         a_hat, _ = self.policy.forward(self.policy_store, *batch)
         action = a_hat[0, -1].astype(np.float64)
         # float32 rounding can land a hair above the tanh bound; renormalize

@@ -8,10 +8,17 @@ merged by a dense layer, refined by a second spatial and a second causal
 temporal block, averaged over valid steps, concatenated with the embedded
 current state and mapped to a scalar return estimate by a two-layer head.
 
+Two parts: `encode`, the per-step encoder (`embed_s`, `spatial1`), runs
+on each step's token set alone, and `forward`, the window part (`embed_t`
+through `head2`), reads those encodings by row. Training and acting run
+the same two parts; acting keeps each step's encoding for its episode.
+
 One padding rule: front padding is row 0 of the step tables (all-zero
-tokens) and only the first stage sees it. From `merge` on only real slots
-run: both temporal blocks give padded keys zero weight and the average
-masks padded slots out, so nothing reads a padded slot's state.
+tokens), and only the first stage sees it: the per-step encoder in a
+training batch, and `embed_t` and `temporal1` at every slot. From `merge`
+on only real slots run: both temporal blocks give padded keys zero weight
+and the average masks padded slots out, so nothing reads a padded slot's
+state.
 
 Trained by regression onto Monte-Carlo returns (mean squared error).
 
@@ -88,26 +95,39 @@ class RtgPredictor:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, store, spatial, temporal, rows):
-        """Return estimates for a batch of windows (see WindowBatch).
+    def encode(self, store, spatial):
+        """Per-step encoder: `embed_s`, then `spatial1` over each step's set.
 
-        spatial: (S, m+1, 9) step token sets, row 0 padding; temporal:
-        (B, W, temporal_dim), whose last slot holds the current state;
-        rows: (B, W) index of each slot's step in spatial. Returns (rhat, cache).
+        spatial: (S, m+1, 9) step token sets. A step's encoding depends on
+        that step alone, not on a window holding it, so a batch encodes
+        each of its distinct steps once and acting encodes each step once
+        per episode (policy.EpisodeContext). Returns (steps, cache) with
+        steps (S, m+1, hidden).
+        """
+        spatial = np.ascontiguousarray(spatial, dtype=store.dtype)
+        f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
+        steps, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
+        return steps, (c_es, c_s1)
+
+    def encode_bwd(self, store, cache, dsteps):
+        c_es, c_s1 = cache
+        nn.dense_bwd(store, c_es, nn.encoder_block_bwd(store, c_s1, dsteps))
+
+    def forward(self, store, steps, temporal, rows):
+        """Return estimates for a batch of windows over encoded steps.
+
+        steps: (S, m+1, hidden) step encodings (see encode), row 0 padding,
+        which nothing reads; temporal: (B, W, temporal_dim), whose last
+        slot holds the current state; rows: (B, W) index of each slot's
+        step in steps. Returns (rhat, cache).
         """
         dt = store.dtype
-        spatial = np.ascontiguousarray(spatial, dtype=dt)
         temporal = np.ascontiguousarray(temporal, dtype=dt)
         current = np.ascontiguousarray(temporal[:, -1, :self.joint_dim])
         valid = rows > 0
-        S, M1, _ = spatial.shape
+        S, M1, _ = steps.shape
         B, W = rows.shape
         D = self.hidden
-
-        # a step's spatial encoding does not depend on the window holding it:
-        # encode each step once, then gather it into the real slots
-        f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
-        fs_rows, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
 
         te, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
         ft, c_t1 = nn.encoder_block_fwd(store, "temporal1", te + store["pos"], self.heads,
@@ -120,10 +140,10 @@ class RtgPredictor:
         # merge also runs a zero row 0: numpy hands a one-row product (a lone
         # window at its episode's first step) to GEMV, which rounds unlike GEMM
         cat = np.zeros((len(real) + 1, 2 * D), dtype=dt)
-        cat[1:, :D] = fs_rows.mean(axis=1)[slot_rows]
+        cat[1:, :D] = steps.mean(axis=1)[slot_rows]
         cat[1:, D:] = ft.reshape(B * W, D)[real]
         merged, c_m = nn.dense_fwd(store, "merge", cat, relu=True)
-        tok2 = fs_rows[slot_rows]
+        tok2 = steps[slot_rows]
         tok2 += merged[1:, None, :]
         s2_real, c_s2 = nn.encoder_block_fwd(store, "spatial2", tok2, self.heads)
         s2 = np.zeros((B * W, D), dtype=dt)
@@ -139,12 +159,13 @@ class RtgPredictor:
         h1, c_h1 = nn.dense_fwd(store, "head1", hin, relu=True)
         out, c_h2 = nn.dense_fwd(store, "head2", h1)
         rhat = out[:, 0]
-        cache = (S, M1, real, slot_rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m,
+        cache = (S, M1, real, slot_rows, valid, nvalid, c_et, c_t1, c_m,
                  c_s2, c_t2, c_ec, c_h1, c_h2)
         return rhat, cache
 
     def backward(self, store, cache, drhat):
-        (S, M1, real, slot_rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m,
+        """Gradients of the window part; returns d(steps) for encode_bwd."""
+        (S, M1, real, slot_rows, valid, nvalid, c_et, c_t1, c_m,
          c_s2, c_t2, c_ec, c_h1, c_h2) = cache
         B, W = valid.shape
         D = self.hidden
@@ -173,10 +194,9 @@ class RtgPredictor:
         dfs += (dcat[:, :D] / M1)[:, None, :]
         # adjoint of the gather: each step row sums the real slots that read
         # it (padded slots carry exact-zero gradients)
-        dfs_rows = np.zeros((S, M1, D), dtype=dt)
-        np.add.at(dfs_rows, slot_rows, dfs)
-        df = nn.encoder_block_bwd(store, c_s1, dfs_rows)
-        nn.dense_bwd(store, c_es, df)
+        dsteps = np.zeros((S, M1, D), dtype=dt)
+        np.add.at(dsteps, slot_rows, dfs)
+        return dsteps
 
     def loss_and_grad(self, store, batch, targets, counts=None, total=None):
         """Mean squared error against Monte-Carlo returns; populates grads.
@@ -189,9 +209,10 @@ class RtgPredictor:
         if len(batch.rows) == 0:
             raise ValueError("empty batch")
         store.zero_grads()
-        rhat, cache = self.forward(store, *batch)
+        steps, c_enc = self.encode(store, batch.spatial)
+        rhat, cache = self.forward(store, steps, batch.temporal, batch.rows)
         loss, drhat = nn.mse_loss(rhat, targets, counts, total)
-        self.backward(store, cache, drhat)
+        self.encode_bwd(store, c_enc, self.backward(store, cache, drhat))
         return loss, rhat
 
     # -- data assembly -------------------------------------------------------
@@ -209,16 +230,22 @@ class RtgPredictor:
             lambda episode, lo, hi: history_window(*episode, lo, hi, self.num_peds))
         return WindowBatch(spatial=spatial, temporal=temporal[rows], rows=rows)
 
+    def predict_batch(self, store, batch: WindowBatch) -> np.ndarray:
+        """Return estimates of a WindowBatch: encode its steps, then forward."""
+        steps, _ = self.encode(store, batch.spatial)
+        rhat, _ = self.forward(store, steps, batch.temporal, batch.rows)
+        return rhat
+
     def predict(self, store, states, actions, rewards, end: int) -> float:
-        batch = self.window_batch([(states, actions, rewards)], [end])
-        rhat, _ = self.forward(store, *batch)
-        return float(rhat[0])
+        """Return estimate at step `end` of a history, its whole window
+        featurized and encoded here (acting encodes each step once
+        instead: policy.Actor)."""
+        return float(self.predict_batch(store, self.window_batch(
+            [(states, actions, rewards)], [end]))[0])
 
     def predict_sequence(self, store, states, actions, rewards) -> np.ndarray:
         """Return estimate at every step of one episode (batched forward)."""
         T = len(states)
-        episodes = [(states, actions, rewards)] * T
-        batch = self.window_batch(episodes, list(range(T)))
-        rhat, _ = self.forward(store, *batch)
-        return rhat.astype(np.float64)
+        batch = self.window_batch([(states, actions, rewards)] * T, list(range(T)))
+        return self.predict_batch(store, batch).astype(np.float64)
 

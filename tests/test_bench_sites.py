@@ -42,3 +42,33 @@ def test_every_span_site_resolves_to_one_function():
         tr.uninstall()
     for name, sites in tracer.SPAN_SITES.items():
         assert set(resolved(tracer, sites)) == {originals[name]}, name
+
+
+def test_traced_acting_counts_one_row_and_one_predictor_forward(tiny_cfg):
+    # a decision canonicalizes its one new state row (counted inside
+    # Actor.act at features.canonicalize_joint) and runs the predictor's
+    # forward once, so both show up under the tracer's span names
+    from socnav.dataset import rollout
+    from socnav.env import CrowdEnv
+    from socnav.policy import Actor
+    from socnav.trainer import build_models
+
+    policy, rtgp = build_models(tiny_cfg)
+    actor = Actor(policy, policy.init_store(1), rtg_source="rtgp", rtgp=rtgp,
+                  rtgp_store=rtgp.init_store(2))
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        actor.begin_episode()
+        traj, _ = rollout(CrowdEnv(tiny_cfg.sim), lambda env, obs: actor.act(obs.joint),
+                          45, gamma=0.99, observe=actor.observe)
+    finally:
+        tr.uninstall()
+    spans, _ = tr.summary()
+    decisions = traj.num_steps
+    assert decisions > tiny_cfg.net.rtgp_window
+    assert spans["policy.Actor.act"][0] == decisions
+    assert tr.counts["features.canon_rows"] == decisions
+    assert spans["features.canonicalize_joint"][0] == decisions
+    assert spans["rtgp.RtgPredictor.forward"][0] == decisions

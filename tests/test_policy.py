@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from socnav.dataset import Trajectory, compute_rtg
-from socnav.features import clip_action_norm
+from socnav import features, nn
+from socnav import policy as policy_module
+from socnav.config import Config
+from socnav.dataset import Trajectory, compute_rtg, rollout
+from socnav.env import CrowdEnv
+from socnav.features import SPATIAL_TOKEN_DIM, clip_action_norm
 from socnav.gradcheck import grad_check
 from socnav.policy import (Actor, DtPolicy, TokenSequence, squash_bwd, squash_fwd,
                            tokenize)
 from socnav.rtgp import RtgPredictor
-from socnav.trainer import policy_batch_from
+from socnav.trainer import build_models, policy_batch_from, rtgp_batch_from
 
 
 def small_policy(num_peds=2, context=4):
@@ -352,3 +356,150 @@ class TestActor:
             want = clip_action_norm(traj.actions[end], 1.0)
             misses = max(misses, float(np.linalg.norm(a_hat[0, -1] - want)))
         assert misses < 0.3
+
+
+# -- acting against the whole-window decision -------------------------------
+
+
+class WholeWindowActor(Actor):
+    """Reference: the earlier decision, which keeps no step store. Every
+    decision builds both windows from the raw history again (tokenize,
+    window_batch) and runs the whole predictor forward over its window."""
+
+    def act(self, obs_joint):
+        ctx = self.ctx
+        t = len(ctx.actions)
+        ctx.states.append(np.asarray(obs_joint, dtype=np.float64))
+        if self.rtg_source == "fixed":
+            ctx.rtg.append(self.fixed_target - math.fsum(ctx.rewards))
+        else:
+            batch = self.rtgp.window_batch([(ctx.states, ctx.actions, ctx.rewards)], [t])
+            steps, _ = self.rtgp.encode(self.rtgp_store, batch.spatial)
+            rhat, _ = self.rtgp.forward(self.rtgp_store, steps, batch.temporal, batch.rows)
+            ctx.rtg.append(float(rhat[0]))
+        batch = tokenize([(ctx.states, ctx.actions, ctx.rtg)], [t],
+                         self.policy.context, self.policy.num_peds)
+        a_hat, _ = self.policy.forward(self.policy_store, *batch)
+        action = a_hat[0, -1].astype(np.float64)
+        norm = float(np.hypot(action[0], action[1]))
+        if norm > self.policy.v_max:
+            action *= self.policy.v_max / norm
+        return action
+
+
+def acting_pair(cfg, mode, seed, head_scale):
+    """An Actor and the reference over the same seeded stores; the policy
+    head is drawn at `head_scale` (init_store zeroes it, and a zero head
+    acts the same at every step)."""
+    policy, rtgp = build_models(cfg)
+    rng = np.random.default_rng(seed)
+    ps, rs = policy.init_store(seed), rtgp.init_store(seed + 1)
+    head = ps.blocks["head.W"]
+    head[...] = head_scale * nn.xavier_uniform(rng, *head.shape)
+    kwargs = dict(rtg_source=mode, rtgp=rtgp, rtgp_store=rs)
+    return Actor(policy, ps, **kwargs), WholeWindowActor(policy, ps, **kwargs)
+
+
+def lockstep_episode(env, actor, reference, seed):
+    """One rollout acted by `actor`, with `reference` deciding every step
+    alongside from the same history; both must agree byte for byte."""
+    def act(env, obs):
+        action = actor.act(obs.joint)
+        assert action.tobytes() == reference.act(obs.joint).tobytes()
+        return action
+
+    def observe(action, reward):
+        actor.observe(action, reward)
+        reference.observe(action, reward)
+
+    actor.begin_episode()
+    reference.begin_episode()
+    traj, _ = rollout(env, act, seed, gamma=0.99, observe=observe)
+    assert np.array(actor.ctx.rtg).tobytes() == np.array(reference.ctx.rtg).tobytes()
+    return traj
+
+
+def acting_config(shape, num_peds):
+    net = {} if shape == "published" else {
+        "hidden_dim": 16, "num_heads": 2, "ffn_dim": 16, "rtgp_window": 5,
+        "policy_context": 5, "policy_blocks": 1, "head_hidden": 8}
+    return Config.from_dict({"sim": {"num_peds": num_peds}, "net": net})
+
+
+class TestActingMatchesWholeWindow:
+    @pytest.mark.parametrize("mode", ["rtgp", "fixed"])
+    @pytest.mark.parametrize("num_peds", [0, 2])
+    def test_tiny_episodes_longer_than_the_window(self, mode, num_peds):
+        cfg = acting_config("tiny", num_peds)
+        actor, reference = acting_pair(cfg, mode, seed=5, head_scale=0.2)
+        env = CrowdEnv(cfg.sim)
+        for seed in (40, 41):
+            traj = lockstep_episode(env, actor, reference, seed)
+            assert traj.num_steps > cfg.net.rtgp_window
+
+    @pytest.mark.parametrize("num_peds", [0, 5])
+    def test_published_shape_episode_longer_than_the_window(self, num_peds):
+        cfg = acting_config("published", num_peds)
+        actor, reference = acting_pair(cfg, "rtgp", seed=6, head_scale=0.05)
+        traj = lockstep_episode(CrowdEnv(cfg.sim), actor, reference, seed=42)
+        assert traj.num_steps > cfg.net.rtgp_window
+
+    @pytest.mark.parametrize("mode", ["rtgp", "fixed"])
+    def test_update_between_episodes_drops_the_store(self, mode, tiny_cfg):
+        # the fine-tuning pattern: an episode, one LAMB step on both stores,
+        # and the next episode from the same start under the new parameters
+        actor, reference = acting_pair(tiny_cfg, mode, seed=7, head_scale=0.2)
+        env = CrowdEnv(tiny_cfg.sim)
+        first = lockstep_episode(env, actor, reference, seed=43)
+        rtg_before = list(actor.ctx.rtg)
+        draws = [(first, end) for end in range(first.num_steps)]
+        actor.rtgp.loss_and_grad(actor.rtgp_store, *rtgp_batch_from(draws, actor.rtgp))
+        actor.policy.loss_and_grad(actor.policy_store, *policy_batch_from(
+            draws, actor.policy, [first.rtg] * len(draws)))
+        nn.lamb_step(actor.rtgp_store, 1e-2)
+        nn.lamb_step(actor.policy_store, 1e-2)
+        second = lockstep_episode(env, actor, reference, seed=43)
+        if mode == "rtgp":
+            assert actor.ctx.rtg[0] != rtg_before[0]
+        assert second.actions[0].tobytes() != first.actions[0].tobytes()
+
+
+class TestActingWork:
+    @pytest.mark.parametrize("mode", ["rtgp", "fixed"])
+    def test_each_decision_featurizes_one_step(self, mode, tiny_cfg, monkeypatch):
+        # one canonical state row per decision, and in rtgp mode one step
+        # through embed_s (behind the all-zero step that keeps it a GEMM);
+        # fixed mode encodes nothing
+        canon_rows, embed_s = [], []
+        canonicalize, dense_fwd = features.canonicalize_joint, nn.dense_fwd
+
+        def counting_canonicalize(joint, num_peds):
+            canon_rows.append(joint.size // joint.shape[-1])
+            return canonicalize(joint, num_peds)
+
+        def counting_dense_fwd(store, name, x, *args, **kwargs):
+            if name == "embed_s":
+                embed_s.append(x)
+            return dense_fwd(store, name, x, *args, **kwargs)
+
+        monkeypatch.setattr(features, "canonicalize_joint", counting_canonicalize)
+        monkeypatch.setattr(policy_module, "canonicalize_joint", counting_canonicalize)
+        monkeypatch.setattr(nn, "dense_fwd", counting_dense_fwd)
+
+        actor, _ = acting_pair(tiny_cfg, mode, seed=8, head_scale=0.2)
+        per_decision = []
+
+        def act(env, obs):
+            canon_rows.clear()
+            embed_s.clear()
+            action = actor.act(obs.joint)
+            per_decision.append((list(canon_rows), [x.shape for x in embed_s],
+                                 [bool(x[0].any()) for x in embed_s]))
+            return action
+
+        actor.begin_episode()
+        traj, _ = rollout(CrowdEnv(tiny_cfg.sim), act, 44, gamma=0.99, observe=actor.observe)
+        assert traj.num_steps > tiny_cfg.net.rtgp_window
+        step = (tiny_cfg.sim.num_peds + 1, SPATIAL_TOKEN_DIM)
+        want = ([1], [(2, *step)], [False]) if mode == "rtgp" else ([1], [], [])
+        assert per_decision == [want] * traj.num_steps

@@ -66,7 +66,7 @@ class TestForward:
             store.blocks[name][...] = 0.0
         states, actions, rewards = fake_episode(rng, net)
         batch = net.window_batch([(states, actions, rewards)], [3])
-        rhat, _ = net.forward(store, *batch)
+        rhat = net.predict_batch(store, batch)
         assert rhat[0] == 0.0
 
     def test_embed_output_width(self, rng):
@@ -96,8 +96,8 @@ class TestForward:
         store = net.init_store(0)
         states, actions, rewards = fake_episode(rng, net)
         batch = net.window_batch([(states, actions, rewards)], [5])
-        r1, _ = net.forward(store, *batch)
-        r2, _ = net.forward(store, *batch)
+        r1 = net.predict_batch(store, batch)
+        r2 = net.predict_batch(store, batch)
         assert np.array_equal(r1, r2)
 
     def test_pedestrian_permutation_invariance_exact(self, rng):
@@ -105,14 +105,14 @@ class TestForward:
         store = net.init_store(1)
         states, actions, rewards = fake_episode(rng, net)
         batch = net.window_batch([(states, actions, rewards)], [5])
-        base, _ = net.forward(store, *batch)
+        base = net.predict_batch(store, batch)
         m = net.num_peds
         blocks = states[:, ROBOT_PART_DIM:].reshape(len(states), m, PED_PART_DIM)
         states_p = np.concatenate(
             [states[:, :ROBOT_PART_DIM], blocks[:, ::-1, :].reshape(len(states), -1)],
             axis=1)
         batch_p = net.window_batch([(states_p, actions, rewards)], [5])
-        swapped, _ = net.forward(store, *batch_p)
+        swapped = net.predict_batch(store, batch_p)
         assert np.array_equal(base, swapped)
 
     def test_future_steps_do_not_change_estimate(self, rng):
@@ -131,10 +131,10 @@ class TestForward:
         store = net.init_store(1)
         states, actions, rewards = fake_episode(rng, net)
         batch = [a.copy() for a in net.window_batch([(states, actions, rewards)], [0])]
-        base, _ = net.forward(store, *batch)
+        base = net.predict_batch(store, WindowBatch(*batch))
         batch[0][0, :3] += 123.0   # spatial tokens of padded slots
         batch[1][0, :3] -= 7.0     # temporal tokens of padded slots
-        out, _ = net.forward(store, *batch)
+        out = net.predict_batch(store, WindowBatch(*batch))
         assert np.array_equal(base, out)
 
 
@@ -144,7 +144,7 @@ class TestLoss:
         store = net.init_store(2, dtype=np.float64)
         states, actions, rewards = fake_episode(rng, net)
         batch = net.window_batch([(states, actions, rewards)] * 2, [2, 4])
-        rhat, _ = net.forward(store, *batch)
+        rhat = net.predict_batch(store, batch)
         loss, _ = net.loss_and_grad(store, batch, rhat)
         assert loss == 0.0
 
@@ -220,7 +220,7 @@ class TestLoss:
         ends = [net.window - 1, 29]
         batch = net.window_batch([episode, episode], ends)
         assert len(batch.spatial) == 1 + 2 * net.window
-        rhat, _ = net.forward(store, *batch)
+        rhat = net.predict_batch(store, batch)
         for i, end in enumerate(ends):
             assert rhat[i] == pytest.approx(net.predict(store, *episode, end=end),
                                             abs=2e-6)
@@ -283,20 +283,18 @@ class TestPredictSequence:
 
 
 class AllSlotsPredictor(RtgPredictor):
-    """Reference: merge and spatial2 run on every slot, padded ones included,
-    and the slot gradients reach the step rows through np.add.at."""
+    """Reference window part: merge and spatial2 run on every slot, padded
+    ones included (reading the padding row's encoding), and the slot
+    gradients reach the step rows through np.add.at."""
 
-    def forward(self, store, spatial, temporal, rows):
+    def forward(self, store, fs_rows, temporal, rows):
         dt = store.dtype
-        spatial = np.ascontiguousarray(spatial, dtype=dt)
         temporal = np.ascontiguousarray(temporal, dtype=dt)
         current = np.ascontiguousarray(temporal[:, -1, :self.joint_dim])
         valid = rows > 0
-        S, M1, _ = spatial.shape
+        S, M1, _ = fs_rows.shape
         B, W = rows.shape
         D = self.hidden
-        f, c_es = nn.dense_fwd(store, "embed_s", spatial, relu=True)
-        fs_rows, c_s1 = nn.encoder_block_fwd(store, "spatial1", f, self.heads)
         summary = fs_rows.mean(axis=1)[rows]
         te, c_et = nn.dense_fwd(store, "embed_t", temporal, relu=True)
         ft, c_t1 = nn.encoder_block_fwd(store, "temporal1", te + store["pos"], self.heads,
@@ -316,11 +314,11 @@ class AllSlotsPredictor(RtgPredictor):
         h1, c_h1 = nn.dense_fwd(store, "head1", np.concatenate([avg, cur_emb], axis=-1),
                                 relu=True)
         out, c_h2 = nn.dense_fwd(store, "head2", h1)
-        return out[:, 0], (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m,
+        return out[:, 0], (S, M1, rows, valid, nvalid, c_et, c_t1, c_m,
                            c_s2, c_t2, c_ec, c_h1, c_h2)
 
     def backward(self, store, cache, drhat):
-        (S, M1, rows, valid, nvalid, c_es, c_s1, c_et, c_t1, c_m, c_s2,
+        (S, M1, rows, valid, nvalid, c_et, c_t1, c_m, c_s2,
          c_t2, c_ec, c_h1, c_h2) = cache
         B, W = rows.shape
         D = self.hidden
@@ -339,7 +337,7 @@ class AllSlotsPredictor(RtgPredictor):
         dfs += dcat[:, :, None, :D] / M1
         dfs_rows = np.zeros((S, M1, D), dtype=dfs.dtype)
         np.add.at(dfs_rows, rows.reshape(-1), dfs.reshape(B * W, M1, D))
-        nn.dense_bwd(store, c_es, nn.encoder_block_bwd(store, c_s1, dfs_rows))
+        return dfs_rows
 
 
 # (net, episode lengths, windows drawn): the tests' shapes and the published
@@ -366,8 +364,8 @@ class TestRealSlotsOnly:
 
     def test_forward_bytes_match_all_slots(self, setup):
         net, ref, store, episodes, batch, _ = setup
-        assert net.forward(store, *batch)[0].tobytes() == \
-            ref.forward(store, *batch)[0].tobytes()
+        assert net.predict_batch(store, batch).tobytes() == \
+            ref.predict_batch(store, batch).tobytes()
         for episode in episodes:
             assert net.predict_sequence(store, *episode).tobytes() == \
                 ref.predict_sequence(store, *episode).tobytes()

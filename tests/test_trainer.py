@@ -167,12 +167,12 @@ class TestShards:
         _, rtgp = trainer.build_models(tiny_cfg)
         store = rtgp.init_store(3)
         batch, _, _ = trainer.rtgp_batch_from(draws(trajs, 48, seed=6), rtgp)
-        whole, _ = rtgp.forward(store, *batch)
+        whole = rtgp.predict_batch(store, batch)
         idx = np.arange(len(whole))[::5]
         part = batch.take(idx)
         assert len(part.spatial) == len(np.unique(batch.rows[idx])) < len(batch.spatial)
         assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
-        rhat, _ = rtgp.forward(store, *part)
+        rhat = rtgp.predict_batch(store, part)
         assert np.array_equal(rhat, whole[idx])
 
     def test_shard_without_padded_slots_keeps_the_padding_row(self, tiny_cfg, tiny_dataset):
@@ -181,13 +181,13 @@ class TestShards:
         _, rtgp = trainer.build_models(tiny_cfg)
         store = rtgp.init_store(3)
         batch, _, _ = trainer.rtgp_batch_from(draws(trajs, 48, seed=6), rtgp)
-        whole, _ = rtgp.forward(store, *batch)
+        whole = rtgp.predict_batch(store, batch)
         idx = np.flatnonzero((batch.rows > 0).all(axis=1))
         assert 0 < len(idx) < len(whole)
         part = batch.take(idx)
         assert (part.rows > 0).all() and not part.spatial[0].any()
         assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
-        rhat, _ = rtgp.forward(store, *part)
+        rhat = rtgp.predict_batch(store, part)
         # a GEMM over fewer rows may round one output's last bit differently
         np.testing.assert_allclose(rhat, whole[idx], rtol=1e-6)
 
