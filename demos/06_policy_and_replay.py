@@ -69,6 +69,6 @@ for i, ep in enumerate(ft.episodes):
 
 print("\n== deterministic bounded actions ==")
 batch = tokenize([(traj.states, traj.actions, traj.rtg)], [3], context=4, num_peds=5)
-a_hat, _ = policy.forward(store, *batch)
+a_hat, _ = policy.forward(store, batch)
 print(f"  action at the last step {a_hat[0, -1]}, "
       f"speed {np.linalg.norm(a_hat[0, -1]):.3f} <= 1.0")

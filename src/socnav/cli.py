@@ -4,7 +4,8 @@ Subcommands: gen-data, stats, pretrain, finetune, eval, plot, pipeline. The
 config file plus --seed describes a run: no flag overrides a config field,
 and only the evaluation episode count is a flag. The seed is propagated to
 each stage with a fixed offset, so stages are independently reproducible.
-Existing output files are never overwritten without --force.
+Every refusal (a ConfigError, or a FileExistsError for an existing output
+without --force) comes before the command's first write.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """
@@ -21,20 +22,15 @@ from . import trainer as tr
 from .config import Config, ConfigError
 from .core import joint_dim
 from .dataset import (atomic_write, dataset_stats, dumps_lossless, generate_dataset,
-                      load_trajectories)
-from .plotting import figure_paths, plot_trajectories, worlds_to_log, write_positions_log
+                      load_trajectories, stats_path)
+from .plotting import (figure_paths, plot_trajectories, read_positions_log, worlds_to_log,
+                       write_positions_log)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 # training bytes depend on the BLAS thread count these variables set
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
 
 
 def _load_config(path, seed=None) -> Config:
@@ -48,7 +44,7 @@ def _load_config(path, seed=None) -> Config:
 def _guard_overwrite(paths, force: bool):
     for p in paths:
         if p and os.path.exists(p) and not force:
-            raise CliError(f"refusing to overwrite {p} (pass --force)", EXIT_CONFIG)
+            raise FileExistsError(f"refusing to overwrite {p} (pass --force)")
 
 
 def _count(text) -> int:
@@ -81,11 +77,11 @@ def _load_dataset(cfg: Config, path):
     want = joint_dim(cfg.sim.num_peds)
     for t in trajectories:
         if t.states.shape[-1] != want:
-            raise CliError(f"{path}: states are {t.states.shape[-1]} wide, the config's "
-                           f"{cfg.sim.num_peds} pedestrians need {want}", EXIT_CONFIG)
+            raise ConfigError(f"{path}: states are {t.states.shape[-1]} wide, the config's "
+                              f"{cfg.sim.num_peds} pedestrians need {want}")
     if header.get("gamma") != cfg.train.gamma:
-        raise CliError(f"{path}: return labels use gamma {header.get('gamma')}, the "
-                       f"config's train.gamma is {cfg.train.gamma}", EXIT_CONFIG)
+        raise ConfigError(f"{path}: return labels use gamma {header.get('gamma')}, the "
+                          f"config's train.gamma is {cfg.train.gamma}")
     return trajectories
 
 
@@ -96,8 +92,8 @@ def _load_bundle(cfg: Config, path):
     policy_store, rtgp_store, meta = tr.load_bundle(path)
     mode = meta.get("rtg_mode", cfg.train.rtg_mode)
     if mode != cfg.train.rtg_mode:
-        raise CliError(f"{path}: fine-tuned in rtg_mode {mode!r}, the config's "
-                       f"train.rtg_mode is {cfg.train.rtg_mode!r}", EXIT_CONFIG)
+        raise ConfigError(f"{path}: fine-tuned in rtg_mode {mode!r}, the config's "
+                          f"train.rtg_mode is {cfg.train.rtg_mode!r}")
     for role, store, model in zip(("policy", "rtgp"), (policy_store, rtgp_store),
                                   tr.build_models(cfg)):
         want = {n: b.shape for n, b in model.init_store(0).blocks.items()}
@@ -106,9 +102,8 @@ def _load_bundle(cfg: Config, path):
             if got.get(name) != want.get(name):
                 found, expected = (f"shape {s[name]}" if name in s else "missing"
                                    for s in (got, want))
-                raise CliError(f"{path}: {role} block {name!r} is {found} in the "
-                               f"checkpoint and {expected} in the config's model",
-                               EXIT_CONFIG)
+                raise ConfigError(f"{path}: {role} block {name!r} is {found} in the "
+                                  f"checkpoint and {expected} in the config's model")
     return policy_store, rtgp_store, meta
 
 
@@ -143,7 +138,7 @@ def _gen_data(cfg: Config, out):
 
 def _pretrain(cfg: Config, trajs, out):
     """Pre-train and write the bundle; returns (result, bundle meta)."""
-    result = tr.pretrain_offline(trajs, cfg, seed=cfg.seed)
+    result = tr.pretrain_offline(trajs, cfg)
     meta = {"config_hash": cfg.hash(), "phase": "pretrained",
             "env_transitions": result.env_transitions, "blas_threads": _blas_threads()}
     tr.save_bundle(out, result.policy_store, result.rtgp_store, meta=meta)
@@ -152,7 +147,7 @@ def _pretrain(cfg: Config, trajs, out):
 
 def _finetune(cfg: Config, policy_store, rtgp_store, meta, trajs, out):
     """Fine-tune the stores in place and write the bundle; returns (result, meta)."""
-    result = tr.finetune_online(policy_store, rtgp_store, trajs, cfg, seed=cfg.seed)
+    result = tr.finetune_online(policy_store, rtgp_store, trajs, cfg)
     prev = int(meta.get("env_transitions", 0))
     meta = {"config_hash": cfg.hash(), "phase": "finetuned", "rtg_mode": result.rtg_mode,
             "env_transitions": prev + result.env_transitions,
@@ -165,7 +160,7 @@ def _eval(cfg: Config, policy_store, rtgp_store, meta, episodes, report_path,
           positions_log):
     """Evaluate and write the report, plus the positions log if a path is given."""
     report, worlds = tr.evaluate(policy_store, rtgp_store, cfg, num_episodes=episodes,
-                                 seed=cfg.seed, record_world=bool(positions_log),
+                                 record_world=bool(positions_log),
                                  train_transitions=int(meta.get("env_transitions", 0)))
     with atomic_write(report_path) as fh:
         fh.write(report.to_json())
@@ -180,7 +175,7 @@ def _eval(cfg: Config, policy_store, rtgp_store, meta, episodes, report_path,
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    _guard_overwrite([args.out, args.out + ".stats.json"], args.force)
+    _guard_overwrite([args.out, stats_path(args.out)], args.force)
     _, stats = _gen_data(cfg, args.out)
     print(f"wrote {args.out}: {cfg.train.offline_episodes} episodes, "
           f"success {stats.success_rate:.3f}, collision {stats.collision_rate:.3f}")
@@ -223,7 +218,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    written = plot_trajectories(args.log, args.out, force=args.force)
+    episodes = read_positions_log(args.log)
+    _guard_overwrite([p for rec in episodes
+                      for p in figure_paths(args.out, rec.get("episode", 0))], args.force)
+    written = plot_trajectories(episodes, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return EXIT_OK
 
@@ -250,7 +248,7 @@ def cmd_pipeline(args) -> int:
         print(f"dry run: wrote {paths['manifest']} only")
         return EXIT_OK
 
-    outputs = [paths["config"], paths["dataset"], paths["dataset"] + ".stats.json",
+    outputs = [paths["config"], paths["dataset"], stats_path(paths["dataset"]),
                paths["pretrained"], paths["finetuned"], paths["report"], paths["positions"]]
     figures = [p for i in range(args.eval_episodes) for p in figure_paths(paths["plots"], i)]
     _guard_overwrite(outputs + figures, args.force)
@@ -263,7 +261,7 @@ def cmd_pipeline(args) -> int:
                          paths["finetuned"])
     report = _eval(cfg, ft.policy_store, ft.rtgp_store, meta, args.eval_episodes,
                    paths["report"], paths["positions"])
-    written = plot_trajectories(paths["positions"], paths["plots"], force=args.force)
+    written = plot_trajectories(read_positions_log(paths["positions"]), paths["plots"])
     stages = {"gen-data": {"episodes": len(trajectories), "success_rate": stats.success_rate},
               "pretrain": {"iterations": pre.iterations,
                            "policy_loss": pre.policy_losses[-1],
@@ -343,9 +341,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ConfigError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
 
 RTG_MODES = ("rtgp", "fixed")   # online return conditioning: predictor | fixed target
+REGOAL_MIN_DIST = 2.0   # m, a pedestrian's next goal is at least this far from it
 
 
 class ConfigError(ValueError):
-    """Raised when a config file fails validation."""
+    """Configuration or usage error: an invalid config, or an input that does not fit it."""
 
 
 @dataclass
@@ -80,6 +82,13 @@ class SimConfig:
             raise ConfigError("sim.timeout must be > 0")
         if self.perturbation < 0:
             raise ConfigError("sim.perturbation must be >= 0")
+        # a pedestrian re-goals within ped_radius of a goal at least
+        # R - sqrt(2) * perturbation out, so `near` or more from the centre
+        R = self.arena_radius
+        near = max(0.0, R - math.sqrt(2.0) * self.perturbation - self.ped_radius)
+        if not R + near > REGOAL_MIN_DIST:   # the circle's farthest point from it
+            raise ConfigError(f"sim.arena_radius {R} leaves a pedestrian at its goal "
+                              f"no new goal {REGOAL_MIN_DIST} m away")
         self.ped_orca.validate()
         self.robot_orca.validate()
         if self.robot_orca.max_speed > self.v_max:
@@ -134,7 +143,8 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ConfigError("train.learning_rate must be > 0")
         for name in ("batch_size", "buffer_capacity", "offline_episodes",
-                     "finetune_episodes", "pretrain_iters", "sampled_trajs"):
+                     "finetune_episodes", "pretrain_iters", "pretrain_patience",
+                     "sampled_trajs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"train.{name} must be >= 1")
         if self.rtg_mode not in RTG_MODES:

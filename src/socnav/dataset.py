@@ -230,24 +230,29 @@ def generate_dataset(num_episodes: int, seed: int, sim_cfg: SimConfig,
                      gamma: float, out_path, config_hash: str = "",
                      max_capacity: int = 100_000):
     """Roll out the reference controller with an invisible robot and write
-    the labelled trajectories plus a `.stats.json` sidecar.
+    the labelled trajectories plus their stats sidecar (stats_path).
 
     Episode i uses scenario seed `seed + i`; the file is a pure function
-    of (num_episodes, seed, sim_cfg, gamma). More transitions than
-    `max_capacity` (the replay buffer's size) raise ConfigError before
-    anything is written.
+    of (num_episodes, seed, sim_cfg, gamma). A visible robot, or more
+    transitions than `max_capacity` (the replay buffer's size), raise
+    ConfigError before anything is written.
     """
     if sim_cfg.robot_visible:
-        raise ValueError("dataset generation requires an invisible robot")
+        raise ConfigError("sim.robot_visible must be false: the robot must be invisible")
     env = CrowdEnv(sim_cfg)
     trajectories = [rollout(env, lambda e, o: e.robot_orca_action(), seed + i, gamma)[0]
                     for i in range(num_episodes)]
     check_capacity(trajectories, max_capacity)
     save_trajectories(out_path, trajectories, gamma=gamma, config_hash=config_hash)
     stats = stats_of(trajectories)
-    with atomic_write(str(out_path) + ".stats.json") as fh:
+    with atomic_write(stats_path(out_path)) as fh:
         fh.write(dumps_lossless(stats.to_dict()) + "\n")
     return trajectories, stats
+
+
+def stats_path(out_path) -> str:
+    """The stats sidecar generate_dataset writes beside a dataset file."""
+    return str(out_path) + ".stats.json"
 
 
 def check_capacity(trajectories, capacity: int) -> int:

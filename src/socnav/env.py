@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import orca
-from .config import SimConfig
+from .config import REGOAL_MIN_DIST, SimConfig
 from .core import (AgentState, RobotFrameState, Status, StepOutcome,
                    point_to_segment_dist, reward, sample_scenario, to_robot_frame)
 
@@ -119,13 +119,13 @@ class CrowdEnv:
 
     def _reassign_reached_goals(self):
         """Pedestrians at their goal get a fresh destination on the arena circle,
-        rejected while closer than 2 m to their current position."""
+        rejected while closer than REGOAL_MIN_DIST (SimConfig.validate keeps one open)."""
         for ped in self.peds:
             if ped.dist_to_goal() > ped.radius:
                 continue
             while True:
                 theta = self._regoal_rng.uniform(0.0, 2.0 * math.pi)
                 g = self.cfg.arena_radius * np.array([math.cos(theta), math.sin(theta)])
-                if math.hypot(g[0] - ped.px, g[1] - ped.py) >= 2.0:
+                if math.hypot(g[0] - ped.px, g[1] - ped.py) >= REGOAL_MIN_DIST:
                     break
             ped.gx, ped.gy = float(g[0]), float(g[1])

@@ -432,15 +432,17 @@ LAMB_TRUST_CLIP = 10.0        # upper bound of the per-block trust ratio
 def lamb_step(store: ParamStore, lr: float):
     """Layer-wise adaptive update (You et al. 2020) without weight decay:
     Adam moments with bias correction and a per-block trust ratio
-    |w| / |update| clipped to [0, LAMB_TRUST_CLIP]."""
+    |w| / |update| clipped to [0, LAMB_TRUST_CLIP]. A non-finite gradient
+    in any block raises OptimizerError before the store changes at all."""
+    for name in store.blocks:
+        if not np.all(np.isfinite(store.grads[name])):
+            raise OptimizerError(f"non-finite gradient in block {name!r}")
     b1, b2 = LAMB_BETAS
     store.step += 1
     bc1 = 1.0 - b1 ** store.step
     bc2 = 1.0 - b2 ** store.step
     for name, w in store.blocks.items():
         g = store.grads[name]
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient in block {name!r}")
         m = store.m[name]
         v = store.v[name]
         m *= b1

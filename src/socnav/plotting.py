@@ -149,16 +149,13 @@ def figure_paths(out_dir, episode: int) -> tuple[str, str]:
     return stem + ".svg", stem + ".csv"
 
 
-def plot_trajectories(log_path, out_dir, force: bool = False):
-    """Render every episode of a positions log; returns written paths."""
-    episodes = read_positions_log(log_path)
+def plot_trajectories(episodes, out_dir):
+    """Render every record of a positions log (read_positions_log) into
+    out_dir, replacing figures already there; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for record in episodes:
         svg_path, csv_path = figure_paths(out_dir, record.get("episode", 0))
-        for path in (svg_path, csv_path):
-            if os.path.exists(path) and not force:
-                raise FileExistsError(f"{path} exists (use force to overwrite)")
         with atomic_write(svg_path) as fh:
             fh.write(episode_svg(record))
         with atomic_write(csv_path) as fh:

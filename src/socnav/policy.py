@@ -62,16 +62,16 @@ class TokenSequence(NamedTuple):
     """A batch of context windows: aligned (rtg, state, action) triples.
 
     states are canonicalized joint vectors; slots before the episode start
-    are front padding (step_valid False). action_valid marks steps whose
-    action token is real; at decision time the current step's action does
-    not exist yet and its slot is zeroed and masked.
+    are front padding (step_valid False), the one mask of a step's three
+    tokens. At decision time the current step's action does not exist yet
+    and its slot is zeroed: the window's last token, read causally by no
+    decoded action.
     """
 
     rtg: np.ndarray           # (B, K)
     states: np.ndarray        # (B, K, joint_dim)
     actions: np.ndarray       # (B, K, 2)
     step_valid: np.ndarray    # (B, K) bool
-    action_valid: np.ndarray  # (B, K) bool
 
     def take(self, idx) -> "TokenSequence":
         """Windows idx of the batch."""
@@ -112,17 +112,12 @@ class DtPolicy:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, store, rtg, states, actions, step_valid, action_valid):
-        """Predicted actions at every state-token position.
-
-        rtg: (B, K); states: (B, K, joint_dim) canonical; actions: (B, K, 2);
-        step_valid / action_valid: (B, K) bool. Returns (a_hat, cache) with
-        a_hat (B, K, 2), |a_hat| <= v_max.
+    def forward(self, store, batch: TokenSequence):
+        """Predicted actions at every state-token position of a batch of
+        windows. Returns (a_hat, cache) with a_hat (B, K, 2), |a_hat| <= v_max.
         """
         dt = store.dtype
-        rtg = np.ascontiguousarray(rtg, dtype=dt)
-        states = np.ascontiguousarray(states, dtype=dt)
-        actions = np.ascontiguousarray(actions, dtype=dt)
+        rtg, states, actions = (np.ascontiguousarray(x, dtype=dt) for x in batch[:3])
         B, K = rtg.shape
         D = self.hidden
 
@@ -135,10 +130,7 @@ class DtPolicy:
         seq[:, 0::3] = r_emb + pos
         seq[:, 1::3] = s_emb + pos
         seq[:, 2::3] = a_emb + pos
-        token_valid = np.zeros((B, 3 * K), dtype=bool)
-        token_valid[:, 0::3] = step_valid
-        token_valid[:, 1::3] = step_valid
-        token_valid[:, 2::3] = action_valid
+        token_valid = np.repeat(batch.step_valid, 3, axis=1)
 
         # actions are decoded at the state tokens (1::3) only, so the last
         # block runs its queries there (keys and values still cover every token)
@@ -178,13 +170,11 @@ class DtPolicy:
         them to 0.999 * v_max first (see features.clip_action_norm): the
         squashed head cannot reach the open boundary.
         """
-        rtg, states, actions, step_valid, action_valid = batch
-        if len(rtg) == 0:
+        if len(batch.rtg) == 0:
             raise ValueError("empty batch")
         store.zero_grads()
-        a_hat, cache = self.forward(store, rtg, states, actions,
-                                    step_valid, action_valid)
-        loss, da = action_loss(a_hat, target_actions, step_valid, counts, wsum)
+        a_hat, cache = self.forward(store, batch)
+        loss, da = action_loss(a_hat, target_actions, batch.step_valid, counts, wsum)
         self.backward(store, cache, da)
         return loss, a_hat
 
@@ -224,7 +214,7 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
     aligned with `states`. features.window_tables builds the windows, so
     windows of one episode (the same three objects) share its canonical
     step rows. An action list that stops before a window's end (as
-    Actor's does) leaves its later slots zeroed and masked.
+    Actor's does) leaves its later action slots zeroed.
     """
     return _token_windows(episodes, ends, context, lambda states: canonicalize_joint(
         np.asarray(states, dtype=np.float64), num_peds))
@@ -236,14 +226,13 @@ def _token_windows(episodes, ends, context: int, canonical) -> TokenSequence:
     def build(episode, lo, hi):
         states, actions, rtg = episode
         span = slice(lo, hi + 1)
-        logged = np.arange(lo, hi + 1) < len(actions)
-        acts = np.zeros((len(logged), 2))
-        acts[logged] = np.reshape(actions[span], (-1, 2))
-        return np.asarray(rtg[span], dtype=np.float64), canonical(states[span]), acts, logged
+        acts = np.zeros((hi + 1 - lo, 2))
+        logged = actions[span]
+        acts[:len(logged)] = np.reshape(logged, (-1, 2))
+        return np.asarray(rtg[span], dtype=np.float64), canonical(states[span]), acts
 
-    (rtg, states, actions, known), rows = window_tables(episodes, ends, context, build)
-    return TokenSequence(rtg=rtg[rows], states=states[rows], actions=actions[rows],
-                         step_valid=rows > 0, action_valid=known[rows])
+    (rtg, states, actions), rows = window_tables(episodes, ends, context, build)
+    return TokenSequence(rtg[rows], states[rows], actions[rows], step_valid=rows > 0)
 
 
 # -- acting ----------------------------------------------------------------
@@ -335,7 +324,7 @@ class Actor:
         ctx.rtg.append(self.conditioning(t))
         batch = _token_windows([(ctx.joint, ctx.actions, ctx.rtg)], [t],
                                self.policy.context, np.asarray)
-        a_hat, _ = self.policy.forward(self.policy_store, *batch)
+        a_hat, _ = self.policy.forward(self.policy_store, batch)
         action = a_hat[0, -1].astype(np.float64)
         # float32 rounding can land a hair above the tanh bound; renormalize
         norm = float(np.hypot(action[0], action[1]))

@@ -15,25 +15,51 @@ from socnav.dataset import load_trajectories
 from socnav.nn import ParamStore
 
 
+TINY_CONFIG = {
+    "sim": {"num_peds": 2},
+    "net": {"hidden_dim": 16, "num_heads": 2, "ffn_dim": 16,
+            "rtgp_window": 4, "policy_context": 4, "policy_blocks": 1,
+            "head_hidden": 8},
+    "train": {"pretrain_iters": 8, "batch_size": 4,
+              "sampled_trajs": 2, "offline_episodes": 4,
+              "finetune_episodes": 2},
+    "seed": 3,
+}
+
+
 @pytest.fixture()
 def tiny_config_file(tmp_path):
-    cfg = {
-        "sim": {"num_peds": 2},
-        "net": {"hidden_dim": 16, "num_heads": 2, "ffn_dim": 16,
-                "rtgp_window": 4, "policy_context": 4, "policy_blocks": 1,
-                "head_hidden": 8},
-        "train": {"pretrain_iters": 8, "batch_size": 4,
-                  "sampled_trajs": 2, "offline_episodes": 4,
-                  "finetune_episodes": 2},
-        "seed": 3,
-    }
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(TINY_CONFIG))
     return str(path)
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def tree(root: Path) -> dict:
+    """Every path under root, mapped to its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Paths of the tiny config, its dataset and pretrained bundle, a
+    bundle fine-tuned in the fixed mode, and a three-episode positions log."""
+    d = tmp_path_factory.mktemp("inputs")
+    paths = {"cfg": str(d / "cfg.json"), "data": str(d / "d.jsonl"),
+             "pre": str(d / "pre.ckpt"), "fixed": str(d / "fixed.ckpt"),
+             "log": str(d / "pos.jsonl")}
+    Path(paths["cfg"]).write_text(json.dumps(TINY_CONFIG))
+    for argv in (["gen-data", "--out", paths["data"]],
+                 ["pretrain", "--data", paths["data"], "--out", paths["pre"]],
+                 ["eval", "--ckpt", paths["pre"], "--episodes", "3",
+                  "--report", str(d / "r.json"), "--positions-log", paths["log"]]):
+        assert run("--config", paths["cfg"], *argv) == EXIT_OK
+    write_bundle(paths["fixed"], paths["cfg"], meta={"rtg_mode": "fixed"})
+    return paths
 
 
 class TestExitCodes:
@@ -359,6 +385,99 @@ class TestOverwriteGuard:
         assert run("--config", tiny_config_file, "gen-data", "--out", out) == EXIT_CONFIG
         assert run("--config", tiny_config_file, "--force", "gen-data",
                    "--out", out) == EXIT_OK
+
+    def test_plot_refuses_then_force(self, inputs, tmp_path):
+        # one existing figure refuses the whole log; --force renders it again
+        out = tmp_path / "plots"
+        assert run("plot", "--log", inputs["log"], "--out", str(out)) == EXIT_OK
+        rendered = tree(out)
+        (out / "episode_0001.csv").write_text("old")
+        assert run("plot", "--log", inputs["log"], "--out", str(out)) == EXIT_CONFIG
+        assert tree(out) == rendered | {"episode_0001.csv": b"old"}
+        assert run("--force", "plot", "--log", inputs["log"], "--out", str(out)) == EXIT_OK
+        assert tree(out) == rendered
+
+
+# case: (files already in {out}, config overrides, argv, error message); the
+# argv and message name the inputs fixture's paths and the output directory
+REFUSALS = {
+    # an existing output, without --force
+    "gen-data-sidecar": (["d.jsonl.stats.json"], {}, ["gen-data", "--out", "{out}/d.jsonl"],
+                         "refusing to overwrite {out}/d.jsonl.stats.json"),
+    "pretrain": (["p.ckpt"], {}, ["pretrain", "--data", "{data}", "--out", "{out}/p.ckpt"],
+                 "refusing to overwrite {out}/p.ckpt"),
+    "finetune": (["f.ckpt"], {}, ["finetune", "--ckpt", "{pre}", "--data", "{data}",
+                                  "--out", "{out}/f.ckpt"],
+                 "refusing to overwrite {out}/f.ckpt"),
+    "eval-positions": (["pos.jsonl"], {}, ["eval", "--ckpt", "{pre}", "--episodes", "1",
+                                           "--report", "{out}/r.json",
+                                           "--positions-log", "{out}/pos.jsonl"],
+                       "refusing to overwrite {out}/pos.jsonl"),
+    "plot-last-figure": (["episode_0002.svg"], {},
+                         ["plot", "--log", "{log}", "--out", "{out}"],
+                         "refusing to overwrite {out}/episode_0002.svg"),
+    "pipeline-figure": (["plots/episode_0001.csv"], {},
+                        ["pipeline", "--out", "{out}", "--eval-episodes", "2"],
+                        "refusing to overwrite {out}/plots/episode_0001.csv"),
+    "pipeline-dry-run": (["manifest.json"], {}, ["pipeline", "--out", "{out}", "--dry-run"],
+                         "refusing to overwrite {out}/manifest.json"),
+    # an input that does not fit the config
+    "dataset-width": ([], {"sim": {"num_peds": 3}},
+                      ["pretrain", "--data", "{data}", "--out", "{out}/p.ckpt"],
+                      f"states are {joint_dim(2)} wide, the config's 3 pedestrians "
+                      f"need {joint_dim(3)}"),
+    "dataset-gamma": ([], {"train": {"gamma": 0.9}},
+                      ["finetune", "--ckpt", "{pre}", "--data", "{data}",
+                       "--out", "{out}/f.ckpt"],
+                      "return labels use gamma 0.99, the config's train.gamma is 0.9"),
+    "bundle-block": ([], {"net": {"policy_blocks": 2}},
+                     ["eval", "--ckpt", "{pre}", "--episodes", "1",
+                      "--report", "{out}/r.json"],
+                     "policy block 'block1.q.W' is missing in the checkpoint"),
+    "bundle-rtg-mode": ([], {}, ["finetune", "--ckpt", "{fixed}", "--data", "{data}",
+                                 "--out", "{out}/f.ckpt"],
+                        "fine-tuned in rtg_mode 'fixed', the config's train.rtg_mode "
+                        "is 'rtgp'"),
+    # a config value that would crash or hang a stage
+    "patience-0": ([], {"train": {"pretrain_patience": 0}},
+                   ["pipeline", "--out", "{out}", "--eval-episodes", "2"],
+                   "train.pretrain_patience must be >= 1"),
+    "patience-neg": ([], {"train": {"pretrain_patience": -2}},
+                     ["pretrain", "--data", "{data}", "--out", "{out}/p.ckpt"],
+                     "train.pretrain_patience must be >= 1"),
+    # (commands that run no env: without the check they write, not hang)
+    "arena-small": ([], {"sim": {"arena_radius": 0.5}},
+                    ["pretrain", "--data", "{data}", "--out", "{out}/p.ckpt"],
+                    "sim.arena_radius 0.5"),
+    "arena-neg": ([], {"sim": {"arena_radius": -1}},
+                  ["pipeline", "--out", "{out}", "--dry-run"],
+                  "sim.arena_radius -1"),
+    "visible-gen-data": ([], {"sim": {"robot_visible": True}},
+                         ["gen-data", "--out", "{out}/d.jsonl"],
+                         "sim.robot_visible must be false"),
+    "visible-pipeline": ([], {"sim": {"robot_visible": True}},
+                         ["pipeline", "--out", "{out}", "--eval-episodes", "2"],
+                         "sim.robot_visible must be false"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_2_and_writes_nothing(inputs, tmp_path, capsys, case):
+    leftovers, overrides, argv, message = REFUSALS[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in leftovers:
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_text("old")
+    cfg = json.loads(Path(inputs["cfg"]).read_text())
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    before = tree(out)
+    assert run("--config", str(tmp_path / "cfg.json"),
+               *(a.format(out=out, **inputs) for a in argv)) == EXIT_CONFIG
+    assert message.format(out=out) in capsys.readouterr().err
+    assert tree(out) == before
 
 
 class TestStages:

@@ -86,6 +86,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(field)):
             Config.from_dict(raw)
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"train": {"pretrain_patience": 0}}, "train.pretrain_patience"),
+        ({"train": {"pretrain_patience": -2}}, "train.pretrain_patience"),
+        ({"sim": {"arena_radius": 0.5}}, "sim.arena_radius"),
+        ({"sim": {"arena_radius": -1.0}}, "sim.arena_radius"),
+        ({"sim": {"arena_radius": 1.15, "perturbation": 0.0}}, "sim.arena_radius"),
+    ])
+    def test_values_that_would_hang_or_crash_name_the_field(self, raw, field):
+        # pretraining's early stop needs an epoch of patience; a pedestrian
+        # at its goal must have a new goal on the circle REGOAL_MIN_DIST away
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            Config.from_dict(raw)
+
+    def test_arena_radius_leaving_a_new_goal_accepted(self):
+        # at perturbation 0 a pedestrian re-goals within ped_radius of the
+        # circle, so its farthest goal is 2 * 1.2 - 0.3 = 2.1 m away
+        Config.from_dict({"sim": {"arena_radius": 1.2, "perturbation": 0.0}})
+        Config.from_dict({"train": {"pretrain_patience": 1}})
+
     def test_int_accepted_for_float_field(self):
         cfg = Config.from_dict({"train": {"gamma": 1, "learning_rate": 1},
                                 "sim": {"robot_visible": True}})

@@ -11,7 +11,8 @@ from socnav.dataset import (DatasetFormatError, Trajectory, atomic_write, comput
                             dataset_stats, dumps_lossless, generate_dataset,
                             load_trajectories, rollout, save_trajectories, stats_of)
 from socnav.env import CrowdEnv
-from socnav.plotting import PlotError, plot_trajectories, write_positions_log
+from socnav.plotting import (PlotError, plot_trajectories, read_positions_log,
+                             write_positions_log)
 
 
 def suffix_sum_oracle(rewards, gamma):
@@ -300,7 +301,7 @@ class TestAtomicWrite:
         target = out / "episode_0000.svg"
         target.write_bytes(self.OLD)
         with pytest.raises(PlotError, match="step 1"):
-            plot_trajectories(log, out, force=True)
+            plot_trajectories(read_positions_log(log), out)
         self._check_untouched(out, target)
 
 

@@ -483,6 +483,23 @@ class TestLamb:
         with pytest.raises(nn.OptimizerError, match="bad.W"):
             nn.lamb_step(store, lr=1e-3)
 
+    def test_nonfinite_gradient_changes_nothing(self, rng):
+        # a step is taken whole or not at all: a NaN in the last block leaves
+        # every block's weights and moments, and the step count, as they were
+        store = nn.ParamStore()
+        for name in ("a", "b", "c"):
+            store.add(name, rng.normal(size=(3, 2)))
+            store.grads[name][...] = rng.normal(size=(3, 2))
+        nn.lamb_step(store, lr=1e-3)
+        store.grads["c"][2, 1] = np.nan
+        before = [{n: x.tobytes() for n, x in d.items()}
+                  for d in (store.blocks, store.m, store.v)]
+        with pytest.raises(nn.OptimizerError, match="'c'"):
+            nn.lamb_step(store, lr=1e-3)
+        assert store.step == 1
+        assert [{n: x.tobytes() for n, x in d.items()}
+                for d in (store.blocks, store.m, store.v)] == before
+
 
 class TestParamStore:
     def test_duplicate_name_rejected(self, rng):

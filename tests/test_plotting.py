@@ -57,19 +57,10 @@ class TestFiles:
         write_positions_log(log, [straight_log()])
         out1 = tmp_path / "p1"
         out2 = tmp_path / "p2"
-        w1 = plot_trajectories(log, out1)
-        w2 = plot_trajectories(log, out2)
+        w1 = plot_trajectories(read_positions_log(log), out1)
+        w2 = plot_trajectories(read_positions_log(log), out2)
         for a, b in zip(sorted(w1), sorted(w2)):
             assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_no_silent_overwrite(self, tmp_path):
-        log = tmp_path / "pos.jsonl"
-        write_positions_log(log, [straight_log()])
-        out = tmp_path / "plots"
-        plot_trajectories(log, out)
-        with pytest.raises(FileExistsError):
-            plot_trajectories(log, out)
-        plot_trajectories(log, out, force=True)   # explicit opt-in
 
     def test_log_roundtrip(self, tmp_path):
         log = tmp_path / "pos.jsonl"

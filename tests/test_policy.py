@@ -35,9 +35,7 @@ def random_batch(rng, pol, B=3):
     actions = rng.normal(size=(B, K, 2)) * 0.5
     sv = np.ones((B, K), dtype=bool)
     sv[0, :2] = False
-    av = sv.copy()
-    av[1, -1] = False
-    return rtg, states, actions, sv, av
+    return TokenSequence(rtg, states, actions, sv)
 
 
 class TestSquash:
@@ -79,19 +77,19 @@ class TestForward:
         for name in store.blocks:   # exaggerate the parameters
             store.blocks[name][...] = rng.normal(size=store[name].shape) * 5
         batch = random_batch(rng, pol)
-        a_hat, _ = pol.forward(store, *batch)
+        a_hat, _ = pol.forward(store, batch)
         assert np.all(np.linalg.norm(a_hat, axis=-1) <= 1.0)
 
     def test_causality_exact(self, rng):
         pol = small_policy()
         store = pol.init_store(1)
-        rtg, states, actions, sv, av = random_batch(rng, pol)
-        base, _ = pol.forward(store, rtg, states, actions, sv, av)
-        rtg2, st2, ac2 = rtg.copy(), states.copy(), actions.copy()
+        batch = random_batch(rng, pol)
+        base, _ = pol.forward(store, batch)
+        rtg2, st2, ac2 = batch.rtg.copy(), batch.states.copy(), batch.actions.copy()
         rtg2[:, 2:] += 9.0
         st2[:, 2:] += 9.0
         ac2[:, 2:] += 9.0
-        out, _ = pol.forward(store, rtg2, st2, ac2, sv, av)
+        out, _ = pol.forward(store, TokenSequence(rtg2, st2, ac2, batch.step_valid))
         assert np.array_equal(base[:, :2], out[:, :2])
 
     def test_param_count_matches_shape_audit(self):
@@ -105,15 +103,17 @@ class TestForward:
 
     def test_action_token_not_visible_to_own_step(self, rng):
         # prediction at step u reads the state token, which precedes the
-        # action token of the same step in the causal order
+        # action token of the same step in the causal order; so the final
+        # action token, which an acting window zero-fills, reaches no
+        # decoded action at all, and needs no mask of its own
         pol = small_policy()
         store = pol.init_store(2)
-        rtg, states, actions, sv, av = random_batch(rng, pol)
-        base, _ = pol.forward(store, rtg, states, actions, sv, av)
-        ac2 = actions.copy()
+        batch = random_batch(rng, pol)
+        base, _ = pol.forward(store, batch)
+        ac2 = batch.actions.copy()
         ac2[:, -1] = 77.0   # mutate the final action token
-        out, _ = pol.forward(store, rtg, states, ac2, sv, av)
-        assert np.array_equal(base[:, -1], out[:, -1])
+        out, _ = pol.forward(store, batch._replace(actions=ac2))
+        assert base.tobytes() == out.tobytes()
 
 
 class TestLoss:
@@ -124,7 +124,7 @@ class TestLoss:
         store = pol.init_store(3)
         store.blocks["head.W"][...] = rng.normal(size=store["head.W"].shape)
         batch = random_batch(rng, pol)
-        assert not batch[3].all()
+        assert not batch.step_valid.all()
         pol.loss_and_grad(store, batch, rng.normal(size=(3, pol.context, 2)) * 0.5)
         assert [name for name, g in store.grads.items() if not g.any()] == []
 
@@ -132,7 +132,7 @@ class TestLoss:
         pol = small_policy()
         store = pol.init_store(3, dtype=np.float64)
         batch = random_batch(rng, pol)
-        a_hat, _ = pol.forward(store, *batch)
+        a_hat, _ = pol.forward(store, batch)
         loss, _ = pol.loss_and_grad(store, batch, a_hat.copy())
         assert loss == 0.0
 
@@ -142,8 +142,8 @@ class TestLoss:
         for name in store.blocks:
             store.blocks[name][...] = 0.0
         B, K = 2, pol.context
-        batch = (np.zeros((B, K)), np.zeros((B, K, pol.joint_dim)),
-                 np.zeros((B, K, 2)), np.ones((B, K), bool), np.ones((B, K), bool))
+        batch = TokenSequence(np.zeros((B, K)), np.zeros((B, K, pol.joint_dim)),
+                              np.zeros((B, K, 2)), np.ones((B, K), bool))
         targets = np.zeros((B, K, 2))
         targets[..., 0] = 1.0
         loss, _ = pol.loss_and_grad(store, batch, targets)
@@ -156,7 +156,7 @@ class TestLoss:
         targets = rng.normal(size=(3, pol.context, 2)) * 0.5
         loss, a_hat = pol.loss_and_grad(store, batch, targets)
         total, count = 0.0, 0
-        sv = batch[3]
+        sv = batch.step_valid
         for b in range(3):
             for k in range(pol.context):
                 if sv[b, k]:
@@ -171,7 +171,7 @@ class TestLoss:
         targets = rng.normal(size=(3, pol.context, 2))
         l1, _ = pol.loss_and_grad(store, batch, targets)
         perm = [2, 0, 1]
-        batch_p = tuple(x[perm] for x in batch)
+        batch_p = batch.take(perm)
         l2, _ = pol.loss_and_grad(store, batch_p, targets[perm])
         assert l1 == l2
 
@@ -179,7 +179,8 @@ class TestLoss:
         pol = small_policy()
         store = pol.init_store(0)
         with pytest.raises(ValueError, match="empty"):
-            pol.loss_and_grad(store, (np.zeros((0, 4)),) * 5, np.zeros((0, 4, 2)))
+            pol.loss_and_grad(store, TokenSequence(*(np.zeros((0, 4)),) * 4),
+                              np.zeros((0, 4, 2)))
 
     def test_full_gradcheck(self, rng):
         pol = small_policy()
@@ -352,7 +353,7 @@ class TestActor:
         for end in range(traj.num_steps):
             batch = tokenize([(traj.states, traj.actions[:end], traj.rtg)], [end],
                              context=6, num_peds=2)
-            a_hat, _ = pol.forward(store, *batch)
+            a_hat, _ = pol.forward(store, batch)
             want = clip_action_norm(traj.actions[end], 1.0)
             misses = max(misses, float(np.linalg.norm(a_hat[0, -1] - want)))
         assert misses < 0.3
@@ -379,7 +380,7 @@ class WholeWindowActor(Actor):
             ctx.rtg.append(float(rhat[0]))
         batch = tokenize([(ctx.states, ctx.actions, ctx.rtg)], [t],
                          self.policy.context, self.policy.num_peds)
-        a_hat, _ = self.policy.forward(self.policy_store, *batch)
+        a_hat, _ = self.policy.forward(self.policy_store, batch)
         action = a_hat[0, -1].astype(np.float64)
         norm = float(np.hypot(action[0], action[1]))
         if norm > self.policy.v_max:

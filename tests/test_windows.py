@@ -30,8 +30,7 @@ def ref_tokenize(states, actions, rtg, end, context, num_peds, action_known_at_e
     lo = max(0, end - context + 1)
     pad = context - (end - lo + 1)
     out = (np.zeros(context), np.zeros((context, joint_dim(num_peds))),
-           np.zeros((context, 2)), np.zeros(context, dtype=bool),
-           np.zeros(context, dtype=bool))
+           np.zeros((context, 2)), np.zeros(context, dtype=bool))
     canon = canonicalize_joint(np.asarray(states, dtype=np.float64), num_peds)
     for slot, u in enumerate(range(lo, end + 1), start=pad):
         out[0][slot] = rtg[u]
@@ -39,7 +38,6 @@ def ref_tokenize(states, actions, rtg, end, context, num_peds, action_known_at_e
         out[3][slot] = True
         if u < len(actions) and (action_known_at_end or u < end):
             out[2][slot] = actions[u]
-            out[4][slot] = True
     return out
 
 
@@ -162,7 +160,7 @@ def test_episode_start_with_empty_action_list(rng):
     assert_same([field[0] for field in seq],
                 ref_tokenize(list(states), [], [0.5], 0, 4, 2, False))
     assert seq.step_valid.tolist() == [[False, False, False, True]]
-    assert not seq.action_valid.any()
+    assert not seq.actions.any()
     assert_same(history_window(list(states), [], [], 0, 0, 2),
                 ref_history_window(list(states), [], [], 0, 1, 2)[:2])
     net = RtgPredictor(num_peds=2, window=4)
