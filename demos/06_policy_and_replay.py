@@ -30,7 +30,7 @@ actor.begin_episode()
 for u in range(end + 1):
     actor.act(traj.states[u])
     actor.observe(traj.actions[u], traj.rewards[u])
-for source, rtg in (("labels", traj.rtg), ("fixed", actor.ctx.rtg)):
+for source, rtg in (("labels", traj.rtg), ("fixed", actor.ctx.history("rtg"))):
     seq = tokenize([(traj.states, traj.actions, rtg)], [end], context=4, num_peds=5)
     print(f"  {source:>6}: rtg slots {np.round(seq.rtg[0], 3).tolist()}")
 

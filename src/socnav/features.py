@@ -7,11 +7,15 @@ to pedestrian labelling while the spatial attention still treats the
 blocks as a set.
 
 Both networks read fixed-width windows of episode steps, front-padded
-before the episode start. `window_tables` is the one builder of those
-windows: it decides which steps a batch reads, builds each episode's
-steps once however many windows hold them, keeps the read ones as rows
-and writes the shared all-zero padding row 0; the networks only say how
-to build a step. The predictor's step token at time u carries the previous
+before the episode start; `slot_steps` is the one plan of which step
+each slot reads. Windows read step tables laid out alike: row 0 is the
+all-zero padding row and the steps follow it. `window_tables` builds
+those tables for training batches: it decides which steps a batch reads,
+builds each episode's steps once however many windows hold them and
+keeps the read ones as rows; the networks only say how to build a step.
+Acting keeps one such table per value for its episode (row u + 1 step u,
+policy.EpisodeContext) and gathers its windows from it by row. The
+predictor's step token at time u carries the previous
 transition's action and reward (zeros at the episode start), which keeps
 training and rollout inputs identically distributed: the current step's
 action does not exist yet when the return estimate is needed.
@@ -45,6 +49,13 @@ def canonicalize_joint(joint: np.ndarray, num_peds: int) -> np.ndarray:
                                               num_peds * PED_PART_DIM)], axis=-1)
 
 
+def slot_steps(ends, width: int) -> np.ndarray:
+    """(B, width) step each slot of the windows ending at steps `ends`
+    (inclusive) reads, -1 at front padding: in a table whose row u + 1
+    holds step u, step + 1 is the slot's row and padding reads row 0."""
+    return np.maximum(np.asarray(ends)[:, None] + np.arange(1 - width, 1), -1)
+
+
 def window_tables(episodes, ends, width: int, build):
     """The step tables a batch of `width`-slot windows reads.
 
@@ -65,7 +76,6 @@ def window_tables(episodes, ends, width: int, build):
         groups.setdefault(tuple(map(id, episode)), (episode, []))[1].append(i)
     ends = np.asarray(ends)
     rows = np.empty((len(ends), width), dtype=np.intp)
-    slot_steps = np.arange(1 - width, 1)
     parts = []
     first = 1
     for episode, members in groups.values():
@@ -74,7 +84,7 @@ def window_tables(episodes, ends, width: int, build):
         if earliest < 0 or hi >= len(episode[0]):
             raise ValueError("empty or out-of-range window")
         lo = max(0, earliest + 1 - width)
-        steps = e[:, None] + slot_steps
+        steps = slot_steps(e, width)
         real = steps >= 0
         read = np.zeros(hi + 1 - lo, dtype=bool)
         read[steps[real] - lo] = True

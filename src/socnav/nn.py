@@ -201,6 +201,25 @@ def dense_bwd(store, cache, dy):
     return (dy2 @ W.T).reshape(x.shape)
 
 
+def add_at_rows(out, rows, values):
+    """out[rows[i]] += values[i] for every i, in order of i: the bytes
+    np.add.at gives, signed zeros included, at fancy-index speed. Each i
+    is ranked among the i that add into its row, and rank 0, rank 1, ...
+    are added in turn, the rows of one rank all distinct."""
+    n = len(rows)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    run_start = np.arange(n)
+    run_start[1:][sorted_rows[1:] == sorted_rows[:-1]] = 0
+    rank = np.arange(n) - np.maximum.accumulate(run_start)
+    by_rank = order[np.argsort(rank, kind="stable")]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)):
+        idx = by_rank[lo:hi]
+        out[rows[idx]] += values[idx]
+        lo = hi
+
+
 def add_layer_norm(store: ParamStore, name: str, dim: int):
     store.add(f"{name}.g", np.ones(dim))
     store.add(f"{name}.b", np.zeros(dim))
@@ -209,11 +228,17 @@ def add_layer_norm(store: ParamStore, name: str, dim: int):
 LN_EPS = 1e-5
 
 
+def _row_mean(x):
+    """x.mean(axis=-1, keepdims=True), byte for byte, without the Python
+    wrapper ndarray.mean runs on every call."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm_fwd(store, name, x):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     g, b = store[f"{name}.g"], store[f"{name}.b"]
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = x - _row_mean(x)
+    inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LN_EPS)
     xhat *= inv_std
     y = g * xhat
     y += b
@@ -230,9 +255,9 @@ def layer_norm_bwd(store, cache, dy):
     store.accumulate(f"{name}.g", buf.sum(axis=reduce_axes))
     store.accumulate(f"{name}.b", dy.sum(axis=reduce_axes))
     buf *= g
-    proj = buf.mean(axis=-1, keepdims=True)
+    proj = _row_mean(buf)
     dx = np.multiply(dy, g, out=buf)
-    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= _row_mean(dx)
     dx -= xhat * proj
     dx *= inv_std
     return dx

@@ -13,19 +13,19 @@ Actor is the one place that computes them, from the return predictor
 (fine-tuning and deployment) or from a fixed target (ablation).
 
 Acting featurizes each step once. A decision adds its one new step to
-the episode's step store (EpisodeContext): the canonical joint row, the
-predictor's step tokens and, with a predictor, the step's per-step
-encoding. features.window_tables then gathers both networks' windows
-from the store, and the decision runs the same forwards as a whole-window
-build, byte for byte. That identity rests on every product being a GEMM
-over at least two rows (checked with the bundled OpenBLAS at the
-published and tiny shapes); see Actor for the one place it needs care.
+the episode's step tables (EpisodeContext): the canonical joint row, the
+conditioning, a zero action until one is observed and, with a predictor,
+the step's token and per-step encoding. It then gathers both networks'
+windows from those tables by row (features.slot_steps) and runs the same
+forwards as a whole-window build, byte for byte. That identity rests on
+every product being a GEMM over at least two rows (checked with the
+bundled OpenBLAS at the published and tiny shapes); see Actor for the
+one place it needs care.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -213,23 +213,17 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
     The conditioning slots copy `rtg`, the per-step return-to-go values
     aligned with `states`. features.window_tables builds the windows, so
     windows of one episode (the same three objects) share its canonical
-    step rows. An action list that stops before a window's end (as
-    Actor's does) leaves its later action slots zeroed.
+    step rows. An action list that stops before a window's end leaves its
+    later action slots zeroed.
     """
-    return _token_windows(episodes, ends, context, lambda states: canonicalize_joint(
-        np.asarray(states, dtype=np.float64), num_peds))
-
-
-def _token_windows(episodes, ends, context: int, canonical) -> TokenSequence:
-    """tokenize, with `canonical` turning a slice of an episode's states
-    into its canonical joint rows."""
     def build(episode, lo, hi):
         states, actions, rtg = episode
         span = slice(lo, hi + 1)
         acts = np.zeros((hi + 1 - lo, 2))
         logged = actions[span]
         acts[:len(logged)] = np.reshape(logged, (-1, 2))
-        return np.asarray(rtg[span], dtype=np.float64), canonical(states[span]), acts
+        joint = canonicalize_joint(np.asarray(states[span], dtype=np.float64), num_peds)
+        return np.asarray(rtg[span], dtype=np.float64), joint, acts
 
     (rtg, states, actions), rows = window_tables(episodes, ends, context, build)
     return TokenSequence(rtg[rows], states[rows], actions[rows], step_valid=rows > 0)
@@ -238,26 +232,43 @@ def _token_windows(episodes, ends, context: int, canonical) -> TokenSequence:
 # -- acting ----------------------------------------------------------------
 
 
-@dataclass
 class EpisodeContext:
-    """One episode's history and its step store, consumed by Actor.act.
+    """One episode's history (lists) and its step tables, consumed by
+    Actor.act.
 
-    The store holds what each step featurizes to, built once, when the
-    step's decision arrives: `joint`, its canonical joint row, and with a
-    return predictor `tokens`, its temporal step token, and `encoded`, its
-    per-step encoding (RtgPredictor.encode) under the actor's predictor
-    store. The encodings hold for one episode under fixed parameters:
-    Actor.begin_episode starts a new context, so an update between
-    episodes is never read through encodings made before it.
+    `tables` holds each per-step value an acting window reads, laid out as
+    features.window_tables lays out a batch's: row 0 is the all-zero
+    padding row and row u + 1 holds step u, written once; a full table
+    doubles. They are `joint`, the canonical joint row; `rtg`, the
+    conditioning; `action`, zero until observed (the current step's slot);
+    and with a return predictor `tokens`, the temporal step token, and
+    `encoded`, the per-step encoding (RtgPredictor.encode) under the
+    actor's predictor store. The encodings hold for one episode under fixed
+    parameters: Actor.begin_episode starts a new context, so an update
+    between episodes is never read through encodings made before it.
     """
 
-    states: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    rtg: list = field(default_factory=list)
-    joint: list = field(default_factory=list)
-    tokens: list = field(default_factory=list)
-    encoded: list = field(default_factory=list)
+    FIRST_ROWS = 32
+
+    def __init__(self, **row_shapes):
+        """row_shapes: each table's name -> (shape, dtype) of one row."""
+        self.states, self.actions, self.rewards = [], [], []
+        self.tables = {name: np.zeros((self.FIRST_ROWS, *shape), dtype=dtype)
+                       for name, (shape, dtype) in row_shapes.items()}
+
+    def begin_step(self, state) -> int:
+        """Append the newest observation as step t and return t; its
+        table rows t + 1 are zero until written."""
+        t = len(self.states)
+        self.states.append(state)
+        if t + 1 == len(self.tables["rtg"]):
+            self.tables = {name: np.concatenate([table, np.zeros_like(table)])
+                           for name, table in self.tables.items()}
+        return t
+
+    def history(self, name: str) -> np.ndarray:
+        """Table `name`'s rows of the steps so far, step 0 first."""
+        return self.tables[name][1:len(self.states) + 1]
 
 
 class Actor:
@@ -265,9 +276,9 @@ class Actor:
     conditioning online.
 
     Each decision featurizes only its new step into the episode's step
-    store (EpisodeContext): one canonical joint row and, in rtgp mode, one
-    step through the predictor's per-step encoder. Its actions and return
-    estimates are those of whole-window decisions (tokenize,
+    tables (EpisodeContext): one canonical joint row and, in rtgp mode,
+    one step through the predictor's per-step encoder. Its actions and
+    return estimates are those of whole-window decisions (tokenize,
     RtgPredictor.predict), byte for byte.
     """
 
@@ -283,25 +294,31 @@ class Actor:
         self.rtgp = rtgp
         self.rtgp_store = rtgp_store
         self.fixed_target = fixed_target
-        self.ctx = EpisodeContext()
+        self.begin_episode()
 
     def begin_episode(self):
-        self.ctx = EpisodeContext()
+        rows = dict(joint=((self.policy.joint_dim,), np.float64), rtg=((), np.float64),
+                    action=((2,), np.float64))
+        if self.rtg_source == "rtgp":
+            rows.update(tokens=((self.rtgp.temporal_dim,), np.float64),
+                        encoded=((self.rtgp.num_peds + 1, self.rtgp.hidden),
+                                 self.rtgp_store.dtype))
+        self.ctx = EpisodeContext(**rows)
 
     def _featurize(self, t: int):
-        """Add step t, the newest observation, to the step store."""
+        """Write step t, the newest observation, to the step tables."""
         ctx = self.ctx
         spatial, tokens = features.history_window(ctx.states, ctx.actions, ctx.rewards,
                                                   t, t, self.policy.num_peds)
-        ctx.joint.append(tokens[0, :self.policy.joint_dim])
+        ctx.tables["joint"][t + 1] = tokens[0, :self.policy.joint_dim]
         if self.rtg_source == "rtgp":
             # the step is encoded behind an all-zero step, as a batch's padding
             # row 0 is: with no pedestrians a lone step is one token, and numpy
             # hands a one-row product to GEMV, which rounds unlike GEMM
             encoded, _ = self.rtgp.encode(self.rtgp_store,
                                           np.concatenate([np.zeros_like(spatial), spatial]))
-            ctx.tokens.append(tokens[0])
-            ctx.encoded.append(encoded[1].copy())   # a view would keep both steps
+            ctx.tables["tokens"][t + 1] = tokens[0]
+            ctx.tables["encoded"][t + 1] = encoded[1]
 
     def conditioning(self, t: int) -> float:
         """Return-to-go for step t: the fixed target minus the rewards so
@@ -309,21 +326,27 @@ class Actor:
         ctx = self.ctx
         if self.rtg_source == "fixed":
             return self.fixed_target - math.fsum(ctx.rewards)
-        (steps, tokens), rows = window_tables(
-            [(ctx.encoded, ctx.tokens)], [t], self.rtgp.window,
-            lambda episode, lo, hi: [np.asarray(steps[lo:hi + 1]) for steps in episode])
-        rhat, _ = self.rtgp.forward(self.rtgp_store, steps, tokens[rows], rows)
+        rows = features.slot_steps([t], self.rtgp.window) + 1
+        # the forward gets the padding row and the window's own encodings,
+        # rows lo + 1..t + 1, so its per-step work (the step means) stays one
+        # window's however long the episode
+        lo = max(int(rows[0, 0]) - 1, 0)
+        read = np.arange(lo, t + 2)
+        read[0] = 0
+        rhat, _ = self.rtgp.forward(self.rtgp_store, ctx.tables["encoded"][read],
+                                    ctx.tables["tokens"][rows], np.maximum(rows - lo, 0))
         return float(rhat[0])
 
     def act(self, obs_joint: np.ndarray) -> np.ndarray:
         """Action for the current observation; call observe() afterwards."""
         ctx = self.ctx
-        t = len(ctx.actions)
-        ctx.states.append(np.asarray(obs_joint, dtype=np.float64))
+        t = ctx.begin_step(np.asarray(obs_joint, dtype=np.float64))
         self._featurize(t)
-        ctx.rtg.append(self.conditioning(t))
-        batch = _token_windows([(ctx.joint, ctx.actions, ctx.rtg)], [t],
-                               self.policy.context, np.asarray)
+        ctx.tables["rtg"][t + 1] = self.conditioning(t)
+        rows = features.slot_steps([t], self.policy.context) + 1
+        tables = ctx.tables
+        batch = TokenSequence(tables["rtg"][rows], tables["joint"][rows],
+                              tables["action"][rows], step_valid=rows > 0)
         a_hat, _ = self.policy.forward(self.policy_store, batch)
         action = a_hat[0, -1].astype(np.float64)
         # float32 rounding can land a hair above the tanh bound; renormalize
@@ -333,5 +356,7 @@ class Actor:
         return action
 
     def observe(self, action, rew: float):
-        self.ctx.actions.append(np.asarray(action, dtype=np.float64))
-        self.ctx.rewards.append(float(rew))
+        ctx = self.ctx
+        ctx.actions.append(np.asarray(action, dtype=np.float64))
+        ctx.rewards.append(float(rew))
+        ctx.tables["action"][len(ctx.actions)] = ctx.actions[-1]

@@ -195,7 +195,7 @@ class RtgPredictor:
         # adjoint of the gather: each step row sums the real slots that read
         # it (padded slots carry exact-zero gradients)
         dsteps = np.zeros((S, M1, D), dtype=dt)
-        np.add.at(dsteps, slot_rows, dfs)
+        nn.add_at_rows(dsteps, slot_rows, dfs)
         return dsteps
 
     def loss_and_grad(self, store, batch, targets, counts=None, total=None):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from socnav import nn
 from socnav.gradcheck import grad_check
@@ -91,6 +94,91 @@ class TestLayerNorm:
             return L
 
         assert grad_check(loss, store, max_coords=100).max_rel_err < 1e-5
+
+
+def layer_norm_mean_reference(g, b, x, dy):
+    """Layer norm written with ndarray.mean, in the library's operation
+    order: (y, dx, dg, db), the gradients as added to zeroed buffers."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + nn.LN_EPS)
+    xhat *= inv_std
+    y = g * xhat
+    y += b
+    axes = tuple(range(dy.ndim - 1))
+    dg = np.zeros_like(g) + (dy * xhat).sum(axis=axes)
+    db = np.zeros_like(b) + dy.sum(axis=axes)
+    proj = (dy * xhat * g).mean(axis=-1, keepdims=True)
+    dx = dy * g
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= xhat * proj
+    dx *= inv_std
+    return y, dx, dg, db
+
+
+F32_VALUES = st.floats(-1e3, 1e3, width=32)
+
+
+@st.composite
+def layer_norm_case(draw):
+    width = draw(st.sampled_from([1, 5, 8, 127, 128]))
+    lead = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    shape = (*lead, width)
+    arrays = [draw(hnp.arrays(np.float32, s, elements=F32_VALUES))
+              for s in (shape, shape, width, width)]
+    return arrays
+
+
+class TestLayerNormMatchesMeanReference:
+    @settings(max_examples=60, deadline=None)
+    @given(layer_norm_case())
+    def test_forward_and_gradients_byte_equal(self, case):
+        x, dy, g, b = case
+        store = nn.ParamStore()
+        nn.add_layer_norm(store, "ln", x.shape[-1])
+        store.blocks["ln.g"][...] = g
+        store.blocks["ln.b"][...] = b
+        y, cache = nn.layer_norm_fwd(store, "ln", x)
+        store.zero_grads()
+        dx = nn.layer_norm_bwd(store, cache, dy)
+        ref = layer_norm_mean_reference(store["ln.g"], store["ln.b"], x, dy)
+        for got, want in zip((y, dx, store.grads["ln.g"], store.grads["ln.b"]), ref):
+            assert got.dtype == want.dtype == np.float32
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def scatter_case(draw):
+    num_rows = draw(st.integers(1, 8))
+    # each row read by 0-20 slots, the slots in a drawn order
+    reads = draw(st.lists(st.integers(0, 20), min_size=num_rows, max_size=num_rows))
+    rows = np.repeat(np.arange(num_rows), reads)
+    rows = rows[draw(st.permutations(range(len(rows))))] if len(rows) else rows
+    values = draw(hnp.arrays(np.float32, (len(rows), 2, 3),
+                             elements=st.one_of(st.just(-0.0), F32_VALUES)))
+    return num_rows, rows.astype(np.intp), values
+
+
+class TestAddAtRows:
+    @settings(max_examples=80, deadline=None)
+    @given(scatter_case())
+    def test_bit_equal_to_add_at(self, case):
+        num_rows, rows, values = case
+        want = np.zeros((num_rows, 2, 3), dtype=np.float32)
+        np.add.at(want, rows, values)
+        got = np.zeros_like(want)
+        nn.add_at_rows(got, rows, values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_order_of_one_row_is_kept(self):
+        # in float32, 1e8 - 1e8 + 1 is 1 while 1e8 + 1 - 1e8 is 0
+        values = np.array([[1e8], [-1e8], [1.0], [1.0]], dtype=np.float32)
+        rows = np.array([0, 0, 0, 1])
+        want = np.zeros((2, 1), dtype=np.float32)
+        np.add.at(want, rows, values)
+        got = np.zeros_like(want)
+        nn.add_at_rows(got, rows, values)
+        assert got.tobytes() == want.tobytes() and got[0, 0] == 1.0
 
 
 class TestAttention:

@@ -10,8 +10,8 @@ from socnav.dataset import Trajectory, compute_rtg, rollout
 from socnav.env import CrowdEnv
 from socnav.features import SPATIAL_TOKEN_DIM, clip_action_norm
 from socnav.gradcheck import grad_check
-from socnav.policy import (Actor, DtPolicy, TokenSequence, squash_bwd, squash_fwd,
-                           tokenize)
+from socnav.policy import (Actor, DtPolicy, EpisodeContext, TokenSequence, squash_bwd,
+                           squash_fwd, tokenize)
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import build_models, policy_batch_from, rtgp_batch_from
 
@@ -308,19 +308,19 @@ class TestActor:
         _, actor = self._setup(rng, "fixed")
         actor.begin_episode()
         actor.act(rng.normal(size=20))
-        assert actor.ctx.rtg == [2.0]
+        assert actor.ctx.history("rtg").tolist() == [2.0]
 
     def test_fixed_mode_decrements_by_rewards(self, rng):
         _, actor = self._setup(rng, "fixed")
         _, _, rewards = self._play(rng, actor, steps=4)
         want = [2.0 - math.fsum(rewards[:u]) for u in range(4)]
-        assert actor.ctx.rtg == want
+        assert actor.ctx.history("rtg").tolist() == want
 
     def test_rtgp_mode_slots_equal_predictor_bitwise(self, rng):
         _, actor = self._setup(rng, "rtgp")
         states, actions, rewards = self._play(rng, actor, steps=5)
         for u in range(5):
-            assert actor.ctx.rtg[u] == actor.rtgp.predict(
+            assert actor.ctx.history("rtg")[u] == actor.rtgp.predict(
                 actor.rtgp_store, states, actions, rewards, u)
 
     def test_rtgp_mode_requires_predictor(self, rng):
@@ -363,22 +363,26 @@ class TestActor:
 
 
 class WholeWindowActor(Actor):
-    """Reference: the earlier decision, which keeps no step store. Every
+    """Reference: the earlier decision, which reads no step table. Every
     decision builds both windows from the raw history again (tokenize,
-    window_batch) and runs the whole predictor forward over its window."""
+    window_batch) and runs the whole predictor forward over its window;
+    its conditioning goes to the list `rtg`."""
+
+    def begin_episode(self):
+        super().begin_episode()
+        self.rtg = []
 
     def act(self, obs_joint):
         ctx = self.ctx
-        t = len(ctx.actions)
-        ctx.states.append(np.asarray(obs_joint, dtype=np.float64))
+        t = ctx.begin_step(np.asarray(obs_joint, dtype=np.float64))
         if self.rtg_source == "fixed":
-            ctx.rtg.append(self.fixed_target - math.fsum(ctx.rewards))
+            self.rtg.append(self.fixed_target - math.fsum(ctx.rewards))
         else:
             batch = self.rtgp.window_batch([(ctx.states, ctx.actions, ctx.rewards)], [t])
             steps, _ = self.rtgp.encode(self.rtgp_store, batch.spatial)
             rhat, _ = self.rtgp.forward(self.rtgp_store, steps, batch.temporal, batch.rows)
-            ctx.rtg.append(float(rhat[0]))
-        batch = tokenize([(ctx.states, ctx.actions, ctx.rtg)], [t],
+            self.rtg.append(float(rhat[0]))
+        batch = tokenize([(ctx.states, ctx.actions, self.rtg)], [t],
                          self.policy.context, self.policy.num_peds)
         a_hat, _ = self.policy.forward(self.policy_store, batch)
         action = a_hat[0, -1].astype(np.float64)
@@ -416,14 +420,14 @@ def lockstep_episode(env, actor, reference, seed):
     actor.begin_episode()
     reference.begin_episode()
     traj, _ = rollout(env, act, seed, gamma=0.99, observe=observe)
-    assert np.array(actor.ctx.rtg).tobytes() == np.array(reference.ctx.rtg).tobytes()
+    assert actor.ctx.history("rtg").tobytes() == np.array(reference.rtg).tobytes()
     return traj
 
 
-def acting_config(shape, num_peds):
+def acting_config(shape, num_peds, context=5, window=5):
     net = {} if shape == "published" else {
-        "hidden_dim": 16, "num_heads": 2, "ffn_dim": 16, "rtgp_window": 5,
-        "policy_context": 5, "policy_blocks": 1, "head_hidden": 8}
+        "hidden_dim": 16, "num_heads": 2, "ffn_dim": 16, "rtgp_window": window,
+        "policy_context": context, "policy_blocks": 1, "head_hidden": 8}
     return Config.from_dict({"sim": {"num_peds": num_peds}, "net": net})
 
 
@@ -437,6 +441,18 @@ class TestActingMatchesWholeWindow:
         for seed in (40, 41):
             traj = lockstep_episode(env, actor, reference, seed)
             assert traj.num_steps > cfg.net.rtgp_window
+
+    @pytest.mark.parametrize("mode", ["rtgp", "fixed"])
+    @pytest.mark.parametrize("context, window", [(4, 6), (6, 4)])
+    def test_context_and_window_differ_over_tables_grown_twice(self, mode, context, window):
+        cfg = acting_config("tiny", 2, context=context, window=window)
+        actor, reference = acting_pair(cfg, mode, seed=5, head_scale=0.2)
+        traj = lockstep_episode(CrowdEnv(cfg.sim), actor, reference, seed=43)
+        # the step tables start at FIRST_ROWS rows and doubled at least twice
+        assert traj.num_steps >= 2 * EpisodeContext.FIRST_ROWS
+        assert {len(table) for table in actor.ctx.tables.values()} == {
+            len(actor.ctx.tables["rtg"])}
+        assert len(actor.ctx.tables["rtg"]) >= 4 * EpisodeContext.FIRST_ROWS
 
     @pytest.mark.parametrize("num_peds", [0, 5])
     def test_published_shape_episode_longer_than_the_window(self, num_peds):
@@ -452,7 +468,7 @@ class TestActingMatchesWholeWindow:
         actor, reference = acting_pair(tiny_cfg, mode, seed=7, head_scale=0.2)
         env = CrowdEnv(tiny_cfg.sim)
         first = lockstep_episode(env, actor, reference, seed=43)
-        rtg_before = list(actor.ctx.rtg)
+        rtg_before = actor.ctx.history("rtg").copy()
         draws = [(first, end) for end in range(first.num_steps)]
         actor.rtgp.loss_and_grad(actor.rtgp_store, *rtgp_batch_from(draws, actor.rtgp))
         actor.policy.loss_and_grad(actor.policy_store, *policy_batch_from(
@@ -461,7 +477,7 @@ class TestActingMatchesWholeWindow:
         nn.lamb_step(actor.policy_store, 1e-2)
         second = lockstep_episode(env, actor, reference, seed=43)
         if mode == "rtgp":
-            assert actor.ctx.rtg[0] != rtg_before[0]
+            assert actor.ctx.history("rtg")[0] != rtg_before[0]
         assert second.actions[0].tobytes() != first.actions[0].tobytes()
 
 
@@ -470,9 +486,14 @@ class TestActingWork:
     def test_each_decision_featurizes_one_step(self, mode, tiny_cfg, monkeypatch):
         # one canonical state row per decision, and in rtgp mode one step
         # through embed_s (behind the all-zero step that keeps it a GEMM);
-        # fixed mode encodes nothing
-        canon_rows, embed_s = [], []
+        # fixed mode encodes nothing; no decision builds step tables
+        canon_rows, embed_s, table_builds = [], [], []
         canonicalize, dense_fwd = features.canonicalize_joint, nn.dense_fwd
+        window_tables = features.window_tables
+
+        def counting_window_tables(*args, **kwargs):
+            table_builds.append(1)
+            return window_tables(*args, **kwargs)
 
         def counting_canonicalize(joint, num_peds):
             canon_rows.append(joint.size // joint.shape[-1])
@@ -486,6 +507,8 @@ class TestActingWork:
         monkeypatch.setattr(features, "canonicalize_joint", counting_canonicalize)
         monkeypatch.setattr(policy_module, "canonicalize_joint", counting_canonicalize)
         monkeypatch.setattr(nn, "dense_fwd", counting_dense_fwd)
+        monkeypatch.setattr(features, "window_tables", counting_window_tables)
+        monkeypatch.setattr(policy_module, "window_tables", counting_window_tables)
 
         actor, _ = acting_pair(tiny_cfg, mode, seed=8, head_scale=0.2)
         per_decision = []
@@ -493,14 +516,33 @@ class TestActingWork:
         def act(env, obs):
             canon_rows.clear()
             embed_s.clear()
+            table_builds.clear()
             action = actor.act(obs.joint)
             per_decision.append((list(canon_rows), [x.shape for x in embed_s],
-                                 [bool(x[0].any()) for x in embed_s]))
+                                 [bool(x[0].any()) for x in embed_s], len(table_builds)))
             return action
 
         actor.begin_episode()
         traj, _ = rollout(CrowdEnv(tiny_cfg.sim), act, 44, gamma=0.99, observe=actor.observe)
         assert traj.num_steps > tiny_cfg.net.rtgp_window
         step = (tiny_cfg.sim.num_peds + 1, SPATIAL_TOKEN_DIM)
-        want = ([1], [(2, *step)], [False]) if mode == "rtgp" else ([1], [], [])
+        want = ([1], [(2, *step)], [False], 0) if mode == "rtgp" else ([1], [], [], 0)
         assert per_decision == [want] * traj.num_steps
+
+    def test_predictor_forward_reads_one_window_of_steps(self, tiny_cfg, monkeypatch):
+        # the forward gets the padding row and the window's own encodings,
+        # not the episode's whole table, whose step means would grow with t
+        step_rows = []
+        forward = RtgPredictor.forward
+
+        def recording_forward(self, store, steps, temporal, rows):
+            step_rows.append(len(steps))
+            return forward(self, store, steps, temporal, rows)
+
+        monkeypatch.setattr(RtgPredictor, "forward", recording_forward)
+        actor, _ = acting_pair(tiny_cfg, "rtgp", seed=8, head_scale=0.2)
+        actor.begin_episode()
+        traj, _ = rollout(CrowdEnv(tiny_cfg.sim), lambda env, obs: actor.act(obs.joint), 44,
+                          gamma=0.99, observe=actor.observe)
+        window = tiny_cfg.net.rtgp_window
+        assert step_rows == [min(t + 1, window) + 1 for t in range(traj.num_steps)]
