@@ -17,10 +17,8 @@ the episode's step tables (EpisodeContext): the canonical joint row, the
 conditioning, a zero action until one is observed and, with a predictor,
 the step's token and per-step encoding. It then gathers both networks'
 windows from those tables by row (features.slot_steps) and runs the same
-forwards as a whole-window build, byte for byte. That identity rests on
-every product being a GEMM over at least two rows (checked with the
-bundled OpenBLAS at the published and tiny shapes); see Actor for the
-one place it needs care.
+forwards as a whole-window build, byte for byte, because nn.dense_fwd is
+batch-invariant: a lone step or window gets the bytes it gets in a batch.
 """
 
 from __future__ import annotations
@@ -233,8 +231,8 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
 
 
 class EpisodeContext:
-    """One episode's history (lists) and its step tables, consumed by
-    Actor.act.
+    """One episode's states and rewards (lists) and its step tables,
+    consumed by Actor.act; the actions are the `action` table's rows.
 
     `tables` holds each per-step value an acting window reads, laid out as
     features.window_tables lays out a batch's: row 0 is the all-zero
@@ -252,7 +250,7 @@ class EpisodeContext:
 
     def __init__(self, **row_shapes):
         """row_shapes: each table's name -> (shape, dtype) of one row."""
-        self.states, self.actions, self.rewards = [], [], []
+        self.states, self.rewards = [], []
         self.tables = {name: np.zeros((self.FIRST_ROWS, *shape), dtype=dtype)
                        for name, (shape, dtype) in row_shapes.items()}
 
@@ -308,17 +306,13 @@ class Actor:
     def _featurize(self, t: int):
         """Write step t, the newest observation, to the step tables."""
         ctx = self.ctx
-        spatial, tokens = features.history_window(ctx.states, ctx.actions, ctx.rewards,
-                                                  t, t, self.policy.num_peds)
+        spatial, tokens = features.history_window(ctx.states, ctx.history("action"),
+                                                  ctx.rewards, t, t, self.policy.num_peds)
         ctx.tables["joint"][t + 1] = tokens[0, :self.policy.joint_dim]
         if self.rtg_source == "rtgp":
-            # the step is encoded behind an all-zero step, as a batch's padding
-            # row 0 is: with no pedestrians a lone step is one token, and numpy
-            # hands a one-row product to GEMV, which rounds unlike GEMM
-            encoded, _ = self.rtgp.encode(self.rtgp_store,
-                                          np.concatenate([np.zeros_like(spatial), spatial]))
+            encoded, _ = self.rtgp.encode(self.rtgp_store, spatial)
             ctx.tables["tokens"][t + 1] = tokens[0]
-            ctx.tables["encoded"][t + 1] = encoded[1]
+            ctx.tables["encoded"][t + 1] = encoded[0]
 
     def conditioning(self, t: int) -> float:
         """Return-to-go for step t: the fixed target minus the rewards so
@@ -356,7 +350,5 @@ class Actor:
         return action
 
     def observe(self, action, rew: float):
-        ctx = self.ctx
-        ctx.actions.append(np.asarray(action, dtype=np.float64))
-        ctx.rewards.append(float(rew))
-        ctx.tables["action"][len(ctx.actions)] = ctx.actions[-1]
+        self.ctx.rewards.append(float(rew))
+        self.ctx.tables["action"][len(self.ctx.rewards)] = action

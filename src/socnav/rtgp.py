@@ -137,14 +137,10 @@ class RtgPredictor:
         # weight and the average masks them out, so they read zeros
         real = np.flatnonzero(valid)
         slot_rows = rows.reshape(-1)[real]
-        # merge also runs a zero row 0: numpy hands a one-row product (a lone
-        # window at its episode's first step) to GEMV, which rounds unlike GEMM
-        cat = np.zeros((len(real) + 1, 2 * D), dtype=dt)
-        cat[1:, :D] = steps.mean(axis=1)[slot_rows]
-        cat[1:, D:] = ft.reshape(B * W, D)[real]
+        cat = np.hstack([steps.mean(axis=1)[slot_rows], ft.reshape(B * W, D)[real]])
         merged, c_m = nn.dense_fwd(store, "merge", cat, relu=True)
         tok2 = steps[slot_rows]
-        tok2 += merged[1:, None, :]
+        tok2 += merged[:, None, :]
         s2_real, c_s2 = nn.encoder_block_fwd(store, "spatial2", tok2, self.heads)
         s2 = np.zeros((B * W, D), dtype=dt)
         s2[real] = s2_real.mean(axis=1)
@@ -181,9 +177,7 @@ class RtgPredictor:
         ds2 = nn.encoder_block_bwd(store, c_t2, dfst).reshape(B * W, D)
         ds2_tok = np.broadcast_to((ds2[real] / M1)[:, None, :], (len(real), M1, D))
         dfs = nn.encoder_block_bwd(store, c_s2, np.ascontiguousarray(ds2_tok))
-        dmerged = np.zeros((len(real) + 1, D), dtype=dt)
-        dmerged[1:] = dfs.sum(axis=1)
-        dcat = nn.dense_bwd(store, c_m, dmerged)[1:]
+        dcat = nn.dense_bwd(store, c_m, dfs.sum(axis=1))
 
         dft = np.zeros((B * W, D), dtype=dt)
         dft[real] = dcat[:, D:]

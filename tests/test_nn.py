@@ -55,6 +55,49 @@ class TestDense:
         assert grad_check(loss, store, max_coords=100).max_rel_err < 1e-5
 
 
+@st.composite
+def dense_case(draw):
+    rows = draw(st.integers(1, 40))
+    din = draw(st.sampled_from([1, 2, 3, 9, 16, 17, 33, 128, 256, 384]))
+    dout = draw(st.sampled_from([1, 2, 3, 8, 16, 17, 24, 128, 256]))
+    subset = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows,
+                           unique=True))
+    return (rows, din, dout, sorted(subset), draw(st.booleans()),
+            draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestDenseIsBatchInvariant:
+    @settings(max_examples=150, deadline=None)
+    @given(dense_case())
+    def test_rows_alone_in_a_subset_and_in_the_whole_product_byte_equal(self, case):
+        rows, din, dout, subset, relu, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        store = nn.ParamStore(dtype=dtype)
+        nn.add_dense(store, "d", din, dout, rng)
+        store.blocks["d.b"][...] = rng.normal(size=dout)
+        x = rng.normal(size=(rows, din)).astype(dtype)
+        whole, _ = nn.dense_fwd(store, "d", x, relu=relu)
+        part, _ = nn.dense_fwd(store, "d", x[subset], relu=relu)
+        assert part.dtype == whole.dtype == dtype
+        assert part.tobytes() == whole[subset].tobytes()
+        for i in range(rows):
+            alone, _ = nn.dense_fwd(store, "d", x[i:i + 1], relu=relu)
+            assert alone.tobytes() == whole[i:i + 1].tobytes(), i
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("din, dout", [(256, 1), (128, 2), (32, 8), (64, 17), (384, 128)])
+    def test_rows_of_a_large_product_byte_equal_in_small_ones(self, rng, din, dout, dtype):
+        # OpenBLAS takes a large product down another kernel than a small
+        # one; both give a row the same bytes
+        store = nn.ParamStore(dtype=dtype)
+        nn.add_dense(store, "d", din, dout, rng)
+        x = rng.normal(size=(3000, din)).astype(dtype)
+        whole, _ = nn.dense_fwd(store, "d", x)
+        for idx in ([0], [5, 9], [1, 2, 3], np.arange(7, 40, 3), np.arange(2999, 2900, -1)):
+            part, _ = nn.dense_fwd(store, "d", x[idx])
+            assert part.tobytes() == whole[idx].tobytes()
+
+
 class TestLayerNorm:
     def test_constant_input_returns_bias(self, rng):
         store = f64_store()

@@ -366,11 +366,15 @@ class WholeWindowActor(Actor):
     """Reference: the earlier decision, which reads no step table. Every
     decision builds both windows from the raw history again (tokenize,
     window_batch) and runs the whole predictor forward over its window;
-    its conditioning goes to the list `rtg`."""
+    its actions and conditioning go to the lists `actions` and `rtg`."""
 
     def begin_episode(self):
         super().begin_episode()
-        self.rtg = []
+        self.actions, self.rtg = [], []
+
+    def observe(self, action, rew):
+        super().observe(action, rew)
+        self.actions.append(np.asarray(action, dtype=np.float64))
 
     def act(self, obs_joint):
         ctx = self.ctx
@@ -378,11 +382,11 @@ class WholeWindowActor(Actor):
         if self.rtg_source == "fixed":
             self.rtg.append(self.fixed_target - math.fsum(ctx.rewards))
         else:
-            batch = self.rtgp.window_batch([(ctx.states, ctx.actions, ctx.rewards)], [t])
+            batch = self.rtgp.window_batch([(ctx.states, self.actions, ctx.rewards)], [t])
             steps, _ = self.rtgp.encode(self.rtgp_store, batch.spatial)
             rhat, _ = self.rtgp.forward(self.rtgp_store, steps, batch.temporal, batch.rows)
             self.rtg.append(float(rhat[0]))
-        batch = tokenize([(ctx.states, ctx.actions, self.rtg)], [t],
+        batch = tokenize([(ctx.states, self.actions, self.rtg)], [t],
                          self.policy.context, self.policy.num_peds)
         a_hat, _ = self.policy.forward(self.policy_store, batch)
         action = a_hat[0, -1].astype(np.float64)
@@ -484,9 +488,9 @@ class TestActingMatchesWholeWindow:
 class TestActingWork:
     @pytest.mark.parametrize("mode", ["rtgp", "fixed"])
     def test_each_decision_featurizes_one_step(self, mode, tiny_cfg, monkeypatch):
-        # one canonical state row per decision, and in rtgp mode one step
-        # through embed_s (behind the all-zero step that keeps it a GEMM);
-        # fixed mode encodes nothing; no decision builds step tables
+        # one canonical state row per decision, and in rtgp mode that one
+        # step alone through embed_s; fixed mode encodes nothing; no
+        # decision builds step tables
         canon_rows, embed_s, table_builds = [], [], []
         canonicalize, dense_fwd = features.canonicalize_joint, nn.dense_fwd
         window_tables = features.window_tables
@@ -519,14 +523,14 @@ class TestActingWork:
             table_builds.clear()
             action = actor.act(obs.joint)
             per_decision.append((list(canon_rows), [x.shape for x in embed_s],
-                                 [bool(x[0].any()) for x in embed_s], len(table_builds)))
+                                 len(table_builds)))
             return action
 
         actor.begin_episode()
         traj, _ = rollout(CrowdEnv(tiny_cfg.sim), act, 44, gamma=0.99, observe=actor.observe)
         assert traj.num_steps > tiny_cfg.net.rtgp_window
         step = (tiny_cfg.sim.num_peds + 1, SPATIAL_TOKEN_DIM)
-        want = ([1], [(2, *step)], [False], 0) if mode == "rtgp" else ([1], [], [], 0)
+        want = ([1], [(1, *step)], 0) if mode == "rtgp" else ([1], [], 0)
         assert per_decision == [want] * traj.num_steps
 
     def test_predictor_forward_reads_one_window_of_steps(self, tiny_cfg, monkeypatch):

@@ -135,8 +135,9 @@ def forced_pool(monkeypatch):
 class TestShards:
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
     def test_sharded_update_matches_one_batch(self, tiny_cfg, tiny_dataset, dtype, tol):
-        # shards change the gradients' float summation order only; the
-        # policy loss is the exact sum of the same per-window terms
+        # shards change the gradients' float summation order only; each
+        # loss is the exact sum of the same per-window terms, and a window's
+        # outputs do not depend on its shard
         trajs, _, _ = tiny_dataset
         policy, rtgp = trainer.build_models(tiny_cfg)
         trajs_ends = draws(trajs, 48, seed=5)
@@ -152,10 +153,7 @@ class TestShards:
                 sharded.blocks["head.W"][...] = whole.blocks["head.W"][...] = head
             loss = update(model, sharded, *args)
             want, _ = model.loss_and_grad(whole, *args)
-            if model is policy:
-                assert loss == want
-            else:
-                np.testing.assert_allclose(loss, want, rtol=tol, atol=tol)
+            assert loss == want
             assert sum(np.any(g != 0.0) for g in whole.grads.values()) > len(whole.grads) / 2
             for name, g in whole.grads.items():
                 assert sharded.grads[name].dtype == dtype
@@ -163,17 +161,22 @@ class TestShards:
                                            err_msg=name)
 
     def test_predictor_shard_reads_only_its_rows(self, tiny_cfg, tiny_dataset):
+        # every window alone, every fifth window and drawn subsets each give
+        # the whole batch's bytes
         trajs, _, _ = tiny_dataset
         _, rtgp = trainer.build_models(tiny_cfg)
         store = rtgp.init_store(3)
         batch, _, _ = trainer.rtgp_batch_from(draws(trajs, 48, seed=6), rtgp)
         whole = rtgp.predict_batch(store, batch)
-        idx = np.arange(len(whole))[::5]
-        part = batch.take(idx)
-        assert len(part.spatial) == len(np.unique(batch.rows[idx])) < len(batch.spatial)
-        assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
-        rhat = rtgp.predict_batch(store, part)
-        assert np.array_equal(rhat, whole[idx])
+        rng = np.random.default_rng(6)
+        subsets = ([[i] for i in range(len(whole))] + [np.arange(len(whole))[::5]]
+                   + [np.flatnonzero(rng.random(len(whole)) < p) for p in (0.1, 0.3, 0.6, 0.9)
+                      for _ in range(3)])
+        for idx in subsets:
+            part = batch.take(idx)
+            assert len(part.spatial) == len(np.union1d(0, batch.rows[idx])) < len(batch.spatial)
+            assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
+            assert rtgp.predict_batch(store, part).tobytes() == whole[idx].tobytes()
 
     def test_shard_without_padded_slots_keeps_the_padding_row(self, tiny_cfg, tiny_dataset):
         # row 0 is padding in every batch, also in a shard that reads none
@@ -187,9 +190,7 @@ class TestShards:
         part = batch.take(idx)
         assert (part.rows > 0).all() and not part.spatial[0].any()
         assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
-        rhat = rtgp.predict_batch(store, part)
-        # a GEMM over fewer rows may round one output's last bit differently
-        np.testing.assert_allclose(rhat, whole[idx], rtol=1e-6)
+        assert rtgp.predict_batch(store, part).tobytes() == whole[idx].tobytes()
 
     def test_worker_count_does_not_change_bytes(self, tiny_cfg, tiny_dataset, forced_pool,
                                                 monkeypatch):
