@@ -32,7 +32,7 @@ for u in range(end + 1):
     actor.observe(traj.actions[u], traj.rewards[u])
 for source, rtg in (("labels", traj.rtg), ("fixed", actor.ctx.history("rtg"))):
     seq = tokenize([(traj.states, traj.actions, rtg)], [end], context=4, num_peds=5)
-    print(f"  {source:>6}: rtg slots {np.round(seq.rtg[0], 3).tolist()}")
+    print(f"  {source:>6}: rtg slots {np.round(seq.slots('rtg')[0], 3).tolist()}")
 
 print("\n== hybrid buffer with return-based priorities ==")
 buf = HybridBuffer(trajs, capacity=100_000)

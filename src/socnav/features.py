@@ -7,21 +7,24 @@ to pedestrian labelling while the spatial attention still treats the
 blocks as a set.
 
 Both networks read fixed-width windows of episode steps, front-padded
-before the episode start; `slot_steps` is the one plan of which step
-each slot reads. Windows read step tables laid out alike: row 0 is the
-all-zero padding row and the steps follow it. `window_tables` builds
-those tables for training batches: it decides which steps a batch reads,
-builds each episode's steps once however many windows hold them and
-keeps the read ones as rows; the networks only say how to build a step.
-Acting keeps one such table per value for its episode (row u + 1 step u,
-policy.EpisodeContext) and gathers its windows from it by row. The
-predictor's step token at time u carries the previous
+before the episode start, as one kind of batch: `Windows`, named step
+tables plus the row each slot reads. Row 0 of every table is the
+all-zero padding row and a slot is real where its row is above 0;
+`slot_steps` is the one plan of which step each slot reads.
+`window_tables` builds a training batch's tables: it decides which steps
+a batch reads, builds each episode's steps once however many windows
+hold them and keeps the read ones as rows; the networks only say how to
+build a step. Acting keeps one such table per value for its episode (row
+u + 1 step u, policy.EpisodeContext) and reads its windows from it by
+row. The predictor's step token at time u carries the previous
 transition's action and reward (zeros at the episode start), which keeps
 training and rollout inputs identically distributed: the current step's
 action does not exist yet when the return estimate is needed.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,16 +59,39 @@ def slot_steps(ends, width: int) -> np.ndarray:
     return np.maximum(np.asarray(ends)[:, None] + np.arange(1 - width, 1), -1)
 
 
-def window_tables(episodes, ends, width: int, build):
+class Windows(NamedTuple):
+    """A batch of windows over shared step tables.
+
+    tables: name -> (S, ...) per-step values, row 0 the all-zero padding
+    row; rows: (B, width) the row each slot reads, 0 at front padding.
+    """
+
+    tables: dict
+    rows: np.ndarray
+
+    def slots(self, name: str) -> np.ndarray:
+        """Table `name` gathered at every slot: (B, width, ...)."""
+        return self.tables[name][self.rows]
+
+    def take(self, idx) -> "Windows":
+        """Windows idx of the batch, over only the rows they read and the
+        padding row, which stays row 0."""
+        rows = self.rows[idx]
+        read = np.union1d(0, rows)
+        return Windows({name: table[read] for name, table in self.tables.items()},
+                       np.searchsorted(read, rows))
+
+
+def window_tables(episodes, ends, width: int, build) -> Windows:
     """The step tables a batch of `width`-slot windows reads.
 
     Window i ends at step ends[i] (inclusive) of episodes[i], a tuple of
     per-step sequences whose first is the states. Windows of one episode
-    (the same objects) share its steps: `build(episode, lo, hi)` returns
-    per-step arrays of steps lo..hi, from its earliest window's first slot
-    to its latest end. Returns (tables, rows): each table stacks the read
-    steps of all episodes in order after one all-zero padding row 0 of its
-    dtype, and rows (B, width) is the row each slot reads.
+    (the same objects) share its steps: `build(episode, lo, hi)` returns a
+    dict of named per-step arrays of steps lo..hi, from its earliest
+    window's first slot to its latest end. Each table stacks the read
+    steps of all episodes in order after one all-zero padding row 0 of
+    its dtype.
     """
     if len(episodes) != len(ends):
         raise ValueError(f"{len(episodes)} episodes for {len(ends)} window ends")
@@ -76,7 +102,7 @@ def window_tables(episodes, ends, width: int, build):
         groups.setdefault(tuple(map(id, episode)), (episode, []))[1].append(i)
     ends = np.asarray(ends)
     rows = np.empty((len(ends), width), dtype=np.intp)
-    parts = []
+    parts = {}
     first = 1
     for episode, members in groups.values():
         e = ends[members]
@@ -90,11 +116,15 @@ def window_tables(episodes, ends, width: int, build):
         read[steps[real] - lo] = True
         row_of = np.cumsum(read) - 1 + first
         rows[members] = np.where(real, row_of[np.maximum(steps - lo, 0)], 0)
-        parts.append([table[read] for table in build(episode, lo, hi)])
+        for name, table in build(episode, lo, hi).items():
+            if len(table) != len(read):
+                raise ValueError(f"table {name!r} holds {len(table)} rows for the "
+                                 f"{len(read)} steps {lo}..{hi}")
+            parts.setdefault(name, []).append(table[read])
         first = int(row_of[-1]) + 1   # step hi is read: it ends a window
-    tables = tuple(np.concatenate([np.zeros((1, *t[0].shape[1:]), dtype=t[0].dtype), *t])
-                   for t in zip(*parts))
-    return tables, rows
+    tables = {name: np.concatenate([np.zeros((1, *t[0].shape[1:]), dtype=t[0].dtype), *t])
+              for name, t in parts.items()}
+    return Windows(tables, rows)
 
 
 def history_window(states, actions, rewards, lo: int, hi: int, num_peds: int):

@@ -169,30 +169,39 @@ def add_dense(store: ParamStore, name: str, din: int, dout: int,
 # -- layers ---------------------------------------------------------------
 
 
+DENSE_CHUNK = 384   # widest input summed in one product (see dense_fwd)
+
+
 def dense_fwd(store, name, x, relu=False):
     """y = x @ W + b, optionally through ReLU. x: (..., din).
 
     Batch-invariant: a row's bytes do not depend on the other rows of x.
     numpy takes a one-row or one-column product by GEMV, and OpenBLAS
     picks by row count among kernels that round a product narrower than
-    whole 16-column panels differently. So every product is a GEMM over
-    at least two rows (a lone row runs twice) and whole panels (zero
-    columns pad W; their outputs are dropped), checked with numpy's
-    bundled OpenBLAS for din up to 384. Bias and ReLU are applied in
-    place; with `relu` the cache keeps the output as the backward mask,
-    so a caller must not modify a ReLU output in place.
+    whole 16-column panels, or wider than DENSE_CHUNK input columns,
+    differently. So every product is a GEMM over at least two rows (a
+    lone row runs twice), whole panels (zero columns pad W; their outputs
+    are dropped) and at most DENSE_CHUNK input columns (a wider input's
+    chunks are summed in order), checked with numpy's bundled OpenBLAS.
+    Bias and ReLU are applied in place; with `relu` the cache keeps the
+    output as the backward mask, so a caller must not modify a ReLU
+    output in place.
     """
     W, b = store[f"{name}.W"], store[f"{name}.b"]
     din, dout = W.shape
     if x.shape[-1] != din:
         raise ValueError(f"{name}: input width {x.shape[-1]} != {din}")
     x2 = x.reshape(-1, din)
-    if len(x2) > 1 and dout % 16 == 0:
+    if len(x2) > 1 and dout % 16 == 0 and din <= DENSE_CHUNK:
         y = x2 @ W
     else:
         if dout % 16:
             W = np.concatenate([W, np.zeros((din, -dout % 16), W.dtype)], axis=1)
-        y = np.ascontiguousarray(((x2 if len(x2) > 1 else x2[[0, 0]]) @ W)[:len(x2), :dout])
+        xs = x2 if len(x2) > 1 else x2[[0, 0]]
+        y = xs[:, :DENSE_CHUNK] @ W[:DENSE_CHUNK]
+        for lo in range(DENSE_CHUNK, din, DENSE_CHUNK):
+            y += xs[:, lo:lo + DENSE_CHUNK] @ W[lo:lo + DENSE_CHUNK]
+        y = np.ascontiguousarray(y[:len(x2), :dout])
     y += b
     if relu:
         np.maximum(y, 0.0, out=y)

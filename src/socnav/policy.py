@@ -12,26 +12,27 @@ one more input sequence: the caller hands tokenize the per-step values
 Actor is the one place that computes them, from the return predictor
 (fine-tuning and deployment) or from a fixed target (ablation).
 
-Acting featurizes each step once. A decision adds its one new step to
-the episode's step tables (EpisodeContext): the canonical joint row, the
-conditioning, a zero action until one is observed and, with a predictor,
-the step's token and per-step encoding. It then gathers both networks'
-windows from those tables by row (features.slot_steps) and runs the same
-forwards as a whole-window build, byte for byte, because nn.dense_fwd is
-batch-invariant: a lone step or window gets the bytes it gets in a batch.
+Training (tokenize) and acting (EpisodeContext) both hand the policy a
+features.Windows over three step tables: `rtg`, `joint` (canonical joint
+vectors) and `action`. A slot before the episode start reads padding row
+0, the one mask of a step's three tokens. Acting featurizes each step
+once: a decision writes its new step's rows (the conditioning, a zero
+action until one is observed, which no decoded action reads, and with a
+predictor the step's token and encoding), then reads both networks'
+windows by row (features.slot_steps). Its forwards give a whole-window
+build's bytes because nn.dense_fwd is batch-invariant.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import features, nn
 from .config import RTG_MODES
 from .core import joint_dim
-from .features import canonicalize_joint, window_tables
+from .features import Windows, canonicalize_joint, window_tables
 
 
 def squash_fwd(z, v_max):
@@ -54,26 +55,6 @@ def squash_bwd(cache, da, v_max):
                  (sech2 * safe - th) / (safe ** 3))
     zdot = (z * da).sum(axis=-1, keepdims=True)
     return v_max * (g * da + c * zdot * z)
-
-
-class TokenSequence(NamedTuple):
-    """A batch of context windows: aligned (rtg, state, action) triples.
-
-    states are canonicalized joint vectors; slots before the episode start
-    are front padding (step_valid False), the one mask of a step's three
-    tokens. At decision time the current step's action does not exist yet
-    and its slot is zeroed: the window's last token, read causally by no
-    decoded action.
-    """
-
-    rtg: np.ndarray           # (B, K)
-    states: np.ndarray        # (B, K, joint_dim)
-    actions: np.ndarray       # (B, K, 2)
-    step_valid: np.ndarray    # (B, K) bool
-
-    def take(self, idx) -> "TokenSequence":
-        """Windows idx of the batch."""
-        return TokenSequence(*(x[idx] for x in self))
 
 
 class DtPolicy:
@@ -110,12 +91,13 @@ class DtPolicy:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, store, batch: TokenSequence):
+    def forward(self, store, batch: Windows):
         """Predicted actions at every state-token position of a batch of
         windows. Returns (a_hat, cache) with a_hat (B, K, 2), |a_hat| <= v_max.
         """
         dt = store.dtype
-        rtg, states, actions = (np.ascontiguousarray(x, dtype=dt) for x in batch[:3])
+        rtg, states, actions = (np.ascontiguousarray(batch.slots(name), dtype=dt)
+                                for name in ("rtg", "joint", "action"))
         B, K = rtg.shape
         D = self.hidden
 
@@ -128,7 +110,7 @@ class DtPolicy:
         seq[:, 0::3] = r_emb + pos
         seq[:, 1::3] = s_emb + pos
         seq[:, 2::3] = a_emb + pos
-        token_valid = np.repeat(batch.step_valid, 3, axis=1)
+        token_valid = np.repeat(batch.rows > 0, 3, axis=1)
 
         # actions are decoded at the state tokens (1::3) only, so the last
         # block runs its queries there (keys and values still cover every token)
@@ -168,22 +150,22 @@ class DtPolicy:
         them to 0.999 * v_max first (see features.clip_action_norm): the
         squashed head cannot reach the open boundary.
         """
-        if len(batch.rtg) == 0:
+        if len(batch.rows) == 0:
             raise ValueError("empty batch")
         store.zero_grads()
         a_hat, cache = self.forward(store, batch)
-        loss, da = action_loss(a_hat, target_actions, batch.step_valid, counts, wsum)
+        loss, da = action_loss(a_hat, target_actions, batch.rows > 0, counts, wsum)
         self.backward(store, cache, da)
         return loss, a_hat
 
 
-def valid_weight(step_valid, counts) -> float:
+def valid_weight(valid, counts) -> float:
     """The action loss's normaliser: valid positions, each weighted by its
     window's draw count, summed exactly."""
-    return math.fsum((np.asarray(counts)[:, None] * step_valid).sum(axis=1).tolist())
+    return math.fsum((np.asarray(counts)[:, None] * valid).sum(axis=1).tolist())
 
 
-def action_loss(a_hat, target_actions, step_valid, counts=None, wsum=None):
+def action_loss(a_hat, target_actions, valid, counts=None, wsum=None):
     """Weighted mean squared action error and its gradient w.r.t. a_hat.
 
     Per valid position the squared Euclidean action error is taken, in
@@ -195,36 +177,32 @@ def action_loss(a_hat, target_actions, step_valid, counts=None, wsum=None):
     targets = np.asarray(target_actions, dtype=a_hat.dtype)
     diff = a_hat - targets
     counts = np.ones(len(a_hat)) if counts is None else np.asarray(counts)
-    w = (counts[:, None] * step_valid).astype(a_hat.dtype)
+    w = (counts[:, None] * valid).astype(a_hat.dtype)
     per_sample = (w[..., None] * diff * diff).sum(axis=(1, 2))
-    wsum = valid_weight(step_valid, counts) if wsum is None else wsum
+    wsum = valid_weight(valid, counts) if wsum is None else wsum
     return math.fsum(per_sample.tolist()) / wsum, (2.0 / wsum) * w[..., None] * diff
 
 
 # -- tokenization ----------------------------------------------------------
 
 
-def tokenize(episodes, ends, context: int, num_peds: int) -> TokenSequence:
+def tokenize(episodes, ends, context: int, num_peds: int) -> Windows:
     """Batch of context windows: episodes[i] is (states, actions, rtg),
     ends[i] the inclusive end step of window i.
 
     The conditioning slots copy `rtg`, the per-step return-to-go values
-    aligned with `states`. features.window_tables builds the windows, so
-    windows of one episode (the same three objects) share its canonical
-    step rows. An action list that stops before a window's end leaves its
-    later action slots zeroed.
+    aligned with `states`; the actions cover every step a window reads.
+    features.window_tables builds the tables, so windows of one episode
+    (the same three objects) share its canonical step rows.
     """
     def build(episode, lo, hi):
         states, actions, rtg = episode
         span = slice(lo, hi + 1)
-        acts = np.zeros((hi + 1 - lo, 2))
-        logged = actions[span]
-        acts[:len(logged)] = np.reshape(logged, (-1, 2))
         joint = canonicalize_joint(np.asarray(states[span], dtype=np.float64), num_peds)
-        return np.asarray(rtg[span], dtype=np.float64), joint, acts
+        return {"rtg": np.asarray(rtg[span], dtype=np.float64), "joint": joint,
+                "action": np.asarray(actions[span])}
 
-    (rtg, states, actions), rows = window_tables(episodes, ends, context, build)
-    return TokenSequence(rtg[rows], states[rows], actions[rows], step_valid=rows > 0)
+    return window_tables(episodes, ends, context, build)
 
 
 # -- acting ----------------------------------------------------------------
@@ -321,14 +299,12 @@ class Actor:
         if self.rtg_source == "fixed":
             return self.fixed_target - math.fsum(ctx.rewards)
         rows = features.slot_steps([t], self.rtgp.window) + 1
-        # the forward gets the padding row and the window's own encodings,
-        # rows lo + 1..t + 1, so its per-step work (the step means) stays one
-        # window's however long the episode
+        # the forward gets the window's own encodings, rows lo + 1..t + 1,
+        # after row lo, which it never reads, so its per-step work (the step
+        # means) stays one window's however long the episode
         lo = max(int(rows[0, 0]) - 1, 0)
-        read = np.arange(lo, t + 2)
-        read[0] = 0
-        rhat, _ = self.rtgp.forward(self.rtgp_store, ctx.tables["encoded"][read],
-                                    ctx.tables["tokens"][rows], np.maximum(rows - lo, 0))
+        rhat, _ = self.rtgp.forward(self.rtgp_store, ctx.tables["encoded"][lo:t + 2],
+                                    ctx.tables["tokens"][rows], rows - lo)
         return float(rhat[0])
 
     def act(self, obs_joint: np.ndarray) -> np.ndarray:
@@ -338,10 +314,7 @@ class Actor:
         self._featurize(t)
         ctx.tables["rtg"][t + 1] = self.conditioning(t)
         rows = features.slot_steps([t], self.policy.context) + 1
-        tables = ctx.tables
-        batch = TokenSequence(tables["rtg"][rows], tables["joint"][rows],
-                              tables["action"][rows], step_valid=rows > 0)
-        a_hat, _ = self.policy.forward(self.policy_store, batch)
+        a_hat, _ = self.policy.forward(self.policy_store, Windows(ctx.tables, rows))
         action = a_hat[0, -1].astype(np.float64)
         # float32 rounding can land a hair above the tanh bound; renormalize
         norm = float(np.hypot(action[0], action[1]))

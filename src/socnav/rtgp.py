@@ -12,6 +12,8 @@ Two parts: `encode`, the per-step encoder (`embed_s`, `spatial1`), runs
 on each step's token set alone, and `forward`, the window part (`embed_t`
 through `head2`), reads those encodings by row. Training and acting run
 the same two parts; acting keeps each step's encoding for its episode.
+A batch is a features.Windows over the step tables `spatial` (token
+sets, for `encode`) and `tokens` (temporal tokens, read at every slot).
 
 One padding rule: front padding is row 0 of the step tables (all-zero
 tokens), and only the first stage sees it: the per-step encoder in a
@@ -28,36 +30,12 @@ configurable with defaults (128) and (256, 1).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import nn
-from .features import (SPATIAL_TOKEN_DIM, history_window, temporal_token_dim,
-                       window_tables)
+from .features import (SPATIAL_TOKEN_DIM, Windows, history_window,
+                       temporal_token_dim, window_tables)
 from .core import joint_dim
-
-
-class WindowBatch(NamedTuple):
-    """History windows over shared per-step token sets.
-
-    A step's spatial tokens depend only on that step and its previous
-    transition, so windows that hold the same step read one row of
-    `spatial`, a table built by features.window_tables, the one window
-    builder. Row 0 is padding: a slot is real where its row is above 0.
-    """
-
-    spatial: np.ndarray    # (S, m+1, SPATIAL_TOKEN_DIM) distinct steps, row 0 padding
-    temporal: np.ndarray   # (B, W, temporal_dim) flat step tokens
-    rows: np.ndarray       # (B, W) row of `spatial` read by each slot, 0 at padding
-
-    def take(self, idx) -> "WindowBatch":
-        """Windows idx of the batch, over only the step rows they read and
-        the padding row, which stays row 0."""
-        rows = self.rows[idx]
-        read = np.union1d(0, rows)
-        return WindowBatch(spatial=self.spatial[read], temporal=self.temporal[idx],
-                           rows=np.searchsorted(read, rows))
 
 
 class RtgPredictor:
@@ -116,10 +94,11 @@ class RtgPredictor:
     def forward(self, store, steps, temporal, rows):
         """Return estimates for a batch of windows over encoded steps.
 
-        steps: (S, m+1, hidden) step encodings (see encode), row 0 padding,
-        which nothing reads; temporal: (B, W, temporal_dim), whose last
-        slot holds the current state; rows: (B, W) index of each slot's
-        step in steps. Returns (rhat, cache).
+        steps: (S, m+1, hidden) step encodings (see encode); temporal:
+        (B, W, temporal_dim), whose last slot holds the current state;
+        rows: (B, W) index of each real slot's step in steps, 0 at padding.
+        Only real slots read steps, so its row 0 is never read (acting
+        passes a slice of its episode's encodings). Returns (rhat, cache).
         """
         dt = store.dtype
         temporal = np.ascontiguousarray(temporal, dtype=dt)
@@ -203,31 +182,33 @@ class RtgPredictor:
         if len(batch.rows) == 0:
             raise ValueError("empty batch")
         store.zero_grads()
-        steps, c_enc = self.encode(store, batch.spatial)
-        rhat, cache = self.forward(store, steps, batch.temporal, batch.rows)
+        steps, c_enc = self.encode(store, batch.tables["spatial"])
+        rhat, cache = self.forward(store, steps, batch.slots("tokens"), batch.rows)
         loss, drhat = nn.mse_loss(rhat, targets, counts, total)
         self.encode_bwd(store, c_enc, self.backward(store, cache, drhat))
         return loss, rhat
 
     # -- data assembly -------------------------------------------------------
 
-    def window_batch(self, episodes, ends) -> WindowBatch:
+    def window_batch(self, episodes, ends) -> Windows:
         """Batch of history windows: episodes[i] is (states, actions, rewards),
         ends[i] the inclusive end step of window i.
 
-        features.window_tables builds the windows: one history_window call
-        per distinct episode (the same three objects) builds its steps'
-        tokens, and only the steps some window reads become rows.
+        features.window_tables builds the tables `spatial` (each step's
+        token set) and `tokens` (its temporal token): one history_window
+        call per distinct episode (the same three objects) builds its
+        steps, and only the steps some window reads become rows.
         """
-        (spatial, temporal), rows = window_tables(
-            episodes, ends, self.window,
-            lambda episode, lo, hi: history_window(*episode, lo, hi, self.num_peds))
-        return WindowBatch(spatial=spatial, temporal=temporal[rows], rows=rows)
+        def build(episode, lo, hi):
+            spatial, tokens = history_window(*episode, lo, hi, self.num_peds)
+            return {"spatial": spatial, "tokens": tokens}
 
-    def predict_batch(self, store, batch: WindowBatch) -> np.ndarray:
-        """Return estimates of a WindowBatch: encode its steps, then forward."""
-        steps, _ = self.encode(store, batch.spatial)
-        rhat, _ = self.forward(store, steps, batch.temporal, batch.rows)
+        return window_tables(episodes, ends, self.window, build)
+
+    def predict_batch(self, store, batch: Windows) -> np.ndarray:
+        """Return estimates of a window batch: encode its steps, then forward."""
+        steps, _ = self.encode(store, batch.tables["spatial"])
+        rhat, _ = self.forward(store, steps, batch.slots("tokens"), batch.rows)
         return rhat
 
     def predict(self, store, states, actions, rewards, end: int) -> float:

@@ -117,7 +117,7 @@ def policy_batch_from(trajs_ends, policy: DtPolicy, rtg_sequences):
                                                       strict=True)])
     batch = tokenize([(traj.states, traj.actions, rtg) for traj, rtg, _ in windows],
                      [end for *_, end in windows], policy.context, policy.num_peds)
-    return batch, clip_action_norm(batch.actions, policy.v_max), counts
+    return batch, clip_action_norm(batch.slots("action"), policy.v_max), counts
 
 
 def rtgp_batch_from(trajs_ends, rtgp: RtgPredictor):
@@ -178,10 +178,10 @@ def policy_update(policy: DtPolicy, store: ParamStore, batch, targets, counts) -
     get its gradients. Every shard is normalised by the whole batch's
     weight, so the loss is the exact sum of per-window terms however the
     batch is cut."""
-    wsum = valid_weight(batch.step_valid, counts)
+    wsum = valid_weight(batch.rows > 0, counts)
     a_hat = _sharded(store, np.arange(len(counts)), lambda view, idx: policy.loss_and_grad(
         view, batch.take(idx), targets[idx], counts[idx], wsum=wsum)[1])
-    return action_loss(a_hat, targets, batch.step_valid, counts, wsum)[0]
+    return action_loss(a_hat, targets, batch.rows > 0, counts, wsum)[0]
 
 
 def rtgp_update(rtgp: RtgPredictor, store: ParamStore, batch, targets, counts) -> float:

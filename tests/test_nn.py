@@ -97,6 +97,20 @@ class TestDenseIsBatchInvariant:
             part, _ = nn.dense_fwd(store, "d", x[idx])
             assert part.tobytes() == whole[idx].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("din, dout", [(512, 128), (520, 2), (1024, 1), (768, 256)])
+    def test_inputs_wider_than_a_chunk_byte_equal_in_small_products(self, rng, din, dout,
+                                                                     dtype):
+        # OpenBLAS splits a large product's sum over input columns into
+        # blocks and a small product's not; dense_fwd sums fixed chunks
+        store = nn.ParamStore(dtype=dtype)
+        nn.add_dense(store, "d", din, dout, rng)
+        x = rng.normal(size=(3000, din)).astype(dtype)
+        whole, _ = nn.dense_fwd(store, "d", x)
+        for n in (1, 2, 5, 17, 300):
+            part, _ = nn.dense_fwd(store, "d", x[:n])
+            assert part.tobytes() == whole[:n].tobytes(), n
+
 
 class TestLayerNorm:
     def test_constant_input_returns_bias(self, rng):

@@ -8,10 +8,9 @@ from socnav import policy as policy_module
 from socnav.config import Config
 from socnav.dataset import Trajectory, compute_rtg, rollout
 from socnav.env import CrowdEnv
-from socnav.features import SPATIAL_TOKEN_DIM, clip_action_norm
+from socnav.features import SPATIAL_TOKEN_DIM, Windows, clip_action_norm
 from socnav.gradcheck import grad_check
-from socnav.policy import (Actor, DtPolicy, EpisodeContext, TokenSequence, squash_bwd,
-                           squash_fwd, tokenize)
+from socnav.policy import Actor, DtPolicy, EpisodeContext, squash_bwd, squash_fwd, tokenize
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import build_models, policy_batch_from, rtgp_batch_from
 
@@ -28,14 +27,30 @@ def fake_episode(rng, jd, steps=6):
     return states, actions, rewards
 
 
+def slot_windows(valid, rtg, joint, action):
+    """Windows over gathered (B, K, ...) slot values: each real slot reads
+    its own row, padded slots the padding row 0."""
+    B, K = valid.shape
+    rows = np.where(valid, np.arange(1, B * K + 1).reshape(B, K), 0)
+    return Windows({name: np.concatenate([np.zeros((1, *x.shape[2:])),
+                                          x.reshape(B * K, *x.shape[2:])])
+                    for name, x in (("rtg", rtg), ("joint", joint), ("action", action))},
+                   rows)
+
+
+def gathered(batch):
+    """Copies of a policy batch's slot values, in slot_windows's order."""
+    return [batch.slots(name).copy() for name in ("rtg", "joint", "action")]
+
+
 def random_batch(rng, pol, B=3):
     K = pol.context
     rtg = rng.normal(size=(B, K))
     states = rng.normal(size=(B, K, pol.joint_dim))
     actions = rng.normal(size=(B, K, 2)) * 0.5
-    sv = np.ones((B, K), dtype=bool)
-    sv[0, :2] = False
-    return TokenSequence(rtg, states, actions, sv)
+    valid = np.ones((B, K), dtype=bool)
+    valid[0, :2] = False
+    return slot_windows(valid, rtg, states, actions)
 
 
 class TestSquash:
@@ -85,11 +100,11 @@ class TestForward:
         store = pol.init_store(1)
         batch = random_batch(rng, pol)
         base, _ = pol.forward(store, batch)
-        rtg2, st2, ac2 = batch.rtg.copy(), batch.states.copy(), batch.actions.copy()
+        rtg2, st2, ac2 = gathered(batch)
         rtg2[:, 2:] += 9.0
         st2[:, 2:] += 9.0
         ac2[:, 2:] += 9.0
-        out, _ = pol.forward(store, TokenSequence(rtg2, st2, ac2, batch.step_valid))
+        out, _ = pol.forward(store, slot_windows(batch.rows > 0, rtg2, st2, ac2))
         assert np.array_equal(base[:, :2], out[:, :2])
 
     def test_param_count_matches_shape_audit(self):
@@ -110,9 +125,9 @@ class TestForward:
         store = pol.init_store(2)
         batch = random_batch(rng, pol)
         base, _ = pol.forward(store, batch)
-        ac2 = batch.actions.copy()
+        rtg, states, ac2 = gathered(batch)
         ac2[:, -1] = 77.0   # mutate the final action token
-        out, _ = pol.forward(store, batch._replace(actions=ac2))
+        out, _ = pol.forward(store, slot_windows(batch.rows > 0, rtg, states, ac2))
         assert base.tobytes() == out.tobytes()
 
 
@@ -124,7 +139,7 @@ class TestLoss:
         store = pol.init_store(3)
         store.blocks["head.W"][...] = rng.normal(size=store["head.W"].shape)
         batch = random_batch(rng, pol)
-        assert not batch.step_valid.all()
+        assert not (batch.rows > 0).all()
         pol.loss_and_grad(store, batch, rng.normal(size=(3, pol.context, 2)) * 0.5)
         assert [name for name, g in store.grads.items() if not g.any()] == []
 
@@ -142,8 +157,8 @@ class TestLoss:
         for name in store.blocks:
             store.blocks[name][...] = 0.0
         B, K = 2, pol.context
-        batch = TokenSequence(np.zeros((B, K)), np.zeros((B, K, pol.joint_dim)),
-                              np.zeros((B, K, 2)), np.ones((B, K), bool))
+        batch = slot_windows(np.ones((B, K), bool), np.zeros((B, K)),
+                             np.zeros((B, K, pol.joint_dim)), np.zeros((B, K, 2)))
         targets = np.zeros((B, K, 2))
         targets[..., 0] = 1.0
         loss, _ = pol.loss_and_grad(store, batch, targets)
@@ -156,7 +171,7 @@ class TestLoss:
         targets = rng.normal(size=(3, pol.context, 2)) * 0.5
         loss, a_hat = pol.loss_and_grad(store, batch, targets)
         total, count = 0.0, 0
-        sv = batch.step_valid
+        sv = batch.rows > 0
         for b in range(3):
             for k in range(pol.context):
                 if sv[b, k]:
@@ -179,7 +194,9 @@ class TestLoss:
         pol = small_policy()
         store = pol.init_store(0)
         with pytest.raises(ValueError, match="empty"):
-            pol.loss_and_grad(store, TokenSequence(*(np.zeros((0, 4)),) * 4),
+            pol.loss_and_grad(store, slot_windows(np.zeros((0, 4), bool), np.zeros((0, 4)),
+                                                  np.zeros((0, 4, pol.joint_dim)),
+                                                  np.zeros((0, 4, 2))),
                               np.zeros((0, 4, 2)))
 
     def test_full_gradcheck(self, rng):
@@ -212,7 +229,7 @@ class TestLoss:
         assert len(counts) < len(draws) == counts.sum()
         full = tokenize([(t.states, t.actions, t.rtg) for t, _ in draws],
                         [e for _, e in draws], context=5, num_peds=pol.num_peds)
-        full_targets = clip_action_norm(full.actions, pol.v_max)
+        full_targets = clip_action_norm(full.slots("action"), pol.v_max)
 
         head = rng.normal(size=(pol.hidden, 2)) * 0.1   # a zero head has no gradient below it
         results = []
@@ -236,23 +253,23 @@ class TestTokenize:
         rewards = rng.normal(size=6) * 0.1
         rtg = compute_rtg(rewards, 0.99)
         seq = tokenize([(states, actions, rtg)], [5], context=4, num_peds=2)
-        np.testing.assert_array_equal(seq.rtg[0], rtg[2:6])
+        np.testing.assert_array_equal(seq.slots("rtg")[0], rtg[2:6])
 
     def test_short_window_front_padded(self, rng):
         pol = small_policy()
         states, actions, rewards = fake_episode(rng, pol.joint_dim, steps=2)
         seq = tokenize([(states, actions, compute_rtg(rewards, 0.99))], [1],
                        context=5, num_peds=2)
-        assert seq.step_valid.tolist() == [[False, False, False, True, True]]
-        assert seq.rtg.shape == (1, 5)
+        assert (seq.rows > 0).tolist() == [[False, False, False, True, True]]
+        assert seq.slots("rtg").shape == (1, 5)
 
     def test_rtg_slot_precedes_action_slot(self, rng):
-        # interleaving in field order: rtg, state, action per step
+        # interleaving in table order: rtg, state, action per step
         pol = small_policy()
         states, actions, _ = fake_episode(rng, pol.joint_dim, steps=4)
         seq = tokenize([(states, actions, np.arange(4.0))], [3], context=4, num_peds=2)
-        assert TokenSequence._fields[:3] == ("rtg", "states", "actions")
-        assert seq.rtg.tolist() == [[0.0, 1.0, 2.0, 3.0]]
+        assert tuple(seq.tables) == ("rtg", "joint", "action")
+        assert seq.slots("rtg").tolist() == [[0.0, 1.0, 2.0, 3.0]]
 
     def test_bad_source_and_empty_window(self, rng):
         # the conditioning source is the actor's choice; "labels" has no
@@ -351,7 +368,8 @@ class TestActor:
         traj = trajs[0]
         misses = 0.0
         for end in range(traj.num_steps):
-            batch = tokenize([(traj.states, traj.actions[:end], traj.rtg)], [end],
+            # the window's last action token is read by no decoded action
+            batch = tokenize([(traj.states, traj.actions, traj.rtg)], [end],
                              context=6, num_peds=2)
             a_hat, _ = pol.forward(store, batch)
             want = clip_action_norm(traj.actions[end], 1.0)
@@ -383,10 +401,12 @@ class WholeWindowActor(Actor):
             self.rtg.append(self.fixed_target - math.fsum(ctx.rewards))
         else:
             batch = self.rtgp.window_batch([(ctx.states, self.actions, ctx.rewards)], [t])
-            steps, _ = self.rtgp.encode(self.rtgp_store, batch.spatial)
-            rhat, _ = self.rtgp.forward(self.rtgp_store, steps, batch.temporal, batch.rows)
+            steps, _ = self.rtgp.encode(self.rtgp_store, batch.tables["spatial"])
+            rhat, _ = self.rtgp.forward(self.rtgp_store, steps, batch.slots("tokens"),
+                                        batch.rows)
             self.rtg.append(float(rhat[0]))
-        batch = tokenize([(ctx.states, self.actions, self.rtg)], [t],
+        # the current step's action slot is zero: no action is decided yet
+        batch = tokenize([(ctx.states, self.actions + [np.zeros(2)], self.rtg)], [t],
                          self.policy.context, self.policy.num_peds)
         a_hat, _ = self.policy.forward(self.policy_store, batch)
         action = a_hat[0, -1].astype(np.float64)

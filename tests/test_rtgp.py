@@ -4,9 +4,9 @@ import pytest
 from socnav import nn
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
 from socnav.dataset import Trajectory, compute_rtg
-from socnav.features import SPATIAL_TOKEN_DIM, canonicalize_joint
+from socnav.features import SPATIAL_TOKEN_DIM, Windows, canonicalize_joint
 from socnav.gradcheck import grad_check
-from socnav.rtgp import RtgPredictor, WindowBatch
+from socnav.rtgp import RtgPredictor
 from socnav.trainer import rtgp_batch_from
 
 
@@ -45,8 +45,8 @@ class TestFeatures:
         net = small_net()
         states, actions, rewards = fake_episode(rng, net, steps=3)
         batch = net.window_batch([(states, actions, rewards)], [1])
-        spatial, valid, current = (batch.spatial[batch.rows[0]], batch.rows[0] > 0,
-                                   batch.temporal[0, -1, :net.joint_dim])
+        spatial, valid, current = (batch.slots("spatial")[0], batch.rows[0] > 0,
+                                   batch.slots("tokens")[0, -1, :net.joint_dim])
         assert valid.tolist() == [False, False, True, True]
         assert np.all(spatial[:2] == 0.0)
         # first real step is the episode start: zero previous action/reward
@@ -75,8 +75,7 @@ class TestForward:
         states, actions, rewards = fake_episode(rng, net)
         batch = net.window_batch([(states, actions, rewards)], [3])
         from socnav import nn
-        f, _ = nn.dense_fwd(store, "embed_s",
-                            np.asarray(batch[0], dtype=np.float64), relu=True)
+        f, _ = nn.dense_fwd(store, "embed_s", batch.tables["spatial"], relu=True)
         assert f.shape[-1] == net.hidden
 
     def test_param_count_matches_shape_audit(self):
@@ -130,11 +129,12 @@ class TestForward:
         net = small_net()
         store = net.init_store(1)
         states, actions, rewards = fake_episode(rng, net)
-        batch = [a.copy() for a in net.window_batch([(states, actions, rewards)], [0])]
-        base = net.predict_batch(store, WindowBatch(*batch))
-        batch[0][0, :3] += 123.0   # spatial tokens of padded slots
-        batch[1][0, :3] -= 7.0     # temporal tokens of padded slots
-        out = net.predict_batch(store, WindowBatch(*batch))
+        batch = net.window_batch([(states, actions, rewards)], [0])
+        base = net.predict_batch(store, batch)
+        tables = {name: table.copy() for name, table in batch.tables.items()}
+        tables["spatial"][0, :3] += 123.0   # spatial tokens of padded slots
+        tables["tokens"][0] -= 7.0          # temporal tokens of padded slots
+        out = net.predict_batch(store, Windows(tables, batch.rows))
         assert np.array_equal(base, out)
 
 
@@ -165,8 +165,8 @@ class TestLoss:
         net = small_net()
         store = net.init_store(0)
         with pytest.raises(ValueError, match="empty"):
-            net.loss_and_grad(store, WindowBatch(
-                spatial=np.zeros((1, 3, 9)), temporal=np.zeros((0, 4, 23)),
+            net.loss_and_grad(store, Windows(
+                {"spatial": np.zeros((1, 3, 9)), "tokens": np.zeros((1, 23))},
                 rows=np.zeros((0, 4), np.intp)), [])
 
     def test_full_gradcheck(self, rng):
@@ -199,7 +199,7 @@ class TestLoss:
         store = net.init_store(3, dtype=np.float64)
         a, b = fake_episode(rng, net, steps=8), fake_episode(rng, net, steps=5)
         batch = net.window_batch([a, a, a, a, b, b], [7, 5, 2, 0, 4, 1])
-        assert len(batch.spatial) == 1 + 8 + 5
+        assert len(batch.tables["spatial"]) == 1 + 8 + 5
         assert (batch.rows == 0).any()
         counts = np.array([2, 1, 3, 1, 1, 2])
         targets = rng.normal(size=6)
@@ -219,7 +219,7 @@ class TestLoss:
         episode = fake_episode(rng, net, steps=30)
         ends = [net.window - 1, 29]
         batch = net.window_batch([episode, episode], ends)
-        assert len(batch.spatial) == 1 + 2 * net.window
+        assert len(batch.tables["spatial"]) == 1 + 2 * net.window
         rhat = net.predict_batch(store, batch)
         for i, end in enumerate(ends):
             assert rhat[i] == pytest.approx(net.predict(store, *episode, end=end),
@@ -227,12 +227,12 @@ class TestLoss:
 
 
 def per_slot_layout(batch):
-    """The same windows with one spatial row per real slot, as if no two
-    slots shared a step (padded slots read the padding row 0)."""
+    """The same windows with one row per real slot in every table, as if
+    no two slots shared a step (padded slots read the padding row 0)."""
     B, W = batch.rows.shape
-    spatial = batch.spatial[batch.rows].reshape(B * W, *batch.spatial.shape[1:])
     rows = np.where(batch.rows > 0, np.arange(1, B * W + 1).reshape(B, W), 0)
-    return batch._replace(spatial=np.concatenate([batch.spatial[:1], spatial]), rows=rows)
+    return Windows({name: np.concatenate([table[:1], batch.slots(name).reshape(
+        B * W, *table.shape[1:])]) for name, table in batch.tables.items()}, rows)
 
 
 class TestDistinctWindows:

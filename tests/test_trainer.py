@@ -118,6 +118,24 @@ def draws(trajs, size, seed):
     return [(trajs[i], e) for i, e in trainer.sample_windows(trajs, size, rng)]
 
 
+def shard_case(network, cfg, trajs):
+    """One network's batch of the windows of 48 draws, and its outputs
+    for any part of that batch; the policy head, which init_store zeroes,
+    is drawn, so the actions differ from window to window."""
+    policy, rtgp = trainer.build_models(cfg)
+    trajs_ends = draws(trajs, 48, seed=6)
+    if network == "policy":
+        store = policy.init_store(3)
+        head = store.blocks["head.W"]
+        head[...] = 0.2 * nn.xavier_uniform(np.random.default_rng(3), *head.shape)
+        batch, _, _ = trainer.policy_batch_from(trajs_ends, policy,
+                                                [t.rtg for t, _ in trajs_ends])
+        return batch, lambda part: policy.forward(store, part)[0]
+    store = rtgp.init_store(3)
+    batch, _, _ = trainer.rtgp_batch_from(trajs_ends, rtgp)
+    return batch, lambda part: rtgp.predict_batch(store, part)
+
+
 @pytest.fixture()
 def forced_pool(monkeypatch):
     """Run the training threads on a pool of the given size."""
@@ -160,37 +178,37 @@ class TestShards:
                 np.testing.assert_allclose(sharded.grads[name], g, rtol=tol, atol=tol,
                                            err_msg=name)
 
-    def test_predictor_shard_reads_only_its_rows(self, tiny_cfg, tiny_dataset):
+    @pytest.mark.parametrize("network", ["policy", "predictor"])
+    def test_shard_reads_only_its_rows(self, tiny_cfg, tiny_dataset, network):
         # every window alone, every fifth window and drawn subsets each give
         # the whole batch's bytes
-        trajs, _, _ = tiny_dataset
-        _, rtgp = trainer.build_models(tiny_cfg)
-        store = rtgp.init_store(3)
-        batch, _, _ = trainer.rtgp_batch_from(draws(trajs, 48, seed=6), rtgp)
-        whole = rtgp.predict_batch(store, batch)
+        batch, outputs = shard_case(network, tiny_cfg, tiny_dataset[0])
+        whole = outputs(batch)
         rng = np.random.default_rng(6)
         subsets = ([[i] for i in range(len(whole))] + [np.arange(len(whole))[::5]]
                    + [np.flatnonzero(rng.random(len(whole)) < p) for p in (0.1, 0.3, 0.6, 0.9)
                       for _ in range(3)])
         for idx in subsets:
             part = batch.take(idx)
-            assert len(part.spatial) == len(np.union1d(0, batch.rows[idx])) < len(batch.spatial)
-            assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
-            assert rtgp.predict_batch(store, part).tobytes() == whole[idx].tobytes()
+            for name, table in batch.tables.items():
+                assert len(part.tables[name]) == len(np.union1d(0, batch.rows[idx])) < len(table)
+                assert np.array_equal(part.slots(name), table[batch.rows[idx]])
+            assert outputs(part).tobytes() == whole[idx].tobytes()
 
-    def test_shard_without_padded_slots_keeps_the_padding_row(self, tiny_cfg, tiny_dataset):
+    @pytest.mark.parametrize("network", ["policy", "predictor"])
+    def test_shard_without_padded_slots_keeps_the_padding_row(self, tiny_cfg, tiny_dataset,
+                                                              network):
         # row 0 is padding in every batch, also in a shard that reads none
-        trajs, _, _ = tiny_dataset
-        _, rtgp = trainer.build_models(tiny_cfg)
-        store = rtgp.init_store(3)
-        batch, _, _ = trainer.rtgp_batch_from(draws(trajs, 48, seed=6), rtgp)
-        whole = rtgp.predict_batch(store, batch)
+        batch, outputs = shard_case(network, tiny_cfg, tiny_dataset[0])
+        whole = outputs(batch)
         idx = np.flatnonzero((batch.rows > 0).all(axis=1))
         assert 0 < len(idx) < len(whole)
         part = batch.take(idx)
-        assert (part.rows > 0).all() and not part.spatial[0].any()
-        assert np.array_equal(part.spatial[part.rows], batch.spatial[batch.rows[idx]])
-        assert rtgp.predict_batch(store, part).tobytes() == whole[idx].tobytes()
+        assert (part.rows > 0).all()
+        for name, table in batch.tables.items():
+            assert not part.tables[name][0].any()
+            assert np.array_equal(part.slots(name), table[batch.rows[idx]])
+        assert outputs(part).tobytes() == whole[idx].tobytes()
 
     def test_worker_count_does_not_change_bytes(self, tiny_cfg, tiny_dataset, forced_pool,
                                                 monkeypatch):

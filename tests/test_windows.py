@@ -6,7 +6,7 @@ batched `tokenize`, `history_window`, `window_batch` and
 `policy_batch_from` must reproduce them array for array, bit for bit.
 `features.window_tables` is the one builder behind `tokenize` and
 `window_batch`: it alone groups windows, picks the read steps, writes the
-padding row and stacks the step tables.
+padding row and stacks the named step tables of a `features.Windows`.
 """
 
 import numpy as np
@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM, joint_dim
 from socnav.dataset import Trajectory, compute_rtg
-from socnav.features import (SPATIAL_TOKEN_DIM, canonicalize_joint, clip_action_norm,
-                             history_window, temporal_token_dim, window_tables)
-from socnav.policy import DtPolicy, TokenSequence, tokenize
+from socnav.features import (SPATIAL_TOKEN_DIM, Windows, canonicalize_joint,
+                             clip_action_norm, history_window, temporal_token_dim,
+                             window_tables)
+from socnav.policy import DtPolicy, tokenize
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import policy_batch_from
 
@@ -26,7 +27,7 @@ STEPS = 6
 WIDTHS = (1, 3, 5, 8)
 
 
-def ref_tokenize(states, actions, rtg, end, context, num_peds, action_known_at_end=True):
+def ref_tokenize(states, actions, rtg, end, context, num_peds):
     lo = max(0, end - context + 1)
     pad = context - (end - lo + 1)
     out = (np.zeros(context), np.zeros((context, joint_dim(num_peds))),
@@ -36,8 +37,7 @@ def ref_tokenize(states, actions, rtg, end, context, num_peds, action_known_at_e
         out[0][slot] = rtg[u]
         out[1][slot] = canon[u]
         out[3][slot] = True
-        if u < len(actions) and (action_known_at_end or u < end):
-            out[2][slot] = actions[u]
+        out[2][slot] = actions[u]
     return out
 
 
@@ -79,8 +79,13 @@ def ref_window_batch(net, episodes, ends):
 def window_fields(net, batch):
     """A window batch in the reference's per-slot layout: tokens, the valid
     mask its rows imply and the current state its last temporal token holds."""
-    return (batch.spatial[batch.rows], batch.temporal, batch.rows > 0,
-            batch.temporal[:, -1, :net.joint_dim])
+    tokens = batch.slots("tokens")
+    return (batch.slots("spatial"), tokens, batch.rows > 0, tokens[:, -1, :net.joint_dim])
+
+
+def token_fields(seq):
+    """A policy batch in the reference's per-slot layout."""
+    return (seq.slots("rtg"), seq.slots("joint"), seq.slots("action"), seq.rows > 0)
 
 
 def assert_same(got, want):
@@ -111,35 +116,24 @@ def as_actor_history(states, actions, rewards, rtg, end):
 
 @pytest.mark.parametrize("num_peds", [0, 2])
 @pytest.mark.parametrize("as_list", [False, True], ids=["arrays", "lists"])
-@pytest.mark.parametrize("action_known_at_end", [True, False])
-def test_tokenize_matches_reference(rng, num_peds, as_list, action_known_at_end):
-    # one call over every end of two episodes, half the windows drawn twice;
-    # where a window's last action is unknown, its episode's actions stop
-    # before the end, as Actor's list does
+def test_tokenize_matches_reference(rng, num_peds, as_list):
+    # one call over every end of two episodes, half the windows drawn twice
     draws = []
     for states, actions, rewards, rtg in (episode(rng, num_peds),
                                           episode(rng, num_peds, steps=3)):
         shared = (states, actions, rtg)
         if as_list:
             shared = tuple(map(list, shared))
-        for end in range(len(states)):
-            if action_known_at_end:
-                seen = shared
-            elif as_list:
-                s, a, _, g = as_actor_history(states, actions, rewards, rtg, end)
-                seen = (s, a, g)
-            else:
-                seen = (states, actions[:end], rtg)
-            draws.append((seen, end, actions))
+        draws += [(shared, end) for end in range(len(states))]
     draws += draws[::2]
-    episodes, ends = [e for e, _, _ in draws], [end for _, end, _ in draws]
+    episodes, ends = [e for e, _ in draws], [end for _, end in draws]
     for width in WIDTHS:
         got = tokenize(episodes, ends, context=width, num_peds=num_peds)
-        assert isinstance(got, TokenSequence)
-        for i, ((s, _, g), end, actions) in enumerate(draws):
-            assert_same([field[i] for field in got],
-                        ref_tokenize(s, actions, g, end, width, num_peds,
-                                     action_known_at_end))
+        assert isinstance(got, Windows)
+        fields = token_fields(got)
+        for i, ((s, a, g), end) in enumerate(draws):
+            assert_same([field[i] for field in fields],
+                        ref_tokenize(s, a, g, end, width, num_peds))
 
 
 @pytest.mark.parametrize("num_peds", [0, 2])
@@ -156,11 +150,6 @@ def test_history_window_matches_reference(rng, num_peds, as_list):
 
 def test_episode_start_with_empty_action_list(rng):
     states, _, _, _ = episode(rng, 2, steps=1)
-    seq = tokenize([(list(states), [], [0.5])], [0], context=4, num_peds=2)
-    assert_same([field[0] for field in seq],
-                ref_tokenize(list(states), [], [0.5], 0, 4, 2, False))
-    assert seq.step_valid.tolist() == [[False, False, False, True]]
-    assert not seq.actions.any()
     assert_same(history_window(list(states), [], [], 0, 0, 2),
                 ref_history_window(list(states), [], [], 0, 1, 2)[:2])
     net = RtgPredictor(num_peds=2, window=4)
@@ -183,8 +172,8 @@ def test_window_batch_matches_reference(rng, num_peds):
     assert_same(window_fields(net, batch), want)
     # one all-zero padding row plus each episode's steps from its earliest
     # window's first slot to its latest end, each built once
-    assert len(batch.spatial) == 1 + 1 + 3 + 7
-    assert not batch.spatial[0].any()
+    assert len(batch.tables["spatial"]) == 1 + 1 + 3 + 7
+    assert not batch.tables["spatial"][0].any()
     assert np.array_equal(batch.rows == 0, ~want[2])
 
 
@@ -203,10 +192,10 @@ def test_tokenize_and_window_batch_read_the_same_rows(rng, num_peds):
     batch = net.window_batch([eps[k][:3] for k, _ in picks], ends)
     seq = tokenize([(eps[k][0], eps[k][1], eps[k][3]) for k, _ in picks], ends,
                    context=width, num_peds=num_peds)
-    row_ids = batch.spatial[:, 0, 0]
+    row_ids = batch.tables["spatial"][:, 0, 0]
     assert len(np.unique(row_ids)) == len(row_ids)
-    assert np.array_equal(seq.states[..., 0], row_ids[batch.rows])
-    assert np.array_equal(seq.step_valid, batch.rows > 0)
+    assert np.array_equal(seq.slots("joint")[..., 0], row_ids[batch.rows])
+    assert np.array_equal(seq.rows > 0, batch.rows > 0)
 
 
 @pytest.mark.parametrize("end", [-1, STEPS])
@@ -226,6 +215,9 @@ def test_mismatched_lengths_raise(rng):
         net.window_batch([(states, actions, rewards)], [0, 1])
     with pytest.raises(ValueError, match="episodes for"):
         tokenize([(states, actions, rtg)] * 2, [0], context=4, num_peds=2)
+    # tokenize reads an action at every step of a window
+    with pytest.raises(ValueError, match=r"'action' holds 1 rows for the 4 steps 2\.\.5"):
+        tokenize([(states, actions[:3], rtg)], [5], context=4, num_peds=2)
 
 
 def test_window_batch_empty_raises():
@@ -271,27 +263,32 @@ def test_builders_match_reference_on_drawn_batches(spec):
     # the distinct (episode, step) pairs some window reads
     read = {(k, u) for k, end in picks for u in range(max(0, end + 1 - width), end + 1)}
 
-    seq = tokenize([(eps[k][0], eps[k][1], eps[k][3]) for k, _ in picks], ends,
-                   context=width, num_peds=num_peds)
-    for i, (k, end) in enumerate(picks):
-        s, a, _, g = eps[k]
-        assert_same([field[i] for field in seq],
-                    ref_tokenize(s, a, g, end, width, num_peds))
+    # tokenize reads every action of a window, so it takes the whole episodes
+    whole = [(k, end) for k, end in picks if shapes[k][1] is None]
+    if whole:
+        seq = token_fields(tokenize([(eps[k][0], eps[k][1], eps[k][3]) for k, _ in whole],
+                                    [end for _, end in whole], context=width,
+                                    num_peds=num_peds))
+        for i, (k, end) in enumerate(whole):
+            s, a, _, g = eps[k]
+            assert_same([field[i] for field in seq],
+                        ref_tokenize(s, a, g, end, width, num_peds))
 
     net = RtgPredictor(num_peds=num_peds, window=width)
     episodes = [eps[k][:3] for k, _ in picks]
     batch = net.window_batch(episodes, ends)
     assert_same(window_fields(net, batch), ref_window_batch(net, episodes, ends))
-    assert len(batch.spatial) == 1 + len(read)
+    assert len(batch.tables["spatial"]) == 1 + len(read)
 
     # the builder itself: tables naming each row's (episode, step) hold
     # exactly the read steps, by first-drawn episode, after the zero row
     index = {id(ep[0]): k for k, ep in enumerate(eps)}
 
     def build(ep, lo, hi):
-        return np.full(hi + 1 - lo, index[id(ep[0])]), np.arange(lo, hi + 1)
+        return {"k": np.full(hi + 1 - lo, index[id(ep[0])]), "u": np.arange(lo, hi + 1)}
 
-    (ks, us), rows = window_tables(episodes, ends, width, build)
+    tables, rows = window_tables(episodes, ends, width, build)
+    ks, us = tables["k"], tables["u"]
     order = list(dict.fromkeys(k for k, _ in picks))
     assert ks[0] == us[0] == 0
     assert list(zip(ks[1:].tolist(), us[1:].tolist())) == sorted(
@@ -322,6 +319,6 @@ def test_policy_targets_match_reference(rng):
         tgt = np.zeros((4, 2))
         tgt[4 - (end - lo + 1):] = clip_action_norm(t.actions[lo:end + 1], 1.0)
         want_targets.append(tgt)
-    assert_same(batch, tuple(map(np.stack, zip(*want_seqs))))
+    assert_same(token_fields(batch), tuple(map(np.stack, zip(*want_seqs))))
     assert_same([targets], [np.stack(want_targets)])
-    assert isinstance(batch, TokenSequence)
+    assert isinstance(batch, Windows)
