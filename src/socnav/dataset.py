@@ -206,6 +206,9 @@ def load_trajectories(path):
             header = json.loads(first)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"line 1: bad header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise DatasetFormatError(f"line 1: header is a {type(header).__name__}, "
+                                     "not an object")
         if header.get("schema") != SCHEMA_VERSION or header.get("kind") != "trajectories":
             raise DatasetFormatError("line 1: unsupported schema")
         line_no = 1

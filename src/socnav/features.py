@@ -11,12 +11,12 @@ before the episode start, as one kind of batch: `Windows`, named step
 tables plus the row each slot reads. Row 0 of every table is the
 all-zero padding row and a slot is real where its row is above 0;
 `slot_steps` is the one plan of which step each slot reads.
-`window_tables` builds a training batch's tables: it decides which steps
-a batch reads, builds each episode's steps once however many windows
-hold them and keeps the read ones as rows; the networks only say how to
-build a step. Acting keeps one such table per value for its episode (row
-u + 1 step u, policy.EpisodeContext) and reads its windows from it by
-row. The predictor's step token at time u carries the previous
+`window_tables` builds a training batch: it stacks each episode's span
+of steps once however many windows hold them, and `Windows.take` keeps
+the read rows, for batches and shards alike; the networks only say how
+to build a step. Acting keeps one such table per value for its episode
+(row u + 1 step u, policy.EpisodeContext) and reads its windows from it
+by row. The predictor's step token at time u carries the previous
 transition's action and reward (zeros at the episode start), which keeps
 training and rollout inputs identically distributed: the current step's
 action does not exist yet when the return estimate is needed.
@@ -74,8 +74,8 @@ class Windows(NamedTuple):
         return self.tables[name][self.rows]
 
     def take(self, idx) -> "Windows":
-        """Windows idx of the batch, over only the rows they read and the
-        padding row, which stays row 0."""
+        """Windows idx of the batch over only the rows they read and the
+        padding row, which stays row 0: the rule for batches and shards."""
         rows = self.rows[idx]
         read = np.union1d(0, rows)
         return Windows({name: table[read] for name, table in self.tables.items()},
@@ -89,9 +89,9 @@ def window_tables(episodes, ends, width: int, build) -> Windows:
     per-step sequences whose first is the states. Windows of one episode
     (the same objects) share its steps: `build(episode, lo, hi)` returns a
     dict of named per-step arrays of steps lo..hi, from its earliest
-    window's first slot to its latest end. Each table stacks the read
-    steps of all episodes in order after one all-zero padding row 0 of
-    its dtype.
+    window's first slot to its latest end. Each table stacks every
+    episode's span once, in order, after one all-zero padding row 0 of
+    its dtype, and `Windows.take` keeps the read rows, as for a shard.
     """
     if len(episodes) != len(ends):
         raise ValueError(f"{len(episodes)} episodes for {len(ends)} window ends")
@@ -110,21 +110,19 @@ def window_tables(episodes, ends, width: int, build) -> Windows:
         if earliest < 0 or hi >= len(episode[0]):
             raise ValueError("empty or out-of-range window")
         lo = max(0, earliest + 1 - width)
+        span = hi + 1 - lo
         steps = slot_steps(e, width)
-        real = steps >= 0
-        read = np.zeros(hi + 1 - lo, dtype=bool)
-        read[steps[real] - lo] = True
-        row_of = np.cumsum(read) - 1 + first
-        rows[members] = np.where(real, row_of[np.maximum(steps - lo, 0)], 0)
+        rows[members] = np.where(steps >= 0, steps - lo + first, 0)
         for name, table in build(episode, lo, hi).items():
-            if len(table) != len(read):
+            if len(table) != span:
                 raise ValueError(f"table {name!r} holds {len(table)} rows for the "
-                                 f"{len(read)} steps {lo}..{hi}")
-            parts.setdefault(name, []).append(table[read])
-        first = int(row_of[-1]) + 1   # step hi is read: it ends a window
+                                 f"{span} steps {lo}..{hi}")
+            parts.setdefault(name, []).append(table)
+        first += span
     tables = {name: np.concatenate([np.zeros((1, *t[0].shape[1:]), dtype=t[0].dtype), *t])
               for name, t in parts.items()}
-    return Windows(tables, rows)
+    del parts   # free the spans before take copies out the read rows
+    return Windows(tables, rows).take(slice(None))
 
 
 def history_window(states, actions, rewards, lo: int, hi: int, num_peds: int):

@@ -114,17 +114,21 @@ class ParamStore:
         """Parse the stream starting at `offset`; returns (store, extra, end).
 
         A stream that ends early raises ValueError naming the block and the
-        byte offset where the data ran out.
+        byte offset where the data ran out; a header that does not hold a
+        step, a float dtype and block shapes of non-negative ints raises
+        ValueError naming the header's byte offset.
         """
-        header, off = read_header(data, offset, CKPT_MAGIC, "checkpoint byte stream")
+        what = "checkpoint byte stream"
+        header, off = read_header(data, offset, CKPT_MAGIC, what,
+                                  ("step", "dtype", "blocks", "extra"))
+        shapes = block_shapes(header, f"{what} header at byte offset "
+                                      f"{offset + len(CKPT_MAGIC) + 8}")
         store = cls(dtype=header["dtype"])
         store.step = header["step"]
-        shapes = [(b["name"], tuple(b["shape"])) for b in header["blocks"]]
         for kind in ("blocks", "m", "v"):
             target = getattr(store, kind)
             for name, shape in shapes:
-                count = int(np.prod(shape)) if shape else 1
-                raw, off = read_span(data, off, count * store.dtype.itemsize,
+                raw, off = read_span(data, off, math.prod(shape) * store.dtype.itemsize,
                                      f"{kind} block {name!r}")
                 arr = np.frombuffer(raw, dtype=store.dtype).reshape(shape).copy()
                 if kind == "blocks":
@@ -134,25 +138,58 @@ class ParamStore:
         return store, header["extra"], off
 
 
+def block_shapes(header: dict, where: str) -> list:
+    """A checkpoint header's (name, shape) blocks, after checking its step,
+    dtype and shapes; a bad one raises ValueError starting with `where`."""
+    def count(n):
+        return type(n) is int and n >= 0
+
+    if header["dtype"] not in ("float16", "float32", "float64"):
+        raise ValueError(f"{where} has dtype {header['dtype']!r}, not a float dtype")
+    if not count(header["step"]):
+        raise ValueError(f"{where} has step {header['step']!r}, not an int >= 0")
+    blocks = header["blocks"]
+    if not isinstance(blocks, list):
+        raise ValueError(f"{where} has blocks {blocks!r}, not a list")
+    for b in blocks:
+        if not (isinstance(b, dict) and isinstance(b.get("name"), str)
+                and isinstance(b.get("shape"), list) and all(map(count, b["shape"]))):
+            raise ValueError(f"{where} has block {b!r}, not a name and a list of ints >= 0")
+    return [(b["name"], tuple(b["shape"])) for b in blocks]
+
+
 def read_span(data: bytes, off: int, nbytes: int, what: str) -> tuple[bytes, int]:
-    """The `nbytes` bytes at `off` and the offset after them; data that ends
-    early raises ValueError naming `what` and the byte offset."""
+    """The `nbytes` bytes at `off` and the offset after them; a negative
+    length or data that ends early raise ValueError naming `what` and the
+    byte offset."""
+    if nbytes < 0:
+        raise ValueError(f"negative length {nbytes} for {what} at byte offset {off}")
     if off + nbytes > len(data):
         raise ValueError(f"checkpoint truncated in {what} at byte offset {off}: "
                          f"needs {nbytes} bytes, {len(data) - off} left")
     return data[off:off + nbytes], off + nbytes
 
 
-def read_header(data: bytes, off: int, magic: bytes, what: str) -> tuple[dict, int]:
-    """Parse `magic`, a little-endian u64 length and that many bytes of JSON
-    starting at `off`; returns (header, offset after it)."""
+def read_header(data: bytes, off: int, magic: bytes, what: str,
+                keys=()) -> tuple[dict, int]:
+    """Parse `magic`, a little-endian u64 length and that many bytes of a
+    JSON object holding `keys`, starting at `off`; returns (header, offset
+    after it). A header that is not such an object raises ValueError
+    naming its byte offset."""
     raw, end = read_span(data, off, len(magic), f"{what} magic")
     if raw != magic:
         raise ValueError(f"not a {what} at byte offset {off}")
-    raw, end = read_span(data, end, 8, f"{what} header length")
+    raw, at = read_span(data, end, 8, f"{what} header length")
     (hlen,) = struct.unpack("<Q", raw)
-    raw, end = read_span(data, end, hlen, f"{what} header")
-    return json.loads(raw.decode()), end
+    raw, end = read_span(data, at, hlen, f"{what} header")
+    header = json.loads(raw.decode())
+    where = f"{what} header at byte offset {at}"
+    if not isinstance(header, dict):
+        raise ValueError(f"{where} is a {type(header).__name__}, not an object")
+    missing = [key for key in keys if key not in header]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")
+    return header, end
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):

@@ -41,9 +41,13 @@ def read_positions_log(path):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    episodes.append(json.loads(line))
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise PlotError(f"line {line_no}: bad episode record ({exc})") from exc
+                if not isinstance(record, dict):
+                    raise PlotError(f"line {line_no}: episode record is a "
+                                    f"{type(record).__name__}, not an object")
+                episodes.append(record)
     return episodes
 
 

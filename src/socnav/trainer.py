@@ -434,7 +434,7 @@ def load_bundle(path):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        header, off = read_header(data, 0, BUNDLE_MAGIC, "checkpoint bundle")
+        header, off = read_header(data, 0, BUNDLE_MAGIC, "checkpoint bundle", ("meta",))
         policy_store, _, off = ParamStore.from_bytes(data, off)
         rtgp_store, _, off = ParamStore.from_bytes(data, off)
         if off != len(data):

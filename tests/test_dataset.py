@@ -128,6 +128,13 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="line 1"):
             load_trajectories(path)
 
+    @pytest.mark.parametrize("header", ["[1, 2]", '"x"', "3", "null"])
+    def test_header_not_an_object_names_line(self, tmp_path, header):
+        path = tmp_path / "h.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(DatasetFormatError, match="line 1: header is a"):
+            load_trajectories(path)
+
     def test_corrupt_record_names_line(self, tmp_path, rng):
         path = tmp_path / "c.jsonl"
         save_trajectories(path, [make_traj(rng), make_traj(rng)], gamma=0.99)

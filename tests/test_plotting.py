@@ -74,3 +74,10 @@ class TestFiles:
         log.write_text("{broken\n")
         with pytest.raises(PlotError, match="line 1"):
             read_positions_log(log)
+
+    def test_log_line_not_an_object(self, tmp_path):
+        log = tmp_path / "pos.jsonl"
+        write_positions_log(log, [straight_log()])
+        log.write_text(log.read_text() + "[1]\n")
+        with pytest.raises(PlotError, match="line 2: episode record is a list"):
+            read_positions_log(log)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 import threading
 from collections import Counter
@@ -512,6 +513,42 @@ class TestCheckpointBundle:
         with pytest.raises(ValueError, match=r"truncated in v block 'head2\.b' "
                                              rf"at byte offset {len(data) - 4}"):
             trainer.load_bundle(path)
+
+    @staticmethod
+    def _patched_policy_header(tmp_path, patch):
+        """A bundle whose policy stream header is patch(header), and the byte
+        offset of that header."""
+        store = ParamStore()
+        store.add("w", np.ones((2, 3), dtype=np.float32))
+        path = tmp_path / "patched.ckpt"
+        trainer.save_bundle(path, store, store, meta={})
+        data = path.read_bytes()
+        _, start = nn.read_header(data, 0, trainer.BUNDLE_MAGIC, "bundle")
+        at = start + len(nn.CKPT_MAGIC) + 8
+        (hlen,) = struct.unpack("<Q", data[at - 8:at])
+        payload = json.dumps(patch(json.loads(data[at:at + hlen]))).encode()
+        path.write_bytes(data[:at - 8] + struct.pack("<Q", len(payload)) + payload
+                         + data[at + hlen:])
+        return path, at
+
+    @pytest.mark.parametrize("patch, problem", [
+        (lambda h: [h], "is a list, not an object"),
+        (lambda h: {k: v for k, v in h.items() if k != "dtype"}, "lacks 'dtype'"),
+        (lambda h: {k: v for k, v in h.items() if k != "step"}, "lacks 'step'"),
+        (lambda h: h | {"dtype": "float99"}, "has dtype 'float99', not a float dtype"),
+        (lambda h: h | {"blocks": [{"name": "w", "shape": "23"}]}, "has block .*'23'"),
+        (lambda h: h | {"blocks": [{"name": "w", "shape": [-2, 3]}]},
+         r"has block .*\[-2, 3\]"),
+    ], ids=["list", "no-dtype", "no-step", "float99", "string-shape", "negative-dim"])
+    def test_bad_stream_header_names_path_and_offset(self, tmp_path, patch, problem):
+        path, at = self._patched_policy_header(tmp_path, patch)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint byte "
+                                             rf"stream header at byte offset {at} {problem}"):
+            trainer.load_bundle(path)
+
+    def test_read_span_refuses_negative_length(self):
+        with pytest.raises(ValueError, match="negative length -24 for w at byte offset 5"):
+            nn.read_span(bytes(64), 5, -24, "w")
 
     def test_every_cut_names_its_byte_offset(self, tmp_path):
         stores = []

@@ -279,6 +279,10 @@ def test_builders_match_reference_on_drawn_batches(spec):
     batch = net.window_batch(episodes, ends)
     assert_same(window_fields(net, batch), ref_window_batch(net, episodes, ends))
     assert len(batch.tables["spatial"]) == 1 + len(read)
+    # the batch holds only read rows, so taking every window keeps it byte for byte
+    again = batch.take(np.arange(len(ends)))
+    assert [(a.dtype, a.shape, a.tobytes()) for a in (again.rows, *again.tables.values())] == [
+        (a.dtype, a.shape, a.tobytes()) for a in (batch.rows, *batch.tables.values())]
 
     # the builder itself: tables naming each row's (episode, step) hold
     # exactly the read steps, by first-drawn episode, after the zero row

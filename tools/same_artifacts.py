@@ -12,7 +12,8 @@ from that copy and from this working tree, each on its own `src`, with
 OPENBLAS_NUM_THREADS=1, on three configs. It compares the sha256 of every
 artifact except `manifest.json` (which records wall times) and the stdout
 with the output directory replaced by a placeholder. Prints both trees'
-`src/` line counts and one line per config; exits 1 on any difference.
+`src/` line counts, raw and as code lines (no blank lines, comments or
+docstrings), and one line per config; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,8 +46,30 @@ CONFIGS = {
 }
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
+LAYOUT = {tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """Lines holding a token of code: not blank, a comment or a docstring
+    (a string that is a statement of its own)."""
+    with path.open("rb") as fh:
+        tokens = [t for t in tokenize.tokenize(fh.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for prev, tok, nxt in zip(tokens, tokens[1:], tokens[2:]):
+        docstring = (tok.type == tokenize.STRING and prev.type in LAYOUT
+                     and nxt.type == tokenize.NEWLINE)
+        if tok.type not in LAYOUT and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_lines(tree: Path) -> str:
+    """`src/`'s raw line count and its code line count."""
+    paths = sorted((tree / "src").rglob("*.py"))
+    raw = sum(len(p.read_bytes().splitlines()) for p in paths)
+    return f"{raw} ({sum(map(code_lines, paths))} code)"
 
 
 def run_pipeline(tree: Path, config: Path, out: Path) -> dict:
