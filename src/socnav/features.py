@@ -15,7 +15,7 @@ all-zero padding row and a slot is real where its row is above 0;
 of steps once however many windows hold them, and `Windows.take` keeps
 the read rows, for batches and shards alike; the networks only say how
 to build a step. Acting keeps one such table per value for its episode
-(row u + 1 step u, policy.EpisodeContext) and reads its windows from it
+(row u + 1 step u, policy.Actor) and reads its windows from it
 by row. The predictor's step token at time u carries the previous
 transition's action and reward (zeros at the episode start), which keeps
 training and rollout inputs identically distributed: the current step's

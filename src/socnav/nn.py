@@ -114,9 +114,9 @@ class ParamStore:
         """Parse the stream starting at `offset`; returns (store, extra, end).
 
         A stream that ends early raises ValueError naming the block and the
-        byte offset where the data ran out; a header that does not hold a
-        step, a float dtype and block shapes of non-negative ints raises
-        ValueError naming the header's byte offset.
+        byte offset where the data ran out; a header that is not of format 1
+        or does not hold a step, a float dtype and block shapes of
+        non-negative ints raises ValueError naming the header's byte offset.
         """
         what = "checkpoint byte stream"
         header, off = read_header(data, offset, CKPT_MAGIC, what,
@@ -173,19 +173,24 @@ def read_span(data: bytes, off: int, nbytes: int, what: str) -> tuple[bytes, int
 def read_header(data: bytes, off: int, magic: bytes, what: str,
                 keys=()) -> tuple[dict, int]:
     """Parse `magic`, a little-endian u64 length and that many bytes of a
-    JSON object holding `keys`, starting at `off`; returns (header, offset
-    after it). A header that is not such an object raises ValueError
-    naming its byte offset."""
+    JSON object of format 1 holding `keys`, starting at `off`; returns
+    (header, offset after it). A header that is not such an object raises
+    ValueError naming its byte offset."""
     raw, end = read_span(data, off, len(magic), f"{what} magic")
     if raw != magic:
         raise ValueError(f"not a {what} at byte offset {off}")
     raw, at = read_span(data, end, 8, f"{what} header length")
     (hlen,) = struct.unpack("<Q", raw)
     raw, end = read_span(data, at, hlen, f"{what} header")
-    header = json.loads(raw.decode())
     where = f"{what} header at byte offset {at}"
+    try:
+        header = json.loads(raw.decode())
+    except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{where} is not JSON ({exc})") from None
     if not isinstance(header, dict):
         raise ValueError(f"{where} is a {type(header).__name__}, not an object")
+    if header.get("format") != 1:
+        raise ValueError(f"{where} has format {header.get('format')!r}, not 1")
     missing = [key for key in keys if key not in header]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")

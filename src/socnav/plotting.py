@@ -75,16 +75,26 @@ def _svg_point(x, y, scale=40.0, half=5.6):
     return (x + half) * scale, (half - y) * scale
 
 
+def _tracks(record: dict):
+    """A record's robot positions and per-step pedestrian positions (empty
+    steps when it has none); they must cover the same steps."""
+    robot = record.get("robot")
+    if not robot:
+        raise PlotError(f"episode {record.get('episode')}: missing robot positions")
+    peds = record.get("peds") or [[] for _ in robot]
+    if len(peds) != len(robot):
+        raise PlotError(f"episode {record.get('episode')}: {len(peds)} steps of "
+                        f"pedestrian positions, {len(robot)} of robot positions")
+    return robot, peds
+
+
 def episode_svg(record: dict) -> str:
     """Render one episode: robot path with timestamps, pedestrian paths,
     goal marker."""
-    robot = record.get("robot")
-    peds = record.get("peds")
-    if not robot:
-        raise PlotError(f"episode {record.get('episode')}: missing robot positions")
+    robot, peds = _tracks(record)
     dt = float(record.get("dt", 0.25))
     steps = len(robot)
-    num_peds = len(peds[0]) if peds and peds[0] else 0
+    num_peds = len(peds[0])
 
     size = int(11.2 * 40)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
@@ -133,10 +143,7 @@ def episode_svg(record: dict) -> str:
 
 def episode_csv(record: dict) -> str:
     """episode,step,time,agent,x,y; one row per agent per step."""
-    robot = record.get("robot")
-    if not robot:
-        raise PlotError(f"episode {record.get('episode')}: missing robot positions")
-    peds = record.get("peds") or [[] for _ in robot]
+    robot, peds = _tracks(record)
     dt = float(record.get("dt", 0.25))
     ep = record.get("episode", 0)
     rows = ["episode,step,time,agent,x,y"]

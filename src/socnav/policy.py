@@ -12,7 +12,7 @@ one more input sequence: the caller hands tokenize the per-step values
 Actor is the one place that computes them, from the return predictor
 (fine-tuning and deployment) or from a fixed target (ablation).
 
-Training (tokenize) and acting (EpisodeContext) both hand the policy a
+Training (tokenize) and acting (Actor) both hand the policy a
 features.Windows over three step tables: `rtg`, `joint` (canonical joint
 vectors) and `action`. A slot before the episode start reads padding row
 0, the one mask of a step's three tokens. Acting featurizes each step
@@ -208,9 +208,11 @@ def tokenize(episodes, ends, context: int, num_peds: int) -> Windows:
 # -- acting ----------------------------------------------------------------
 
 
-class EpisodeContext:
-    """One episode's states and rewards (lists) and its step tables,
-    consumed by Actor.act; the actions are the `action` table's rows.
+class Actor:
+    """Greedy deterministic acting; the only code that computes return
+    conditioning online. The actor is also its episode's record: the
+    states and rewards (lists) and the step tables that act reads; the
+    actions are the `action` table's rows.
 
     `tables` holds each per-step value an acting window reads, laid out as
     features.window_tables lays out a batch's: row 0 is the all-zero
@@ -219,44 +221,16 @@ class EpisodeContext:
     conditioning; `action`, zero until observed (the current step's slot);
     and with a return predictor `tokens`, the temporal step token, and
     `encoded`, the per-step encoding (RtgPredictor.encode) under the
-    actor's predictor store. The encodings hold for one episode under fixed
-    parameters: Actor.begin_episode starts a new context, so an update
-    between episodes is never read through encodings made before it.
+    actor's predictor store. Each decision featurizes only its new step:
+    one canonical joint row and, in rtgp mode, one step through the
+    predictor's per-step encoder. Its actions and return estimates are
+    those of whole-window decisions (tokenize, RtgPredictor.predict), byte
+    for byte. The encodings hold for one episode under fixed parameters:
+    begin_episode starts new tables, so an update between episodes is
+    never read through encodings made before it.
     """
 
     FIRST_ROWS = 32
-
-    def __init__(self, **row_shapes):
-        """row_shapes: each table's name -> (shape, dtype) of one row."""
-        self.states, self.rewards = [], []
-        self.tables = {name: np.zeros((self.FIRST_ROWS, *shape), dtype=dtype)
-                       for name, (shape, dtype) in row_shapes.items()}
-
-    def begin_step(self, state) -> int:
-        """Append the newest observation as step t and return t; its
-        table rows t + 1 are zero until written."""
-        t = len(self.states)
-        self.states.append(state)
-        if t + 1 == len(self.tables["rtg"]):
-            self.tables = {name: np.concatenate([table, np.zeros_like(table)])
-                           for name, table in self.tables.items()}
-        return t
-
-    def history(self, name: str) -> np.ndarray:
-        """Table `name`'s rows of the steps so far, step 0 first."""
-        return self.tables[name][1:len(self.states) + 1]
-
-
-class Actor:
-    """Greedy deterministic acting; the only code that computes return
-    conditioning online.
-
-    Each decision featurizes only its new step into the episode's step
-    tables (EpisodeContext): one canonical joint row and, in rtgp mode,
-    one step through the predictor's per-step encoder. Its actions and
-    return estimates are those of whole-window decisions (tokenize,
-    RtgPredictor.predict), byte for byte.
-    """
 
     def __init__(self, policy: DtPolicy, policy_store, rtg_source: str = "rtgp",
                  rtgp=None, rtgp_store=None, fixed_target: float = 2.0):
@@ -279,42 +253,55 @@ class Actor:
             rows.update(tokens=((self.rtgp.temporal_dim,), np.float64),
                         encoded=((self.rtgp.num_peds + 1, self.rtgp.hidden),
                                  self.rtgp_store.dtype))
-        self.ctx = EpisodeContext(**rows)
+        self.states, self.rewards = [], []
+        self.tables = {name: np.zeros((self.FIRST_ROWS, *shape), dtype=dtype)
+                       for name, (shape, dtype) in rows.items()}
+
+    def begin_step(self, state) -> int:
+        """Append the newest observation as step t and return t; its
+        table rows t + 1 are zero until written."""
+        t = len(self.states)
+        self.states.append(state)
+        if t + 1 == len(self.tables["rtg"]):
+            self.tables = {name: np.concatenate([table, np.zeros_like(table)])
+                           for name, table in self.tables.items()}
+        return t
+
+    def history(self, name: str) -> np.ndarray:
+        """Table `name`'s rows of the steps so far, step 0 first."""
+        return self.tables[name][1:len(self.states) + 1]
 
     def _featurize(self, t: int):
         """Write step t, the newest observation, to the step tables."""
-        ctx = self.ctx
-        spatial, tokens = features.history_window(ctx.states, ctx.history("action"),
-                                                  ctx.rewards, t, t, self.policy.num_peds)
-        ctx.tables["joint"][t + 1] = tokens[0, :self.policy.joint_dim]
+        spatial, tokens = features.history_window(self.states, self.history("action"),
+                                                  self.rewards, t, t, self.policy.num_peds)
+        self.tables["joint"][t + 1] = tokens[0, :self.policy.joint_dim]
         if self.rtg_source == "rtgp":
             encoded, _ = self.rtgp.encode(self.rtgp_store, spatial)
-            ctx.tables["tokens"][t + 1] = tokens[0]
-            ctx.tables["encoded"][t + 1] = encoded[0]
+            self.tables["tokens"][t + 1] = tokens[0]
+            self.tables["encoded"][t + 1] = encoded[0]
 
     def conditioning(self, t: int) -> float:
         """Return-to-go for step t: the fixed target minus the rewards so
         far, or the predictor's estimate over the stored steps up to t."""
-        ctx = self.ctx
         if self.rtg_source == "fixed":
-            return self.fixed_target - math.fsum(ctx.rewards)
+            return self.fixed_target - math.fsum(self.rewards)
         rows = features.slot_steps([t], self.rtgp.window) + 1
         # the forward gets the window's own encodings, rows lo + 1..t + 1,
         # after row lo, which it never reads, so its per-step work (the step
         # means) stays one window's however long the episode
         lo = max(int(rows[0, 0]) - 1, 0)
-        rhat, _ = self.rtgp.forward(self.rtgp_store, ctx.tables["encoded"][lo:t + 2],
-                                    ctx.tables["tokens"][rows], rows - lo)
+        rhat, _ = self.rtgp.forward(self.rtgp_store, self.tables["encoded"][lo:t + 2],
+                                    self.tables["tokens"][rows], rows - lo)
         return float(rhat[0])
 
     def act(self, obs_joint: np.ndarray) -> np.ndarray:
         """Action for the current observation; call observe() afterwards."""
-        ctx = self.ctx
-        t = ctx.begin_step(np.asarray(obs_joint, dtype=np.float64))
+        t = self.begin_step(np.asarray(obs_joint, dtype=np.float64))
         self._featurize(t)
-        ctx.tables["rtg"][t + 1] = self.conditioning(t)
+        self.tables["rtg"][t + 1] = self.conditioning(t)
         rows = features.slot_steps([t], self.policy.context) + 1
-        a_hat, _ = self.policy.forward(self.policy_store, Windows(ctx.tables, rows))
+        a_hat, _ = self.policy.forward(self.policy_store, Windows(self.tables, rows))
         action = a_hat[0, -1].astype(np.float64)
         # float32 rounding can land a hair above the tanh bound; renormalize
         norm = float(np.hypot(action[0], action[1]))
@@ -323,5 +310,5 @@ class Actor:
         return action
 
     def observe(self, action, rew: float):
-        self.ctx.rewards.append(float(rew))
-        self.ctx.tables["action"][len(self.ctx.rewards)] = action
+        self.rewards.append(float(rew))
+        self.tables["action"][len(self.rewards)] = action

@@ -79,7 +79,7 @@ class RtgPredictor:
         spatial: (S, m+1, 9) step token sets. A step's encoding depends on
         that step alone, not on a window holding it, so a batch encodes
         each of its distinct steps once and acting encodes each step once
-        per episode (policy.EpisodeContext). Returns (steps, cache) with
+        per episode (policy.Actor). Returns (steps, cache) with
         steps (S, m+1, hidden).
         """
         spatial = np.ascontiguousarray(spatial, dtype=store.dtype)

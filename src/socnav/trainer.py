@@ -429,20 +429,36 @@ def save_bundle(path, policy_store: ParamStore, rtgp_store: ParamStore,
 
 
 def load_bundle(path):
-    """Read a bundle; a truncated file or bytes after the predictor stream
-    raise ValueError naming the path and the byte offset."""
+    """Read a bundle; a truncated file, a header field that disagrees with
+    what save_bundle writes or bytes after the predictor stream raise
+    ValueError naming the path and the byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        header, off = read_header(data, 0, BUNDLE_MAGIC, "checkpoint bundle", ("meta",))
-        policy_store, _, off = ParamStore.from_bytes(data, off)
-        rtgp_store, _, off = ParamStore.from_bytes(data, off)
+        header, off = read_header(data, 0, BUNDLE_MAGIC, "checkpoint bundle",
+                                  ("meta", "policy_len", "rtgp_len"))
+        if not isinstance(header["meta"], dict):
+            raise ValueError(f"checkpoint bundle header at byte offset "
+                             f"{len(BUNDLE_MAGIC) + 8} has meta {header['meta']!r}, "
+                             f"not an object")
+        stores = []
+        for role in ("policy", "rtgp"):
+            store, extra, end = ParamStore.from_bytes(data, off)
+            if not (isinstance(extra, dict) and extra.get("role") == role):
+                raise ValueError(f"{role} stream at byte offset {off} has extra "
+                                 f"{extra!r}, not role {role!r}")
+            stated = header[f"{role}_len"]
+            if stated != end - off:
+                raise ValueError(f"{role} stream at byte offset {off} spans {end - off} "
+                                 f"bytes, not the header's {role}_len {stated!r}")
+            stores.append(store)
+            off = end
         if off != len(data):
             raise ValueError(f"{len(data) - off} unexpected bytes after the "
                              f"predictor stream at byte offset {off}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return policy_store, rtgp_store, header["meta"]
+    return *stores, header["meta"]
 
 
 def evaluate(policy_store: ParamStore, rtgp_store: ParamStore | None, cfg: Config,

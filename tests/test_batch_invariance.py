@@ -113,4 +113,4 @@ class TestActingMatchesTheSlowUpdate:
                               gamma=cfg.train.gamma, observe=actor.observe)
             assert traj.num_steps > cfg.net.rtgp_window
             want = rtgp.predict_sequence(rs, traj.states, traj.actions, traj.rewards)
-            assert actor.ctx.history("rtg").tobytes() == want.tobytes()
+            assert actor.history("rtg").tobytes() == want.tobytes()

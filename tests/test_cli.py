@@ -251,6 +251,14 @@ class TestBundleShapes:
         assert run("--config", tiny_config_file, "eval", "--ckpt", ckpt, "--episodes", "1",
                    "--report", str(tmp_path / "r.json")) == EXIT_OK
 
+    def test_meta_not_an_object_is_3_naming_it(self, tiny_config_file, tmp_path, capsys):
+        ckpt = str(tmp_path / "c.ckpt")
+        write_bundle(ckpt, tiny_config_file, meta=[1])
+        assert run("--config", tiny_config_file, "eval", "--ckpt", ckpt, "--episodes", "1",
+                   "--report", str(tmp_path / "r.json")) == EXIT_RUNTIME
+        assert (f"{ckpt}: checkpoint bundle header at byte offset 24 has meta [1], "
+                "not an object") in capsys.readouterr().err
+
 
 class TestRtgMode:
     @pytest.mark.parametrize("bundle_mode, run_mode", [("fixed", "rtgp"), ("rtgp", "fixed")])

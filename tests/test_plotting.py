@@ -37,6 +37,21 @@ class TestSvg:
         with pytest.raises(PlotError, match="step 3"):
             episode_svg(rec)
 
+    @pytest.mark.parametrize("render", [episode_svg, episode_csv])
+    @pytest.mark.parametrize("peds_steps", [8, 10])
+    def test_pedestrian_steps_must_match_robot_steps(self, render, peds_steps):
+        rec = straight_log() | {"episode": 7}
+        rec["peds"] = (rec["peds"] * 2)[:peds_steps]
+        with pytest.raises(PlotError, match="episode 7: "
+                                            f"{peds_steps} steps of pedestrian positions, "
+                                            "9 of robot positions"):
+            render(rec)
+
+    def test_record_without_pedestrians_renders(self):
+        rec = {k: v for k, v in straight_log().items() if k != "peds"}
+        assert episode_svg(rec).count("<polyline") == 1
+        assert len(episode_csv(rec).strip().splitlines()) - 1 == 9
+
 
 class TestCsv:
     def test_row_count_steps_times_agents(self):

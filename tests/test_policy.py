@@ -10,7 +10,7 @@ from socnav.dataset import Trajectory, compute_rtg, rollout
 from socnav.env import CrowdEnv
 from socnav.features import SPATIAL_TOKEN_DIM, Windows, clip_action_norm
 from socnav.gradcheck import grad_check
-from socnav.policy import Actor, DtPolicy, EpisodeContext, squash_bwd, squash_fwd, tokenize
+from socnav.policy import Actor, DtPolicy, squash_bwd, squash_fwd, tokenize
 from socnav.rtgp import RtgPredictor
 from socnav.trainer import build_models, policy_batch_from, rtgp_batch_from
 
@@ -325,19 +325,19 @@ class TestActor:
         _, actor = self._setup(rng, "fixed")
         actor.begin_episode()
         actor.act(rng.normal(size=20))
-        assert actor.ctx.history("rtg").tolist() == [2.0]
+        assert actor.history("rtg").tolist() == [2.0]
 
     def test_fixed_mode_decrements_by_rewards(self, rng):
         _, actor = self._setup(rng, "fixed")
         _, _, rewards = self._play(rng, actor, steps=4)
         want = [2.0 - math.fsum(rewards[:u]) for u in range(4)]
-        assert actor.ctx.history("rtg").tolist() == want
+        assert actor.history("rtg").tolist() == want
 
     def test_rtgp_mode_slots_equal_predictor_bitwise(self, rng):
         _, actor = self._setup(rng, "rtgp")
         states, actions, rewards = self._play(rng, actor, steps=5)
         for u in range(5):
-            assert actor.ctx.history("rtg")[u] == actor.rtgp.predict(
+            assert actor.history("rtg")[u] == actor.rtgp.predict(
                 actor.rtgp_store, states, actions, rewards, u)
 
     def test_rtgp_mode_requires_predictor(self, rng):
@@ -395,7 +395,7 @@ class WholeWindowActor(Actor):
         self.actions.append(np.asarray(action, dtype=np.float64))
 
     def act(self, obs_joint):
-        ctx = self.ctx
+        ctx = self
         t = ctx.begin_step(np.asarray(obs_joint, dtype=np.float64))
         if self.rtg_source == "fixed":
             self.rtg.append(self.fixed_target - math.fsum(ctx.rewards))
@@ -444,7 +444,7 @@ def lockstep_episode(env, actor, reference, seed):
     actor.begin_episode()
     reference.begin_episode()
     traj, _ = rollout(env, act, seed, gamma=0.99, observe=observe)
-    assert actor.ctx.history("rtg").tobytes() == np.array(reference.rtg).tobytes()
+    assert actor.history("rtg").tobytes() == np.array(reference.rtg).tobytes()
     return traj
 
 
@@ -473,10 +473,10 @@ class TestActingMatchesWholeWindow:
         actor, reference = acting_pair(cfg, mode, seed=5, head_scale=0.2)
         traj = lockstep_episode(CrowdEnv(cfg.sim), actor, reference, seed=43)
         # the step tables start at FIRST_ROWS rows and doubled at least twice
-        assert traj.num_steps >= 2 * EpisodeContext.FIRST_ROWS
-        assert {len(table) for table in actor.ctx.tables.values()} == {
-            len(actor.ctx.tables["rtg"])}
-        assert len(actor.ctx.tables["rtg"]) >= 4 * EpisodeContext.FIRST_ROWS
+        assert traj.num_steps >= 2 * Actor.FIRST_ROWS
+        assert {len(table) for table in actor.tables.values()} == {
+            len(actor.tables["rtg"])}
+        assert len(actor.tables["rtg"]) >= 4 * Actor.FIRST_ROWS
 
     @pytest.mark.parametrize("num_peds", [0, 5])
     def test_published_shape_episode_longer_than_the_window(self, num_peds):
@@ -492,7 +492,7 @@ class TestActingMatchesWholeWindow:
         actor, reference = acting_pair(tiny_cfg, mode, seed=7, head_scale=0.2)
         env = CrowdEnv(tiny_cfg.sim)
         first = lockstep_episode(env, actor, reference, seed=43)
-        rtg_before = actor.ctx.history("rtg").copy()
+        rtg_before = actor.history("rtg").copy()
         draws = [(first, end) for end in range(first.num_steps)]
         actor.rtgp.loss_and_grad(actor.rtgp_store, *rtgp_batch_from(draws, actor.rtgp))
         actor.policy.loss_and_grad(actor.policy_store, *policy_batch_from(
@@ -501,7 +501,7 @@ class TestActingMatchesWholeWindow:
         nn.lamb_step(actor.policy_store, 1e-2)
         second = lockstep_episode(env, actor, reference, seed=43)
         if mode == "rtgp":
-            assert actor.ctx.history("rtg")[0] != rtg_before[0]
+            assert actor.history("rtg")[0] != rtg_before[0]
         assert second.actions[0].tobytes() != first.actions[0].tobytes()
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from socnav import nn
 from socnav.core import PED_PART_DIM, ROBOT_PART_DIM
@@ -23,16 +26,41 @@ def fake_episode(rng, net, steps=6):
     return states, actions, rewards
 
 
+@st.composite
+def permuted_joints(draw):
+    """(joint, m, perm): joint vectors of 0-6 pedestrians under 0-2 leading
+    batch axes, the distance fields distinct, and an order of the blocks."""
+    m = draw(st.integers(0, 6))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    joint = draw(hnp.arrays(np.float64, lead + (ROBOT_PART_DIM + m * PED_PART_DIM,),
+                            elements=st.floats(-10, 10)))
+    # distinct nonzero distances: a tie (0.0 and -0.0 among them) keeps input order
+    joint[..., ROBOT_PART_DIM + 5::PED_PART_DIM] = draw(hnp.arrays(
+        np.float64, lead + (m,), elements=st.floats(0.5, 10), unique=True))
+    return joint, m, draw(st.permutations(range(m)))
+
+
+def first_case():
+    """The case this property began as: 4 pedestrians under a batch of 3."""
+    rng = np.random.default_rng(123)
+    joint = rng.normal(size=(3, ROBOT_PART_DIM + 4 * PED_PART_DIM))
+    return joint, 4, rng.permutation(4).tolist()
+
+
 class TestFeatures:
-    def test_canonical_sort_is_permutation_invariant(self, rng):
-        m = 4
-        joint = rng.normal(size=(3, ROBOT_PART_DIM + m * PED_PART_DIM))
-        canon = canonicalize_joint(joint, m)
-        perm = rng.permutation(m)
-        blocks = joint[:, ROBOT_PART_DIM:].reshape(3, m, PED_PART_DIM)
-        joint_p = np.concatenate(
-            [joint[:, :ROBOT_PART_DIM], blocks[:, perm, :].reshape(3, -1)], axis=1)
-        np.testing.assert_array_equal(canonicalize_joint(joint_p, m), canon)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(permuted_joints())
+    @example(first_case())
+    def test_canonical_sort_is_permutation_invariant(self, case):
+        joint, m, perm = case
+        lead = joint.shape[:-1]
+        blocks = joint[..., ROBOT_PART_DIM:].reshape(*lead, m, PED_PART_DIM)
+        joint_p = np.concatenate([joint[..., :ROBOT_PART_DIM],
+                                  blocks[..., np.asarray(perm, dtype=int), :].reshape(
+                                      *lead, m * PED_PART_DIM)], axis=-1)
+        canon, canon_p = canonicalize_joint(joint, m), canonicalize_joint(joint_p, m)
+        assert (canon_p.dtype, canon_p.shape) == (canon.dtype, canon.shape)
+        assert canon_p.tobytes() == canon.tobytes()
 
     def test_canonical_sorts_by_distance(self, rng):
         m = 3

@@ -546,6 +546,83 @@ class TestCheckpointBundle:
                                              rf"stream header at byte offset {at} {problem}"):
             trainer.load_bundle(path)
 
+    def test_stream_format_checked(self, tmp_path):
+        path, at = self._patched_policy_header(tmp_path, lambda h: h | {"format": 2})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint byte "
+                                             rf"stream header at byte offset {at} "
+                                             r"has format 2, not 1"):
+            trainer.load_bundle(path)
+
+    @staticmethod
+    def _rebuilt_bundle(tmp_path, patch=lambda h: h, roles=("policy", "rtgp")):
+        """A bundle of two one-block streams with the given roles whose
+        bundle header is patch(header), and the byte offsets of that header
+        and of each stream."""
+        store = ParamStore()
+        store.add("w", np.ones((2, 3), dtype=np.float32))
+        streams = [store.to_bytes(extra={"role": role}) for role in roles]
+        header = {"format": 1, "meta": {}, "policy_len": len(streams[0]),
+                  "rtgp_len": len(streams[1])}
+        payload = json.dumps(patch(header)).encode()
+        path = tmp_path / "rebuilt.ckpt"
+        path.write_bytes(trainer.BUNDLE_MAGIC + struct.pack("<Q", len(payload)) + payload
+                         + b"".join(streams))
+        at = len(trainer.BUNDLE_MAGIC) + 8
+        return path, at, (at + len(payload), at + len(payload) + len(streams[0]))
+
+    def test_rebuilt_bundle_is_a_saved_one(self, tmp_path):
+        path, _, _ = self._rebuilt_bundle(tmp_path)
+        store = ParamStore()
+        store.add("w", np.ones((2, 3), dtype=np.float32))
+        trainer.save_bundle(tmp_path / "saved.ckpt", store, store)
+        assert path.read_bytes() == (tmp_path / "saved.ckpt").read_bytes()
+        trainer.load_bundle(path)
+
+    @pytest.mark.parametrize("patch, problem", [
+        (lambda h: h | {"format": 7}, "has format 7, not 1"),
+        (lambda h: {k: v for k, v in h.items() if k != "format"}, "has format None, not 1"),
+        (lambda h: h | {"meta": [1]}, r"has meta \[1\], not an object"),
+        (lambda h: {k: v for k, v in h.items() if k != "rtgp_len"}, "lacks 'rtgp_len'"),
+    ], ids=["format-7", "no-format", "meta-list", "no-rtgp-len"])
+    def test_bad_bundle_header_names_path_and_offset(self, tmp_path, patch, problem):
+        path, at, _ = self._rebuilt_bundle(tmp_path, patch)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint "
+                                             rf"bundle header at byte offset {at} {problem}"):
+            trainer.load_bundle(path)
+
+    @pytest.mark.parametrize("first", [b"\xff", b"]"], ids=["not-utf8", "not-json"])
+    def test_header_not_json_names_path_and_offset(self, tmp_path, first):
+        path, at, _ = self._rebuilt_bundle(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:at] + first + data[at + 1:])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint "
+                                             rf"bundle header at byte offset {at} is not JSON"):
+            trainer.load_bundle(path)
+
+    @pytest.mark.parametrize("role, patch", [
+        ("policy", lambda h: h | {"policy_len": 1}),
+        ("rtgp", lambda h: h | {"rtgp_len": -5}),
+    ], ids=["policy-1", "rtgp-negative"])
+    def test_stream_length_checked(self, tmp_path, role, patch):
+        path, _, starts = self._rebuilt_bundle(tmp_path, patch)
+        at = starts[role == "rtgp"]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {role} stream at "
+                                             rf"byte offset {at} spans \d+ bytes, not the "
+                                             rf"header's {role}_len"):
+            trainer.load_bundle(path)
+
+    @pytest.mark.parametrize("roles, role", [
+        (("rtgp", "rtgp"), "policy"), (("policy", "policy"), "rtgp"),
+        (("rtgp", "policy"), "policy"),
+    ], ids=["policy-says-rtgp", "rtgp-says-policy", "swapped"])
+    def test_stream_role_checked(self, tmp_path, roles, role):
+        path, _, starts = self._rebuilt_bundle(tmp_path, roles=roles)
+        at = starts[role == "rtgp"]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {role} stream at "
+                                             rf"byte offset {at} has extra .*, not role "
+                                             rf"'{role}'"):
+            trainer.load_bundle(path)
+
     def test_read_span_refuses_negative_length(self):
         with pytest.raises(ValueError, match="negative length -24 for w at byte offset 5"):
             nn.read_span(bytes(64), 5, -24, "w")
